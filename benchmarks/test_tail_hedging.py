@@ -29,6 +29,7 @@ from repro.workloads import wvmp
 NUM_ROWS = 8_000
 NUM_QUERIES = 80
 SLOW_LINK_S = 0.25
+TABLE = "wvmp_OFFLINE"
 SKIP = " OPTION(skipCache=true)"
 
 
@@ -42,6 +43,15 @@ def _build_cluster(hedging: HedgePolicy | None) -> PinotCluster:
     ))
     cluster.upload_records("wvmp", wvmp.generate_records(NUM_ROWS, seed=3),
                            rows_per_segment=1_000)
+    # Segments load lazily on first touch. This benchmark measures
+    # hedging, not cold loads, so every replica is warmed first: left
+    # cold, the first hedge to server-1 fetches all 8 segments inside
+    # its sub-request, that one 225 ms sample is the p95 of the 8-sample
+    # latency window, and the hedge budget sits at 1.5x it for the next
+    # six queries (ROADMAP item D has the fabric side of this story).
+    for server in cluster.servers:
+        for name in server.hosted_segments(TABLE):
+            server.segment(TABLE, name)
     # Degrade the broker's link to server-0 only; the cluster view (and
     # routing) still considers the replica healthy.
     cluster.net.set_link("broker-0", "server-0",
@@ -77,6 +87,7 @@ def test_tail_hedging_report(benchmark, measured):
     broker = on.brokers[0]
     hedges = broker.metrics.count("hedges")
     wins = broker.metrics.count("hedge_wins")
+    budget_ms = broker._latency.budget_s(TABLE) * 1e3
 
     lines = [
         f"slow replica: broker-0 -> server-0 at {SLOW_LINK_S * 1e3:.0f}ms "
@@ -84,7 +95,8 @@ def test_tail_hedging_report(benchmark, measured):
         f"hedging off: p50={p50_off:.1f}ms p99={p99_off:.1f}ms",
         f"hedging on:  p50={p50_on:.1f}ms p99={p99_on:.1f}ms",
         f"p99 cut: {p99_off / p99_on:.1f}x "
-        f"(hedges={hedges:.0f} wins={wins:.0f})",
+        f"(hedges={hedges:.0f} wins={wins:.0f}, "
+        f"hedge budget after the run {budget_ms:.1f}ms)",
     ]
     write_report("tail_hedging", "\n".join(lines), data={
         "p50_ms": {"hedging_off": p50_off, "hedging_on": p50_on},
@@ -92,8 +104,13 @@ def test_tail_hedging_report(benchmark, measured):
         "p99_cut": p99_off / p99_on,
         "hedges": hedges,
         "hedge_wins": wins,
+        "hedge_budget_ms": budget_ms,
     })
 
     assert hedges > 0 and wins > 0
+    # Only winners' flight times feed the window, so with warm replicas
+    # the budget must settle near a healthy sub-request, far below the
+    # straggler's 500 ms round trip.
+    assert budget_ms < SLOW_LINK_S * 1e3 / 5
     # The issue's acceptance bar: hedging cuts p99 by at least 2x.
     assert p99_off >= 2.0 * p99_on

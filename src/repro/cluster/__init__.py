@@ -19,7 +19,6 @@ from repro.cluster.health import (
     HealthPolicy,
     QueuePressure,
 )
-from repro.cluster.metrics import BrokerMetrics, StageTiming
 from repro.cluster.minion import MinionInstance
 from repro.cluster.objectstore import (
     FileObjectStore,
@@ -43,11 +42,9 @@ from repro.cluster.tenant import (
 __all__ = [
     "AutoIndexAnalyzer",
     "BrokerInstance",
-    "BrokerMetrics",
     "IndexRecommendation",
     "QueryLogEntry",
     "CompletionResponse",
-    "StageTiming",
     "Controller",
     "FailureDetector",
     "FileObjectStore",

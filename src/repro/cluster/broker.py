@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from repro.cache.bus import TableEpochs
@@ -24,11 +25,18 @@ from repro.cluster.health import (
     HealthPolicy,
     QueuePressure,
 )
-from repro.cluster.metrics import BrokerMetrics
-from repro.cluster.table import TableConfig, TableType
+from repro.cluster.table import (
+    TableConfig,
+    TableType,
+    pushed_segment_records,
+    read_segment_record,
+    read_table_config,
+    table_exists,
+)
 from repro.cluster.tenant import TenantQuotaManager
 from repro.common.timeutils import time_boundary
 from repro.engine.merge import reduce_server_results
+from repro.engine.planner import time_bounds
 from repro.engine.results import BrokerResponse, ServerResult
 from repro.errors import (
     ClusterError,
@@ -39,6 +47,7 @@ from repro.errors import (
 from repro.helix.manager import HelixManager
 from repro.helix.statemachine import SegmentState
 from repro.net import CallResult, HedgePolicy, LatencyTracker, SimClock
+from repro.obs.metrics import Metrics
 from repro.obs.trace import (
     STATUS_CANCELLED,
     STATUS_ERROR,
@@ -54,6 +63,7 @@ from repro.pql.ast_nodes import (
     HavingCondition,
     OrderBy,
     Query,
+    predicate_columns,
 )
 from repro.pql.parser import parse
 from repro.pql.rewriter import optimize, split_hybrid
@@ -61,6 +71,7 @@ from repro.routing.balanced import BalancedRouting
 from repro.routing.base import RoutingStrategy, TableRoutingSnapshot
 from repro.routing.large_cluster import LargeClusterRouting
 from repro.routing.partition_aware import PartitionAwareRouting
+from repro.segment.bloom import BloomFilter
 
 _QUERYABLE_STATES = frozenset(
     {SegmentState.ONLINE.value, SegmentState.CONSUMING.value}
@@ -118,9 +129,22 @@ class _FailedSubRequest:
 
 
 @dataclass
-class _ScatterOutcome:
-    """Everything one physical query's scatter/gather produced."""
+class _QueryRun:
+    """One logical query in flight: what every step of the query path
+    reads and writes, and the one place its stages are accounted. The
+    first group of fields accumulates over the query's physical legs (a
+    hybrid query has two); :meth:`begin_leg` resets the second."""
 
+    clock: SimClock
+    metrics: Metrics
+    component: str
+    started: float
+    deadline: float | None
+    trace: Trace | None
+    #: Latest gather barrier — the query's own wall, independent of
+    #: whatever the shared clock has reached serving other traffic.
+    finished_at: float = 0.0
+    stage_times: dict[str, float] = field(default_factory=dict)
     results: list[ServerResult] = field(default_factory=list)
     recovered_errors: list[str] = field(default_factory=list)
     pruned: int = 0
@@ -131,15 +155,49 @@ class _ScatterOutcome:
     #: True when any sub-request ran out of deadline budget; such a
     #: response must never be cached even if it merged cleanly.
     deadline_exhausted: bool = False
-    #: Virtual instant the broker finished waiting on sub-requests (the
-    #: gather barrier) — the query's own wall, independent of whatever
-    #: the shared clock has reached serving other traffic.
-    finished_at: float = 0.0
-    #: Hedged duplicates issued for this physical query.
+
+    # -- per physical query ---------------------------------------------------
+    query: Query | None = None
+    strategy: RoutingStrategy | None = None
+    #: Instances whose dispatch this leg is probe traffic (the capped
+    #: trickle sent to ejected servers).
+    probes: set[str] = field(default_factory=set)
+    #: Hedged duplicates issued, capped per physical query.
     hedges: int = 0
-    #: Accumulated link + queue time across all sub-requests (the
-    #: per-query "network" stage).
+    #: Link + queue time over the leg's sub-requests (the network stage).
     network_ms: float = 0.0
+
+    def begin_leg(self, query: Query) -> None:
+        self.query = query
+        self.probes = set()
+        self.hedges = 0
+        self.network_ms = 0.0
+
+    def record_stage(self, name: str, elapsed_ms: float) -> None:
+        self.metrics.record_stage(name, elapsed_ms)
+        self.stage_times[name] = self.stage_times.get(name, 0.0) + elapsed_ms
+
+    @contextmanager
+    def stage(self, name: str, span: bool = True,
+              span_start: float | None = None, **attrs):
+        """Account one stage timed on the broker's clock. A traced query
+        also gets a span under the root, open while the stage runs (so
+        sub-request spans can parent under it) and yielded to it.
+        ``span=False`` times the stage without one; ``span_start`` puts
+        the span at another instant than the clock start. A stage that
+        raises records nothing (docs/ARCHITECTURE.md, "Query path")."""
+        started = self.clock.now()
+        opened = None
+        if span and self.trace is not None:
+            opened = self.trace.add_span(
+                name, self.trace.root,
+                started if span_start is None else span_start, None,
+                component=self.component, **attrs)
+        yield opened
+        ended = self.clock.now()
+        if opened is not None:
+            opened.end_s = ended
+        self.record_stage(name, (ended - started) * 1e3)
 
 
 class BrokerInstance:
@@ -178,10 +236,8 @@ class BrokerInstance:
         self._clock = clock if clock is not None else helix.transport.clock
         #: Hedged sub-requests (off unless a policy is supplied): track
         #: per-table sub-request latencies and re-issue stragglers.
-        self._hedging = hedging if hedging is not None and hedging.enabled \
-            else None
-        self._latency = (LatencyTracker(self._hedging)
-                         if self._hedging is not None else None)
+        self._latency = (LatencyTracker(hedging) if hedging is not None
+                         and hedging.enabled else None)
         #: Failure detector (off unless configured, matching real
         #: Pinot's opt-in broker module): scores every sub-request
         #: outcome, ejects sick servers from routing, probes them back.
@@ -200,7 +256,7 @@ class BrokerInstance:
         self._dirty: set[str] = set()
         self.queries_served = 0
         self.query_log: list[QueryLogEntry] = []
-        self.metrics = BrokerMetrics()
+        self.metrics = Metrics()
         #: Distributed tracing (repro.obs): sampling off by default,
         #: per-query opt-in via ``OPTION(trace=true)``.
         self.tracer = tracer if tracer is not None else Tracer(
@@ -221,7 +277,7 @@ class BrokerInstance:
 
     def _strategy_for(self, table: str) -> RoutingStrategy:
         if table not in self._strategies:
-            config = self._table_config(table)
+            config = read_table_config(self._helix, table)
             self._strategies[table] = _make_strategy(config, self._rng)
             self._dirty.add(table)
         if table in self._dirty:
@@ -233,7 +289,7 @@ class BrokerInstance:
         self._routing_versions[table] = (
             self._routing_versions.get(table, 0) + 1
         )
-        config = self._table_config(table)
+        config = read_table_config(self._helix, table)
         view = self._helix.external_view(table)
         live = set(self._helix.live_instances())
         segment_to_instances: dict[str, list[str]] = {}
@@ -262,21 +318,11 @@ class BrokerInstance:
             return {}
         partitions: dict[str, int] = {}
         for segment in segments:
-            meta = (
-                self._helix.get_property(f"segments/{table}/{segment}")
-                or self._helix.get_property(f"realtime/{table}/{segment}")
-                or {}
-            )
+            meta = read_segment_record(self._helix, table, segment)
             partition = meta.get("partition_id", meta.get("partition"))
             if partition is not None:
                 partitions[segment] = partition
         return partitions
-
-    def _table_config(self, table: str) -> TableConfig:
-        payload = self._helix.get_property(f"tableconfigs/{table}")
-        if payload is None:
-            raise ClusterError(f"no such table: {table!r}")
-        return TableConfig.from_dict(payload)
 
     # -- query execution (§3.3.3) ------------------------------------------------
 
@@ -304,7 +350,7 @@ class BrokerInstance:
         physical = self._resolve_physical_queries(query)
         query, physical, rewrites = self._maybe_rewrite_approx(query,
                                                                physical)
-        first_config = self._table_config(physical[0].table)
+        first_config = read_table_config(self._helix, physical[0].table)
         tenant = tenant or first_config.tenant
         if self._quotas is not None:
             clock = now if now is not None else self._clock.now()
@@ -321,102 +367,71 @@ class BrokerInstance:
         timeout_ms = query.options.get("timeoutMs")
         deadline = (started + timeout_ms / 1e3
                     if timeout_ms is not None else None)
-        stage_times: dict[str, float] = {}
 
         #: Per-query trace (repro.obs): None unless sampled in or
         #: forced with OPTION(trace=true) — the untraced path pays only
         #: this call and a few None checks.
         trace = self.tracer.start_trace(
             "query", at=started, force=bool(query.options.get("trace")),
-            table=query.table, pql=str(query),
+            table=query.table,
         )
         if trace is not None:
+            trace.root.attributes["pql"] = str(query)
             self.metrics.incr("traces")
+        run = _QueryRun(self._clock, self.metrics, self.instance_id,
+                        started=started, deadline=deadline, trace=trace)
 
         cache_key = None
         if query.options.get("skipCache"):
             self.metrics.incr("cache_bypass")
         else:
-            cache_started = self._clock.now()
-            cache_key = self._cache_key(physical)
-            cached = (self.result_cache.get(cache_key)
-                      if cache_key is not None else None)
-            self._record_stage(
-                "cache", (self._clock.now() - cache_started) * 1e3,
-                stage_times)
-            if trace is not None:
-                outcome_label = ("bypass" if cache_key is None
-                                 else "hit" if cached is not None
-                                 else "miss")
-                trace.add_span(
-                    "cache", trace.root, cache_started, self._clock.now(),
-                    component=self.instance_id, outcome=outcome_label,
-                )
+            with run.stage("cache") as span:
+                cache_key = self._cache_key(physical)
+                cached = (self.result_cache.get(cache_key)
+                          if cache_key is not None else None)
+                if span is not None:
+                    span.attributes["outcome"] = (
+                        "bypass" if cache_key is None
+                        else "hit" if cached is not None else "miss")
             if cache_key is None:
                 # Consuming offsets unknown (e.g. a replica died
                 # mid-query): bypass rather than risk a stale hit.
                 self.metrics.incr("cache_bypass")
             elif cached is not None:
-                return self._serve_from_cache(cached, tenant, now,
-                                              started, stage_times, trace)
+                return self._serve_from_cache(cached, run, tenant, now)
             else:
                 self.metrics.incr("cache_misses")
 
-        server_results: list[ServerResult] = []
-        recovered: list[str] = []
         log_entries: list[QueryLogEntry] = []
-        contacted: set[str] = set()
-        responded: set[str] = set()
-        pruned_total = 0
-        retries = 0
-        failed_over = 0
-        deadline_exhausted = False
-        finished = started
         for physical_query in physical:
-            outcome = self._scatter_gather(physical_query, deadline,
-                                           stage_times, depart_at=at,
-                                           trace=trace)
+            first_result = len(run.results)
+            self._scatter_gather(run, physical_query, depart_at=at)
             at = None  # only the first physical query departs at `at`
-            finished = max(finished, outcome.finished_at)
-            server_results.extend(outcome.results)
-            recovered.extend(outcome.recovered_errors)
-            pruned_total += outcome.pruned
-            contacted |= outcome.contacted
-            responded |= outcome.responded
-            retries += outcome.retries
-            failed_over += outcome.segments_failed_over
-            deadline_exhausted |= outcome.deadline_exhausted
-            entry = self._record_query_log(physical_query, outcome.results)
+            entry = self._record_query_log(physical_query,
+                                           run.results[first_result:])
             if entry is not None:
                 log_entries.append(entry)
 
-        elapsed_ms = (max(started, finished) - started) * 1e3
-        if self._quotas is not None:
-            clock = now if now is not None else self._clock.now()
-            self._quotas.charge(tenant, elapsed_ms / 1e3, clock)
-        self.queries_served += 1
-        merge_started = self._clock.now()
-        response = reduce_server_results(query, server_results, elapsed_ms,
-                                         recovered_exceptions=recovered)
-        merge_ended = self._clock.now()
-        self._record_stage("merge", (merge_ended - merge_started) * 1e3,
-                           stage_times)
-        if trace is not None:
-            trace.add_span("merge", trace.root, merge_started, merge_ended,
-                           component=self.instance_id,
-                           rows=len(response.table))
-        response.num_servers_queried = len(contacted)
-        response.num_servers_responded = len(responded)
-        response.num_segments_pruned_by_broker = pruned_total
-        response.num_retries = retries
-        response.num_segments_failed_over = failed_over
-        response.stage_times_ms = stage_times
+        elapsed_ms = (max(started, run.finished_at) - started) * 1e3
+        self._charge(tenant, now, elapsed_ms)
+        with run.stage("merge") as span:
+            response = reduce_server_results(
+                query, run.results, elapsed_ms,
+                recovered_exceptions=run.recovered_errors)
+            if span is not None:
+                span.attributes["rows"] = len(response.table)
+        response.num_servers_queried = len(run.contacted)
+        response.num_servers_responded = len(run.responded)
+        response.num_segments_pruned_by_broker = run.pruned
+        response.num_retries = run.retries
+        response.num_segments_failed_over = run.segments_failed_over
+        response.stage_times_ms = run.stage_times
         response.rewrites = rewrites
         if response.is_partial:
             # Partial answers must never be cached: a retry after the
             # failure heals would keep returning the degraded result.
             self.metrics.incr("partial_responses")
-        elif cache_key is not None and not deadline_exhausted:
+        elif cache_key is not None and not run.deadline_exhausted:
             self.result_cache.put(cache_key, response, log_entries)
         if trace is not None:
             # Attach via replace() AFTER the cache put: the cache stores
@@ -424,9 +439,9 @@ class BrokerInstance:
             # trace-free (a later hit is its own, much shorter, trace).
             trace.root.attributes.update(
                 partial=response.is_partial,
-                servers_queried=len(contacted),
-                servers_responded=len(responded),
-                retries=retries,
+                servers_queried=len(run.contacted),
+                servers_responded=len(run.responded),
+                retries=run.retries,
                 rows=len(response.table),
             )
             self.tracer.finish_trace(
@@ -435,6 +450,14 @@ class BrokerInstance:
             )
             response = replace(response, trace=trace.to_dict())
         return response
+
+    def _charge(self, tenant: str | None, now: float | None,
+                elapsed_ms: float) -> None:
+        """Bill an answered query, executed or cached, to its tenant."""
+        if self._quotas is not None:
+            clock = now if now is not None else self._clock.now()
+            self._quotas.charge(tenant, elapsed_ms / 1e3, clock)
+        self.queries_served += 1
 
     # -- result cache (repro.cache) -----------------------------------------
 
@@ -467,7 +490,7 @@ class BrokerInstance:
     def _consuming_fingerprint(self, table: str) -> tuple | None:
         """The (segment, instance, offset) triples of every CONSUMING
         replica — offline tables return (). Embedding live offsets in
-        the key gives realtime/hybrid caching zero staleness by
+        the key gives realtime and hybrid caching zero staleness by
         construction: any newly consumed event changes the key."""
         view = self._helix.external_view(table)
         entries = []
@@ -491,34 +514,28 @@ class BrokerInstance:
                 entries.append((segment, instance, offset))
         return tuple(sorted(entries))
 
-    def _serve_from_cache(self, cached: CachedResult, tenant: str | None,
-                          now: float | None, started: float,
-                          stage_times: dict[str, float],
-                          trace: Trace | None = None) -> BrokerResponse:
+    def _serve_from_cache(self, cached: CachedResult, run: _QueryRun,
+                          tenant: str | None,
+                          now: float | None) -> BrokerResponse:
         """Answer from the result cache, keeping every side effect a
         real execution would have had: quota charging, the query log
         (auto-index mining, §5.2), and query counters."""
         self.metrics.incr("cache_hits")
-        self.query_log.extend(cached.log_entries)
-        if len(self.query_log) > self.QUERY_LOG_LIMIT:
-            del self.query_log[:len(self.query_log) // 2]
-        elapsed_ms = max(0.0, self._clock.now() - started) * 1e3
-        if self._quotas is not None:
-            clock = now if now is not None else self._clock.now()
-            self._quotas.charge(tenant, elapsed_ms / 1e3, clock)
-        self.queries_served += 1
+        self._log_queries(cached.log_entries)
+        elapsed_ms = max(0.0, self._clock.now() - run.started) * 1e3
+        self._charge(tenant, now, elapsed_ms)
         trace_dict = None
-        if trace is not None:
+        if run.trace is not None:
             # A cache hit's trace is just root + the cache span: no
             # route/scatter/rpc spans because no server was contacted.
-            trace.root.attributes["cache_hit"] = True
-            self.tracer.finish_trace(trace)
-            trace_dict = trace.to_dict()
+            run.trace.root.attributes["cache_hit"] = True
+            self.tracer.finish_trace(run.trace)
+            trace_dict = run.trace.to_dict()
         return replace(
             cached.response,
             cache_hit=True,
             time_used_ms=elapsed_ms,
-            stage_times_ms=dict(stage_times),
+            stage_times_ms=run.stage_times,
             trace=trace_dict,
         )
 
@@ -578,11 +595,7 @@ class BrokerInstance:
         for physical_query in physical:
             table = physical_query.table
             for segment in self._helix.external_view(table):
-                meta = (
-                    self._helix.get_property(f"segments/{table}/{segment}")
-                    or self._helix.get_property(f"realtime/{table}/{segment}")
-                    or {}
-                )
+                meta = read_segment_record(self._helix, table, segment)
                 num_docs = meta.get("num_docs") or 0
                 total_docs += num_docs
                 cards = meta.get("cardinalities") or {}
@@ -615,17 +628,8 @@ class BrokerInstance:
                             h.op, h.value)
             for h in query.having
         )
-        return Query(
-            table=query.table, select=select, where=query.where,
-            group_by=query.group_by, having=having, order_by=order_by,
-            limit=query.limit, offset=query.offset,
-            select_star=query.select_star, options=dict(query.options),
-        )
-
-    def _record_stage(self, stage: str, elapsed_ms: float,
-                      stage_times: dict[str, float]) -> None:
-        self.metrics.record_stage(stage, elapsed_ms)
-        stage_times[stage] = stage_times.get(stage, 0.0) + elapsed_ms
+        return replace(query, select=select, having=having,
+                       order_by=order_by, options=dict(query.options))
 
     def _resolve_physical_queries(self, query: Query) -> list[Query]:
         """Map the logical table to physical queries, splitting hybrid
@@ -633,13 +637,13 @@ class BrokerInstance:
         logical = query.table
         offline = f"{logical}_{TableType.OFFLINE.value}"
         realtime = f"{logical}_{TableType.REALTIME.value}"
-        has_offline = self._helix.get_property(
-            f"tableconfigs/{offline}") is not None
-        has_realtime = self._helix.get_property(
-            f"tableconfigs/{realtime}") is not None
+        # Existence only: parsing either leg's config here would add a
+        # ``from_dict`` to every query.
+        has_offline = table_exists(self._helix, offline)
+        has_realtime = table_exists(self._helix, realtime)
         if not has_offline and not has_realtime:
             # Allow physical names directly (e.g. "events_OFFLINE").
-            if self._helix.get_property(f"tableconfigs/{logical}") is not None:
+            if table_exists(self._helix, logical):
                 return [query]
             raise ClusterError(f"no such table: {logical!r}")
         if has_offline and not has_realtime:
@@ -647,7 +651,7 @@ class BrokerInstance:
         if has_realtime and not has_offline:
             return [query.with_table(realtime)]
 
-        config = self._table_config(offline)
+        config = read_table_config(self._helix, offline)
         time_column = config.time_column
         if time_column is None:
             raise ClusterError(
@@ -664,18 +668,12 @@ class BrokerInstance:
 
     def _time_boundary(self, offline_table: str,
                        config: TableConfig) -> int | None:
-        max_time: int | None = None
-        for segment in self._helix.list_properties(
-            f"segments/{offline_table}"
-        ):
-            meta = self._helix.get_property(
-                f"segments/{offline_table}/{segment}"
-            ) or {}
-            segment_max = meta.get("max_time")
-            if segment_max is not None:
-                max_time = (segment_max if max_time is None
-                            else max(max_time, segment_max))
-        if max_time is None:
+        max_times = [
+            meta["max_time"]
+            for meta in pushed_segment_records(self._helix, offline_table)
+            if meta.get("max_time") is not None
+        ]
+        if not max_times:
             return None
         # Use the table's configured granularity *including its size*:
         # with e.g. (DAYS, 7) buckets, a boundary of max_time - 1 would
@@ -684,215 +682,167 @@ class BrokerInstance:
         # always <= the last fully-covered bucket's end, so offline
         # (time <= boundary) and realtime (time > boundary) partition
         # the axis with no gap and no overlap.
-        return time_boundary(max_time, config.retention_granularity)
+        return time_boundary(max(max_times), config.retention_granularity)
 
-    def _scatter_gather(self, query: Query, deadline: float | None,
-                        stage_times: dict[str, float],
-                        depart_at: float | None = None,
-                        trace: Trace | None = None) -> _ScatterOutcome:
+    def _scatter_gather(self, run: _QueryRun, query: Query,
+                        depart_at: float | None) -> None:
         """Route, scatter, and gather one physical query with replica
         failover, hedging, and graceful degradation."""
-        outcome = _ScatterOutcome()
-
-        route_started = self._clock.now()
-        strategy = self._strategy_for(query.table)
-        try:
-            routing_table = strategy.route(query)
-        except RoutingError as exc:
-            route_ended = self._clock.now()
-            self._record_stage(
-                "route", (route_ended - route_started) * 1e3, stage_times)
-            if trace is not None:
-                span = trace.add_span(
-                    "route", trace.root, route_started, route_ended,
-                    component=self.instance_id, table=query.table,
+        run.begin_leg(query)
+        with run.stage("route", table=query.table) as span:
+            run.strategy = self._strategy_for(query.table)
+            try:
+                routing_table = run.strategy.route(query)
+            except RoutingError as exc:
+                if span is not None:
+                    span.set_error(str(exc), error_type="RoutingError")
+                run.results.append(
+                    ServerResult(server=self.instance_id, error=str(exc))
                 )
-                span.set_error(str(exc), error_type="RoutingError")
-            outcome.results.append(
-                ServerResult(server=self.instance_id, error=str(exc))
-            )
-            outcome.finished_at = self._clock.now()
-            return outcome
-        routing_table, pruned = self._prune_by_time(query, routing_table)
-        routing_table, bloom_pruned = self._prune_by_bloom(query,
-                                                           routing_table)
-        outcome.pruned = pruned + bloom_pruned
-        #: Instances whose dispatch this query is probe traffic (the
-        #: capped trickle sent to ejected servers).
-        probes: set[str] = set()
-        routing_table = self._apply_health(strategy, routing_table, probes)
-        route_ended = self._clock.now()
-        self._record_stage(
-            "route", (route_ended - route_started) * 1e3, stage_times)
-        if trace is not None:
-            trace.add_span(
-                "route", trace.root, route_started, route_ended,
-                component=self.instance_id, table=query.table,
-                servers=len(routing_table),
-                segments_pruned=outcome.pruned,
-            )
+                run.finished_at = max(run.finished_at, self._clock.now())
+                return
+            routing_table, pruned = self._prune(query, routing_table)
+            run.pruned += pruned
+            routing_table = self._apply_health(run, routing_table)
+            if span is not None:
+                span.attributes.update(servers=len(routing_table),
+                                       segments_pruned=pruned)
 
         # Scatter: the primary fan-out over the chosen routing table.
         # Every sub-request departs at the same virtual instant — the
         # broker sends them concurrently, even though this process
         # executes the handlers one after another.
-        scatter_started = self._clock.now()
-        t0 = depart_at if depart_at is not None else scatter_started
-        scatter_span = None
-        if trace is not None:
-            scatter_span = trace.add_span(
-                "scatter", trace.root, t0, None,
-                component=self.instance_id, table=query.table,
-                fanout=len(routing_table),
-            )
+        t0 = depart_at if depart_at is not None else self._clock.now()
         failures: deque[_FailedSubRequest] = deque()
-        in_flight: list[tuple[str, list[str], ServerResult,
-                              CallResult | None, Span | None]] = []
-        for instance, segments in routing_table.items():
-            result, call, span = self._dispatch(
-                instance, query, segments, deadline, outcome,
-                depart_at=t0, trace=trace, parent=scatter_span,
-                probe=instance in probes,
-            )
-            in_flight.append((instance, segments, result, call, span))
-
-        barrier = t0
-        for instance, segments, result, call, span in in_flight:
-            winner_call = call
-            #: Every replica this sub-request touched (primary plus any
-            #: hedge) — a failure is enqueued with ALL of them so the
-            #: gather reselect can never re-pick a replica that just
-            #: failed (hedge losers included).
-            attempted = {instance}
-            if call is not None:
-                result, winner_call = self._maybe_hedge(
-                    strategy, query, instance, segments, result, call,
-                    t0, deadline, outcome, attempted, probes,
-                    trace=trace, parent=scatter_span, primary_span=span,
-                )
-            if winner_call is not None:
-                barrier = max(barrier, winner_call.completed)
-                if self._latency is not None and result.error is None:
-                    # Only the winner's own flight time (departure to
-                    # completion) feeds the percentile window. Counting
-                    # from t0 would fold the budget wait into every
-                    # hedged sample, compounding the budget by the
-                    # multiplier each query until hedging disabled
-                    # itself; counting stragglers would do the same.
-                    self._latency.observe(query.table,
-                                          winner_call.duration_s)
-            if result.error is None:
-                outcome.results.append(result)
-                outcome.responded.add(result.server)
-            else:
-                failures.append(_FailedSubRequest(
-                    instance, segments, result, tried=attempted
-                ))
-        # The broker's gather barrier: it has now waited for every
-        # primary (and winning hedge) response on the virtual timeline.
-        self._clock.advance_to(barrier)
-        finished = barrier
-        if scatter_span is not None:
-            scatter_span.end_s = self._clock.now()
-        self._record_stage(
-            "scatter", (self._clock.now() - scatter_started) * 1e3,
-            stage_times)
+        with run.stage("scatter", span_start=t0, table=query.table,
+                       fanout=len(routing_table)) as scatter_span:
+            in_flight = []
+            for instance, segments in routing_table.items():
+                result, call, span = self._dispatch(
+                    run, instance, segments, depart_at=t0,
+                    parent=scatter_span)
+                in_flight.append((instance, segments, result, call, span))
+            barrier = t0
+            for instance, segments, result, call, span in in_flight:
+                winner_call = call
+                #: Every replica this sub-request touched (primary plus
+                #: any hedge) — a failure is enqueued with ALL of them so
+                #: the gather reselect can never re-pick a replica that
+                #: just failed (hedge losers included).
+                attempted = {instance}
+                if call is not None:
+                    result, winner_call = self._maybe_hedge(
+                        run, instance, segments, result, call, t0,
+                        attempted, parent=scatter_span, primary_span=span,
+                    )
+                if winner_call is not None:
+                    barrier = max(barrier, winner_call.completed)
+                    if self._latency is not None and result.error is None:
+                        # Only the winner's own flight time (departure to
+                        # completion) feeds the percentile window.
+                        # Counting from t0 would fold the budget wait
+                        # into every hedged sample, compounding the
+                        # budget by the multiplier each query until
+                        # hedging disabled itself; counting stragglers
+                        # would do the same.
+                        self._latency.observe(query.table,
+                                              winner_call.duration_s)
+                if result.error is None:
+                    run.results.append(result)
+                    run.responded.add(result.server)
+                else:
+                    failures.append(_FailedSubRequest(
+                        instance, segments, result, tried=attempted
+                    ))
+            # The broker's gather barrier: it has now waited for every
+            # primary (and winning hedge) response on the virtual
+            # timeline.
+            self._clock.advance_to(barrier)
+        run.finished_at = max(run.finished_at, barrier)
 
         # Gather: fail sub-requests over to other replicas, bounded by
         # MAX_SUBREQUEST_ATTEMPTS and the remaining deadline budget.
-        gather_started = self._clock.now()
-        gather_span = None
-        if trace is not None and failures:
-            gather_span = trace.add_span(
-                "gather", trace.root, gather_started, None,
-                component=self.instance_id, table=query.table,
-                failed_subrequests=len(failures),
-            )
-        while failures:
-            failed = failures.popleft()
-            attempt = len(failed.tried)
-            backoff_ms = self.RETRY_BACKOFF_BASE_MS * (2 ** (attempt - 1))
-            within_deadline = (
-                deadline is None
-                or self._clock.now() + backoff_ms / 1e3 < deadline
-            )
-            if attempt >= self.MAX_SUBREQUEST_ATTEMPTS or not within_deadline:
-                if not within_deadline:
-                    self.metrics.incr("deadline_exhausted")
-                    outcome.deadline_exhausted = True
-                    reason = "deadline exhausted"
-                else:
-                    reason = f"retry attempts exhausted ({attempt})"
-                # Attribute the give-up to the server that actually
-                # produced the last error (failed.result.server), with
-                # the replicas already tried spelled out.
-                outcome.results.append(replace(
-                    failed.result,
-                    error=(f"{failed.result.error} [gave up: {reason}; "
-                           f"tried {sorted(failed.tried)}]"),
-                ))
-                continue
-            reroute, unroutable = self._reselect(
-                strategy, failed.segments, failed.tried, probes)
-            if unroutable:
-                # No replica left for *these* segments: report exactly
-                # which segments are stuck and which replicas failed,
-                # attributed to the server of the last real error —
-                # not blanket-blamed on the primary when only a subset
-                # of its segments is unroutable.
-                self.metrics.incr("segments_unroutable", len(unroutable))
-                outcome.results.append(ServerResult(
-                    server=failed.result.server,
-                    error=(f"segments {sorted(unroutable)} have no "
-                           f"untried replica (tried "
-                           f"{sorted(failed.tried)}); last error: "
-                           f"{failed.result.error}"),
-                ))
-            for instance, segments in reroute.items():
-                self.metrics.incr("retries")
-                self.metrics.incr("retry_backoff_ms", backoff_ms)
-                outcome.retries += 1
-                result, call, retry_span = self._dispatch(
-                    instance, query, segments, deadline, outcome,
-                    trace=trace, parent=gather_span,
-                    probe=instance in probes,
+        with run.stage("gather", span=bool(failures), table=query.table,
+                       failed_subrequests=len(failures)) as gather_span:
+            while failures:
+                failed = failures.popleft()
+                attempt = len(failed.tried)
+                backoff_ms = (self.RETRY_BACKOFF_BASE_MS
+                              * (2 ** (attempt - 1)))
+                within_deadline = (
+                    run.deadline is None
+                    or self._clock.now() + backoff_ms / 1e3 < run.deadline
                 )
-                if retry_span is not None:
-                    retry_span.attributes["retry_attempt"] = attempt
-                if call is not None:
-                    self._clock.advance_to(call.completed)
-                    finished = max(finished, call.completed)
-                if result.error is None:
-                    outcome.results.append(result)
-                    outcome.responded.add(instance)
-                    outcome.segments_failed_over += len(segments)
-                    self.metrics.incr("failovers")
-                    self.metrics.incr("segments_failed_over",
-                                      len(segments))
-                    outcome.recovered_errors.append(
-                        f"{failed.instance}: {failed.result.error} "
-                        f"(recovered on {instance})"
-                    )
-                else:
-                    failures.append(_FailedSubRequest(
-                        instance, segments, result,
-                        tried=failed.tried | {instance},
+                if (attempt >= self.MAX_SUBREQUEST_ATTEMPTS
+                        or not within_deadline):
+                    if not within_deadline:
+                        self.metrics.incr("deadline_exhausted")
+                        run.deadline_exhausted = True
+                        reason = "deadline exhausted"
+                    else:
+                        reason = f"retry attempts exhausted ({attempt})"
+                    # Attribute the give-up to the server that actually
+                    # produced the last error (failed.result.server),
+                    # with the replicas already tried spelled out.
+                    run.results.append(replace(
+                        failed.result,
+                        error=(f"{failed.result.error} [gave up: {reason}; "
+                               f"tried {sorted(failed.tried)}]"),
                     ))
-        if gather_span is not None:
-            gather_span.end_s = self._clock.now()
-        self._record_stage(
-            "gather", (self._clock.now() - gather_started) * 1e3,
-            stage_times)
-        self._record_stage("network", outcome.network_ms, stage_times)
-        outcome.finished_at = finished
-        return outcome
+                    continue
+                reroute, unroutable = self._reselect(run, failed.segments,
+                                                     failed.tried)
+                if unroutable:
+                    # No replica left for *these* segments: report
+                    # exactly which segments are stuck and which
+                    # replicas failed, attributed to the server of the
+                    # last real error — not blanket-blamed on the
+                    # primary when only a subset of its segments is
+                    # unroutable.
+                    self.metrics.incr("segments_unroutable",
+                                      len(unroutable))
+                    run.results.append(ServerResult(
+                        server=failed.result.server,
+                        error=(f"segments {sorted(unroutable)} have no "
+                               f"untried replica (tried "
+                               f"{sorted(failed.tried)}); last error: "
+                               f"{failed.result.error}"),
+                    ))
+                for instance, segments in reroute.items():
+                    self.metrics.incr("retries")
+                    self.metrics.incr("retry_backoff_ms", backoff_ms)
+                    run.retries += 1
+                    result, call, retry_span = self._dispatch(
+                        run, instance, segments, parent=gather_span)
+                    if retry_span is not None:
+                        retry_span.attributes["retry_attempt"] = attempt
+                    if call is not None:
+                        self._clock.advance_to(call.completed)
+                        run.finished_at = max(run.finished_at,
+                                              call.completed)
+                    if result.error is None:
+                        run.results.append(result)
+                        run.responded.add(instance)
+                        run.segments_failed_over += len(segments)
+                        self.metrics.incr("failovers")
+                        self.metrics.incr("segments_failed_over",
+                                          len(segments))
+                        run.recovered_errors.append(
+                            f"{failed.instance}: {failed.result.error} "
+                            f"(recovered on {instance})"
+                        )
+                    else:
+                        failures.append(_FailedSubRequest(
+                            instance, segments, result,
+                            tried=failed.tried | {instance},
+                        ))
+        # Not an interval on the broker's clock: the sum of link and
+        # queue time over this leg's sub-requests.
+        run.record_stage("network", run.network_ms)
 
-    def _maybe_hedge(self, strategy: RoutingStrategy, query: Query,
-                     instance: str, segments: list[str],
-                     result: ServerResult, call: CallResult, t0: float,
-                     deadline: float | None, outcome: _ScatterOutcome,
-                     attempted: set[str], probes: set[str],
-                     trace: Trace | None = None,
+    def _maybe_hedge(self, run: _QueryRun, instance: str,
+                     segments: list[str], result: ServerResult,
+                     call: CallResult, t0: float, attempted: set[str],
                      parent: Span | None = None,
                      primary_span: Span | None = None,
                      ) -> tuple[ServerResult, CallResult]:
@@ -915,28 +865,25 @@ class BrokerInstance:
         """
         if self._latency is None:
             return result, call
-        assert self._hedging is not None
         failed_primary = result.error is not None
-        budget = self._latency.budget_s(query.table)
+        budget = self._latency.budget_s(run.query.table)
         if not failed_primary and call.completed - t0 <= budget:
             return result, call
-        if outcome.hedges >= self._hedging.max_hedges_per_query:
+        if run.hedges >= self._latency.policy.max_hedges_per_query:
             return result, call
-        reroute, unroutable = self._reselect(strategy, segments,
-                                             set(attempted), probes)
+        reroute, unroutable = self._reselect(run, segments, set(attempted))
         if unroutable or len(reroute) != 1:
             # No single alternate replica hosts the whole segment set;
             # hedging a split would multiply fan-out, so don't.
             return result, call
         (alternate, alt_segments), = reroute.items()
-        outcome.hedges += 1
+        run.hedges += 1
         attempted.add(alternate)
         self.metrics.incr("hedges")
         depart = call.completed if failed_primary else t0 + budget
         hedge_result, hedge_call, hedge_span = self._dispatch(
-            alternate, query, alt_segments, deadline, outcome,
-            depart_at=depart, hedge=True, trace=trace, parent=parent,
-            probe=alternate in probes,
+            run, alternate, alt_segments, depart_at=depart, hedge=True,
+            parent=parent,
         )
         if failed_primary:
             if hedge_call is not None and hedge_result.error is None:
@@ -945,8 +892,8 @@ class BrokerInstance:
                 self.metrics.incr("hedge_wins")
                 self.metrics.incr("segments_failed_over",
                                   len(alt_segments))
-                outcome.segments_failed_over += len(alt_segments)
-                outcome.recovered_errors.append(
+                run.segments_failed_over += len(alt_segments)
+                run.recovered_errors.append(
                     f"{instance}: {result.error} "
                     f"(recovered on {alternate} via hedge)"
                 )
@@ -976,11 +923,9 @@ class BrokerInstance:
             hedge_span.attributes["hedge_loser"] = True
         return result, call
 
-    def _dispatch(self, instance: str, query: Query, segments: list[str],
-                  deadline: float | None, outcome: _ScatterOutcome,
+    def _dispatch(self, run: _QueryRun, instance: str, segments: list[str],
                   depart_at: float | None = None, hedge: bool = False,
-                  trace: Trace | None = None, parent: Span | None = None,
-                  probe: bool = False,
+                  parent: Span | None = None,
                   ) -> tuple[ServerResult, CallResult | None, Span | None]:
         """Send one sub-request over the transport, mapping transport
         failures (unreachable, overloaded) and an exhausted deadline
@@ -992,12 +937,13 @@ class BrokerInstance:
         method grafts them under an ``rpc`` span with ``network`` /
         ``queue`` / ``execute`` children.
         """
-        outcome.contacted.add(instance)
+        query, trace = run.query, run.trace
+        run.contacted.add(instance)
         self.metrics.incr("hedge_requests" if hedge else "scatter_requests")
         depart = depart_at if depart_at is not None else self._clock.now()
-        if deadline is not None and depart > deadline:
+        if run.deadline is not None and depart > run.deadline:
             self.metrics.incr("deadline_exhausted")
-            outcome.deadline_exhausted = True
+            run.deadline_exhausted = True
             if trace is not None:
                 span = trace.add_span(
                     "rpc", parent or trace.root, depart, depart,
@@ -1009,7 +955,8 @@ class BrokerInstance:
             return ServerResult(server=instance,
                                 error="broker deadline exceeded"), None, None
         if self.health is not None:
-            self.health.record_dispatch(instance, now=depart, probe=probe)
+            self.health.record_dispatch(instance, now=depart,
+                                        probe=instance in run.probes)
         ctx = None
         execute_span_id = None
         if trace is not None:
@@ -1026,9 +973,9 @@ class BrokerInstance:
         )
         self.metrics.incr("network_link_ms", call.link_s * 1e3)
         self.metrics.incr("queue_wait_ms", call.queue_s * 1e3)
-        if call.queue_depth > self.metrics.count("max_queue_depth"):
-            self.metrics.counters["max_queue_depth"] = call.queue_depth
-        outcome.network_ms += (call.link_s + call.queue_s) * 1e3
+        if call.queue_depth > self.metrics.gauge_value("max_queue_depth"):
+            self.metrics.gauge("max_queue_depth", call.queue_depth)
+        run.network_ms += (call.link_s + call.queue_s) * 1e3
         span = None
         if trace is not None:
             span = trace.add_span(
@@ -1104,24 +1051,21 @@ class BrokerInstance:
                        else call.queue_depth / endpoint.queue_capacity)
         self.pressure.observe(utilization)
 
-    def _observe_health(self, instance: str, failure: bool,
-                        latency_s: float = 0.0,
-                        now: float | None = None) -> None:
+    def _observe_health(self, instance: str, failure: bool, now: float,
+                        latency_s: float = 0.0) -> None:
         """Feed the failure detector; mirror transitions into metrics."""
         if self.health is None:
             return
-        at = now if now is not None else self._clock.now()
         if failure:
-            event = self.health.observe_failure(instance, at)
+            event = self.health.observe_failure(instance, now)
         else:
-            event = self.health.observe_success(instance, latency_s, at)
+            event = self.health.observe_success(instance, latency_s, now)
         if event == EVENT_EJECTED:
             self.metrics.incr("health_ejections")
         elif event == EVENT_HEALED:
             self.metrics.incr("health_heals")
 
-    def _apply_health(self, strategy: RoutingStrategy, routing_table,
-                      probes: set[str]):
+    def _apply_health(self, run: _QueryRun, routing_table):
         """Route-time health filter: segments routed to ejected servers
         move to healthy replicas; each ejected server instead receives
         its segments as a cadence-capped probe when the trickle budget
@@ -1140,11 +1084,11 @@ class BrokerInstance:
                 healthy.setdefault(instance, []).extend(segments)
                 continue
             if detector.try_probe(instance, now):
-                probes.add(instance)
+                run.probes.add(instance)
                 self.metrics.incr("health_probes")
                 healthy.setdefault(instance, []).extend(segments)
                 continue
-            reroute, unroutable = strategy.reselect(segments, ejected)
+            reroute, unroutable = run.strategy.reselect(segments, ejected)
             if reroute:
                 self.metrics.incr(
                     "health_reroutes",
@@ -1156,118 +1100,83 @@ class BrokerInstance:
                 # original holder out of cadence rather than return an
                 # unroutable partial answer.
                 detector.try_probe(instance, now, force=True)
-                probes.add(instance)
+                run.probes.add(instance)
                 self.metrics.incr("health_probes")
                 healthy.setdefault(instance, []).extend(unroutable)
         return healthy
 
-    def _reselect(self, strategy: RoutingStrategy, segments: list[str],
-                  tried: set[str], probes: set[str]
+    def _reselect(self, run: _QueryRun, segments: list[str],
+                  tried: set[str]
                   ) -> tuple[dict[str, list[str]], list[str]]:
         """``strategy.reselect`` that also avoids ejected servers,
         falling back to them (as forced probes) when they hold the only
         remaining replica for some segments."""
         if self.health is None:
-            return strategy.reselect(segments, tried)
+            return run.strategy.reselect(segments, tried)
         ejected = self.health.ejected_set()
         if not ejected:
-            return strategy.reselect(segments, tried)
-        reroute, unroutable = strategy.reselect(segments, tried | ejected)
+            return run.strategy.reselect(segments, tried)
+        reroute, unroutable = run.strategy.reselect(segments, tried | ejected)
         if unroutable:
-            fallback, unroutable = strategy.reselect(unroutable, tried)
+            fallback, unroutable = run.strategy.reselect(unroutable, tried)
             now = self._clock.now()
             for instance, fsegs in fallback.items():
                 if self.health.is_ejected(instance):
                     self.health.try_probe(instance, now, force=True)
-                    probes.add(instance)
+                    run.probes.add(instance)
                     self.metrics.incr("health_probes")
                 reroute.setdefault(instance, []).extend(fsegs)
         return reroute, unroutable
 
-    def _prune_by_time(self, query: Query, routing_table):
-        """Drop segments whose time range cannot match the query before
-        contacting any server — servers left with no segments are not
-        contacted at all (reduces fan-out for time-scoped queries)."""
+    def _prune(self, query: Query, routing_table):
+        """Drop segments that provably cannot match the filter before
+        contacting any server, in one pass with one metadata read per
+        segment: a time range outside the query's bounds, or a
+        distinct-value bloom filter that rules out every EQ/IN value
+        (never a false negative, so pruning is always safe). Servers
+        left with no segments are not contacted at all. Returns the
+        pruned routing table and the number of segments dropped."""
         if query.where is None:
             return routing_table, 0
-        config = self._table_config(query.table)
-        time_column = config.time_column
-        if time_column is None:
-            return routing_table, 0
-        from repro.engine.planner import time_bounds
-
-        low, high = time_bounds(query.where, time_column)
-        if low is None and high is None:
-            return routing_table, 0
-
-        pruned = 0
-        out: dict[str, list[str]] = {}
-        for instance, segments in routing_table.items():
-            kept = []
-            for segment in segments:
-                meta = (
-                    self._helix.get_property(
-                        f"segments/{query.table}/{segment}")
-                    or self._helix.get_property(
-                        f"realtime/{query.table}/{segment}")
-                    or {}
-                )
-                min_time = meta.get("min_time")
-                max_time = meta.get("max_time")
-                if (min_time is not None and high is not None
-                        and min_time > high):
-                    pruned += 1
-                    continue
-                if (max_time is not None and low is not None
-                        and max_time < low):
-                    pruned += 1
-                    continue
-                kept.append(segment)
-            if kept:
-                out[instance] = kept
-        return out, pruned
-
-    def _prune_by_bloom(self, query: Query, routing_table):
-        """Bloom-filter pruning: drop segments whose distinct-value
-        bloom filter proves an EQ/IN value cannot occur (never a false
-        negative, so pruning is always safe)."""
-        if query.where is None:
-            return routing_table, 0
+        low = high = None
+        time_column = read_table_config(self._helix,
+                                        query.table).time_column
+        if time_column is not None:
+            low, high = time_bounds(query.where, time_column)
         constraints = _equality_constraints(query.where)
-        if not constraints:
+        if low is None and high is None and not constraints:
             return routing_table, 0
-        from repro.segment.bloom import BloomFilter
 
-        bloom_cache: dict[tuple[str, str], BloomFilter | None] = {}
-
-        def bloom_for(segment: str, column: str):
-            key = (segment, column)
-            if key not in bloom_cache:
-                meta = self._helix.get_property(
-                    f"segments/{query.table}/{segment}") or {}
-                payload = (meta.get("blooms") or {}).get(column)
-                bloom_cache[key] = (
-                    BloomFilter.from_payload(payload) if payload else None
-                )
-            return bloom_cache[key]
+        def cannot_match(meta: dict) -> bool:
+            min_time = meta.get("min_time")
+            max_time = meta.get("max_time")
+            if (min_time is not None and high is not None
+                    and min_time > high):
+                return True
+            if (max_time is not None and low is not None
+                    and max_time < low):
+                return True
+            blooms = meta.get("blooms") or {}
+            for column, values in constraints.items():
+                payload = blooms.get(column)
+                if not payload:
+                    continue
+                # One parse per (segment, column): every segment is
+                # routed to exactly one server, so visited once.
+                bloom = BloomFilter.from_payload(payload)
+                if not any(bloom.might_contain(v) for v in values):
+                    return True
+            return False
 
         pruned = 0
         out: dict[str, list[str]] = {}
         for instance, segments in routing_table.items():
-            kept = []
-            for segment in segments:
-                skip = False
-                for column, values in constraints.items():
-                    bloom = bloom_for(segment, column)
-                    if bloom is None:
-                        continue
-                    if not any(bloom.might_contain(v) for v in values):
-                        skip = True
-                        break
-                if skip:
-                    pruned += 1
-                else:
-                    kept.append(segment)
+            kept = [
+                segment for segment in segments
+                if not cannot_match(read_segment_record(
+                    self._helix, query.table, segment))
+            ]
+            pruned += len(segments) - len(kept)
             if kept:
                 out[instance] = kept
         return out, pruned
@@ -1278,8 +1187,6 @@ class BrokerInstance:
         """Record the query's filter footprint; the controller's
         auto-index analysis mines this log (§5.2). Returns the entry so
         the result cache can replay it on hits."""
-        from repro.pql.ast_nodes import predicate_columns
-
         if query.where is None:
             return None
         entries = sum(r.stats.num_entries_scanned_in_filter
@@ -1292,10 +1199,13 @@ class BrokerInstance:
             entries_scanned_in_filter=entries,
             docs_scanned=docs,
         )
-        self.query_log.append(entry)
+        self._log_queries([entry])
+        return entry
+
+    def _log_queries(self, entries: list[QueryLogEntry]) -> None:
+        self.query_log.extend(entries)
         if len(self.query_log) > self.QUERY_LOG_LIMIT:
             del self.query_log[:len(self.query_log) // 2]
-        return entry
 
     def explain(self, pql: str | Query) -> dict[str, dict[str, str]]:
         """Per-server, per-segment physical plan descriptions for a

@@ -22,7 +22,14 @@ from repro.cluster.server import (
     parse_realtime_segment_name,
     realtime_segment_name,
 )
-from repro.cluster.table import TableConfig, TableType
+from repro.cluster.table import (
+    TableConfig,
+    TableType,
+    read_realtime_record,
+    read_segment_record,
+    read_table_config,
+    table_exists,
+)
 from repro.common.types import FieldSpec
 from repro.errors import ClusterError, NotLeaderError, QuotaExceededError
 from repro.helix.manager import HelixManager
@@ -103,7 +110,7 @@ class Controller:
     def create_table(self, config: TableConfig) -> None:
         self._require_leader()
         table = config.name
-        if self._helix.get_property(f"tableconfigs/{table}") is not None:
+        if table_exists(self._helix, table):
             raise ClusterError(f"table {table!r} already exists")
         if config.table_type is TableType.REALTIME:
             # Validate the stream up front so a failed create leaves no
@@ -133,10 +140,7 @@ class Controller:
         self._completion.pop(table, None)
 
     def table_config(self, table: str) -> TableConfig:
-        payload = self._helix.get_property(f"tableconfigs/{table}")
-        if payload is None:
-            raise ClusterError(f"no such table: {table!r}")
-        return TableConfig.from_dict(payload)
+        return read_table_config(self._helix, table)
 
     def list_tables(self) -> list[str]:
         return self._helix.list_properties("tableconfigs")
@@ -342,8 +346,8 @@ class Controller:
                 # in the deep store and can come back ONLINE; an
                 # uncommitted one must re-consume from its start
                 # offset.
-                meta = self._helix.get_property(
-                    f"realtime/{table}/{segment}") or {}
+                meta = read_realtime_record(self._helix, table,
+                                            segment) or {}
                 committed = (config.table_type is TableType.OFFLINE
                              or meta.get("status") == "DONE")
                 state = (SegmentState.ONLINE.value if committed
@@ -487,13 +491,8 @@ class Controller:
                 continue
             cutoff = now - config.retention
             for segment_name in self.list_segments(table):
-                meta = self._helix.get_property(
-                    f"segments/{table}/{segment_name}"
-                ) or self._helix.get_property(
-                    f"realtime/{table}/{segment_name}"
-                )
-                if meta is None:
-                    continue
+                meta = read_segment_record(self._helix, table,
+                                           segment_name)
                 max_time = meta.get("max_time")
                 if max_time is not None and max_time < cutoff:
                     self.delete_segment(table, segment_name)
@@ -750,7 +749,7 @@ class Controller:
 
         config = self.table_config(table)
         self._store.put(table, sealed)
-        meta = self._helix.get_property(f"realtime/{table}/{segment}") or {}
+        meta = read_realtime_record(self._helix, table, segment) or {}
         meta.update(
             status="DONE",
             end_offset=offset,

@@ -25,7 +25,7 @@ from repro.cluster.health import HealthPolicy
 from repro.cluster.minion import MinionInstance
 from repro.cluster.objectstore import MemoryObjectStore, ObjectStore
 from repro.cluster.server import ServerInstance
-from repro.cluster.table import TableConfig, TableType
+from repro.cluster.table import TableConfig, TableType, table_exists
 from repro.cluster.tenant import TenantQuotaManager
 from repro.engine.results import BrokerResponse
 from repro.errors import ClusterError
@@ -221,7 +221,7 @@ class PinotCluster:
                        rows_per_segment: int = 100_000) -> list[str]:
         """Build and upload offline segments; returns segment names."""
         table = f"{logical_table}_{TableType.OFFLINE.value}"
-        if self.helix.get_property(f"tableconfigs/{table}") is None:
+        if not table_exists(self.helix, table):
             table = logical_table  # caller passed a physical name
         controller = self.leader_controller()
         segments = self.build_segments(table, records, rows_per_segment)

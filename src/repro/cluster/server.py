@@ -19,9 +19,14 @@ from typing import TYPE_CHECKING, Callable
 from repro.cache.hot import HotStructureCache
 from repro.cache.pruner import prune_reason
 from repro.cluster.completion import Instruction
-from repro.cluster.metrics import ServerMetrics
 from repro.cluster.objectstore import ObjectStore
-from repro.cluster.table import TableConfig
+from repro.cluster.table import (
+    TableConfig,
+    find_table_config,
+    read_realtime_record,
+    read_segment_record,
+    read_table_config,
+)
 from repro.engine.executor import execute_segment, prune_result
 from repro.engine.merge import combine_segment_results
 from repro.engine.results import SegmentResult, ServerResult
@@ -31,6 +36,7 @@ from repro.helix.manager import HelixManager
 from repro.helix.statemachine import SegmentState
 from repro.kafka.broker import KafkaConsumer, SimKafka
 from repro.obs import propagation
+from repro.obs.metrics import Metrics
 from repro.obs.trace import STATUS_ERROR, STATUS_OK
 from repro.pql.ast_nodes import Query
 from repro.segment.mutable import MutableSegment
@@ -88,7 +94,7 @@ class ServerInstance:
         self.queries_executed = 0
         #: Per-server counters (segments_pruned, segments_scanned,
         #: hot_hits, hot_misses, store_*).
-        self.metrics = ServerMetrics()
+        self.metrics = Metrics()
         #: Hosted committed segments: sized refs over the deep store,
         #: loaded lazily and evicted under the byte budget
         #: (repro.store, docs/STORAGE.md). ``None`` budget keeps every
@@ -228,10 +234,7 @@ class ServerInstance:
         """(size_bytes, num_docs) from published segment metadata, or
         None when the controller never published any (bare unit-test
         setups, pre-commit realtime segments)."""
-        meta = (self._helix.get_property(f"segments/{table}/{segment}")
-                or self._helix.get_property(f"realtime/{table}/{segment}"))
-        if not meta:
-            return None
+        meta = read_segment_record(self._helix, table, segment)
         size_bytes = meta.get("size_bytes")
         num_docs = meta.get("num_docs")
         if size_bytes is None or num_docs is None:
@@ -283,10 +286,10 @@ class ServerInstance:
         columns added after the segment was built (§5.2) exist only as
         virtual columns on loaded copies, so a cold reload must recreate
         them or queries on the new column would fail after an evict."""
-        payload = self._helix.get_property(f"tableconfigs/{table}")
-        if payload is None:
+        config = find_table_config(self._helix, table)
+        if config is None:
             return
-        schema = TableConfig.from_dict(payload).schema
+        schema = config.schema
         for name in schema.column_names:
             if not segment.has_column(name):
                 self._add_virtual_column(segment, schema.field(name))
@@ -296,8 +299,8 @@ class ServerInstance:
         committed copy (KEEP/COMMIT), otherwise download (DISCARD)."""
         key = (table, segment)
         consuming = self._consuming.pop(key, None)
-        committed_offset = self._helix.get_property(
-            f"realtime/{table}/{segment}", {}
+        committed_offset = (
+            read_realtime_record(self._helix, table, segment) or {}
         ).get("end_offset")
         if (
             consuming is not None
@@ -331,12 +334,12 @@ class ServerInstance:
             raise ClusterError(
                 f"server {self.instance_id!r} has no Kafka connection"
             )
-        meta = self._helix.get_property(f"realtime/{table}/{segment}")
+        meta = read_realtime_record(self._helix, table, segment)
         if meta is None:
             raise ClusterError(
                 f"no realtime metadata for {table}/{segment}"
             )
-        config = self._table_config(table)
+        config = read_table_config(self._helix, table)
         assert config.stream is not None
         partition = meta["partition"]
         start_offset = meta["start_offset"]
@@ -357,12 +360,6 @@ class ServerInstance:
             # into the PK index: drop that stale state and replay.
             self._rebuild_upsert_index(table)
 
-    def _table_config(self, table: str) -> TableConfig:
-        payload = self._helix.get_property(f"tableconfigs/{table}")
-        if payload is None:
-            raise ClusterError(f"no table config for {table!r}")
-        return TableConfig.from_dict(payload)
-
     # -- upsert/dedup index lifecycle ----------------------------------------
 
     def upsert_manager(self, table: str) -> TableUpsertManager | None:
@@ -374,10 +371,8 @@ class ServerInstance:
             return manager
         if table in self._no_upsert:
             return None
-        payload = self._helix.get_property(f"tableconfigs/{table}")
-        upsert = None
-        if payload is not None:
-            upsert = TableConfig.from_dict(payload).upsert
+        config = find_table_config(self._helix, table)
+        upsert = config.upsert if config is not None else None
         if upsert is None:
             self._no_upsert.add(table)
             return None
@@ -778,10 +773,6 @@ class ServerInstance:
             f"server {self.instance_id!r} asked for unknown segment "
             f"{table}/{name}"
         )
-
-
-def is_realtime_segment_name(name: str) -> bool:
-    return name.count("__") >= 2
 
 
 def realtime_segment_name(table: str, partition: int, sequence: int) -> str:

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from repro.common.schema import Schema
 from repro.common.timeutils import TimeGranularity, TimeUnit
 from repro.errors import ClusterError
 from repro.segment.builder import SegmentConfig
 from repro.upsert.config import UpsertConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.helix.manager import HelixManager
 
 
 class TableType(enum.Enum):
@@ -231,3 +234,56 @@ class TableConfig:
             upsert=(UpsertConfig.from_dict(payload["upsert"])
                     if payload.get("upsert") else None),
         )
+
+
+# -- property-store readers ---------------------------------------------------
+#
+# The read side of the property-store layout lives here and nowhere
+# else: ``tableconfigs/<table>`` holds a table's config,
+# ``segments/<table>/<segment>`` the record the controller publishes for
+# a pushed segment, ``realtime/<table>/<segment>`` the completion
+# protocol's record for a consumed one. Every read is one ZK round trip
+# and every parsed config one ``from_dict`` — a parsed-config cache
+# (ROADMAP B(3)) is a change to ``find_table_config`` alone.
+
+
+def table_exists(helix: "HelixManager", table: str) -> bool:
+    """Whether a physical table is registered — without paying for a
+    config parse (the broker asks this three times per query)."""
+    return helix.get_property(f"tableconfigs/{table}") is not None
+
+
+def find_table_config(helix: "HelixManager",
+                      table: str) -> TableConfig | None:
+    payload = helix.get_property(f"tableconfigs/{table}")
+    return None if payload is None else TableConfig.from_dict(payload)
+
+
+def read_table_config(helix: "HelixManager", table: str) -> TableConfig:
+    config = find_table_config(helix, table)
+    if config is None:
+        raise ClusterError(f"no such table: {table!r}")
+    return config
+
+
+def read_segment_record(helix: "HelixManager", table: str,
+                        segment: str) -> dict[str, Any]:
+    """A segment's published record, pushed or consumed; ``{}`` when the
+    controller never published one (bare unit-test setups)."""
+    return (helix.get_property(f"segments/{table}/{segment}")
+            or helix.get_property(f"realtime/{table}/{segment}")
+            or {})
+
+
+def read_realtime_record(helix: "HelixManager", table: str,
+                         segment: str) -> dict[str, Any] | None:
+    """The completion protocol's record of one consumed segment
+    (partition, offsets, status), or None before it is created."""
+    return helix.get_property(f"realtime/{table}/{segment}")
+
+
+def pushed_segment_records(helix: "HelixManager",
+                           table: str) -> Iterator[dict[str, Any]]:
+    """The record of every segment pushed to ``table``."""
+    for segment in helix.list_properties(f"segments/{table}"):
+        yield helix.get_property(f"segments/{table}/{segment}") or {}

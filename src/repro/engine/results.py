@@ -224,12 +224,6 @@ def row_sort_key(query: Query, columns: tuple[str, ...]):
     return key
 
 
-def selection_sort_key(query: Query):
-    """Key function for ORDER BY on selection rows (tuples aligned with
-    the query's projected columns)."""
-    return row_sort_key(query, tuple(i.name for i in query.projections))
-
-
 class _Reversed:
     """Wrapper inverting comparison order for DESC sort keys."""
 

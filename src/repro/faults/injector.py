@@ -143,12 +143,6 @@ class FaultInjector:
             drop_rate=self.error_rate,
         )
 
-    def attach_to_link(self, transport, dst: str,
-                       src: str | None = None) -> None:
-        """Install :meth:`as_link_model` on ``transport``'s link(s) into
-        ``dst`` (from ``src``, or from any caller when None)."""
-        transport.set_link(src, dst, self.as_link_model())
-
 
 def run_with_faults(injector: FaultInjector, server_id: str, query,
                     run) -> ServerResult:

@@ -17,7 +17,7 @@ watch (§3.3.2).
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Protocol
 
 from repro.cache.bus import InvalidationBus
 from repro.errors import ClusterError
@@ -150,14 +150,6 @@ class HelixManager:
         """Replace the resource's ideal state and converge the cluster."""
         self.zk.upsert(self._path(f"idealstate/{resource}"), mapping)
         self.converge(resource)
-
-    def update_ideal_state(
-        self, resource: str,
-        updater: Callable[[dict[str, dict[str, str]]],
-                          dict[str, dict[str, str]]],
-    ) -> None:
-        current = self.ideal_state(resource)
-        self.set_ideal_state(resource, updater(current))
 
     def drop_resource(self, resource: str) -> None:
         mapping = self.ideal_state(resource)

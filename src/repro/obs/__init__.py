@@ -12,10 +12,8 @@ from repro.obs.export import (
     validate_chrome_trace,
 )
 from repro.obs.metrics import (
-    BrokerMetrics,
     Metrics,
     MetricsRegistry,
-    ServerMetrics,
     StageTiming,
     runtime_metrics,
 )

@@ -1,10 +1,8 @@
 """The unified metrics layer: counters, stage timings, and a registry.
 
-PRs 1-3 grew two metric surfaces — ``BrokerMetrics`` on brokers,
-``ServerMetrics`` on servers — that tooling had to scrape separately.
-This module is the single home for both: the :class:`Metrics` base
-carries counters plus stage-timing accumulators, the broker/server
-classes specialize only their documentation, and a
+Brokers and servers each own one :class:`Metrics` — counters, gauges
+and stage-timing accumulators; the well-known names are catalogued in
+``docs/ARCHITECTURE.md`` ("Metrics registry") — and a
 :class:`MetricsRegistry` aggregates every component's metrics under
 ``(component, instance)`` labels with a JSON export and a
 Prometheus-style text export — what one ``/metrics`` endpoint for the
@@ -90,36 +88,6 @@ class Metrics:
                 for name, timing in self.stages.items()
             },
         }
-
-
-@dataclass
-class BrokerMetrics(Metrics):
-    """Counter + stage-timing registry for one broker instance.
-
-    Well-known counter names: queries, scatter_requests, server_errors,
-    servers_unreachable, retries, failovers, segments_failed_over,
-    segments_unroutable, partial_responses, deadline_exhausted,
-    retry_backoff_ms, cache_hits, cache_misses, cache_bypass, hedges,
-    hedge_wins, hedges_cancelled, traces, slow_queries; the failure
-    detector's health_ejections, health_heals, health_probes,
-    health_reroutes; and admission control's throttled (tenant quota
-    exhausted) vs admission_shed (priority shed under queue pressure).
-    """
-
-
-@dataclass
-class ServerMetrics(Metrics):
-    """Counter registry for one server instance.
-
-    Same registry shape as :class:`BrokerMetrics` so tooling can scrape
-    either uniformly. Well-known server counter names: segments_pruned,
-    segments_scanned, hot_hits, hot_misses, upsert_rows_masked,
-    dedup_rows_dropped, upsert_index_rebuilds, upsert_invalidations,
-    and the segment-cache family (repro.store): store_hits,
-    store_misses, store_evictions, store_pins, store_cold_fetches;
-    well-known gauges: upsert_keys_tracked, store_resident_bytes,
-    store_budget_bytes (-1 when unbounded).
-    """
 
 
 #: Process-wide fallback sink for components without their own registry

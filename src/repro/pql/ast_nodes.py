@@ -247,11 +247,6 @@ def group_by_column(entry: GroupByExpr) -> str:
     return entry.column if isinstance(entry, TimeBucket) else entry
 
 
-def group_by_label(entry: GroupByExpr) -> str:
-    """The result-column label for a GROUP BY entry."""
-    return str(entry)
-
-
 @dataclass(frozen=True)
 class OrderBy:
     expression: SelectItem

@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.pql.ast_nodes import (
     And,
     Between,
-    ColumnRef,
     CompareOp,
     Comparison,
     In,
@@ -180,10 +179,3 @@ def split_hybrid(query: Query, time_column: str, boundary: int,
     offline = query.with_where(offline_where).with_table(offline_table)
     realtime = query.with_where(realtime_where).with_table(realtime_table)
     return offline, realtime
-
-
-def query_has_projection_order(query: Query) -> bool:
-    """True when a selection query orders by projected columns only."""
-    return query.is_selection and all(
-        isinstance(o.expression, ColumnRef) for o in query.order_by
-    )

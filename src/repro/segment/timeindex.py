@@ -39,10 +39,6 @@ class TimeRollup:
     maxs: dict[str, np.ndarray]
 
     @property
-    def num_buckets(self) -> int:
-        return len(self.buckets)
-
-    @property
     def nbytes(self) -> int:
         total = self.buckets.nbytes + self.counts.nbytes
         for arrays in (self.sums, self.mins, self.maxs):

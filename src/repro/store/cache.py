@@ -23,7 +23,7 @@ Evictions invoke ``on_evict(table, name)`` so the owner can drop
 derived state (the server invalidates its hot-structure cache and
 publishes ``segment_evicted`` on the invalidation bus). Metrics go
 through the owner's :class:`~repro.obs.metrics.Metrics` under the
-``store_*`` names documented on :class:`ServerMetrics`.
+``store_*`` names catalogued in ``docs/ARCHITECTURE.md``.
 """
 
 from __future__ import annotations

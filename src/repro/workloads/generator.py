@@ -11,8 +11,6 @@ scaled down ~1000x from production.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 
@@ -39,10 +37,6 @@ class ZipfSampler:
         if size is None:
             return int(out)
         return out.astype(np.int64)
-
-
-def uniform_choice(rng: random.Random, values: list) -> object:
-    return values[rng.randrange(len(values))]
 
 
 def name_pool(prefix: str, n: int) -> list[str]:

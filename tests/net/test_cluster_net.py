@@ -130,6 +130,28 @@ class TestOverloadRejection:
         # One server, so there was no replica to fail over to.
         assert metrics.count("segments_unroutable") > 0
 
+    def test_max_queue_depth_is_a_gauge(self, schema):
+        """The deepest inbound queue met is a maximum, not a sum: it
+        stays at its high-water mark when later queries meet a shallower
+        queue, and is exported as a gauge, never as a counter."""
+        cluster = self._burst_cluster(schema, queue_capacity=4)
+        pql = "SELECT count(*) FROM events OPTION(skipCache=true)"
+        t0 = cluster.clock.now()
+        for _ in range(3):
+            cluster.execute(pql, at=t0, now=t0)
+        metrics = cluster.brokers[0].metrics
+        assert metrics.gauge_value("max_queue_depth") == 2
+        cluster.clock.advance(5.0)  # the burst drains
+        cluster.execute(pql, now=t0)
+        assert metrics.gauge_value("max_queue_depth") == 2
+        assert "max_queue_depth" not in metrics.counters
+        text = cluster.metrics_registry.export_text()
+        assert ('repro_gauge{component="broker",instance="broker-0",'
+                'name="max_queue_depth"} 2') in text
+        assert not any("max_queue_depth" in line
+                       for line in text.splitlines()
+                       if line.startswith("repro_counter"))
+
     def test_rejected_queries_charge_admission_only(self, schema):
         """§4.5 + backpressure: a query the server refused did no work,
         so the tenant pays the admission token and nothing else; the
