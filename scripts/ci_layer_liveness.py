@@ -1,0 +1,65 @@
+#!/usr/bin/env python3
+"""CI check: every traced layer of the benchmark is still being called.
+
+``benchmarks/e2e/tracing.py`` patches each layer's callable where its
+caller looks it up. The harness tests check the metric *names*; nothing
+fails when a refactor leaves a patched callable in place but no longer
+calls it — the layer just reports 0 µs from then on. This runs one
+small traced run per workload and fails if a layer every query must
+pass through reports no self time, or if the spans explain less than
+90 % of the query wall time.
+
+    python scripts/ci_layer_liveness.py
+"""
+
+from __future__ import annotations
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+WORKLOADS = ("point_lookup", "scan_groupby", "wide_state", "ingest_query_mix")
+#: Layers no query can avoid: a 0 here means the patch point went dead.
+LIVE_LAYERS = (
+    "pql.parser", "cluster.table", "net.codec.encode", "net.codec.decode",
+    "net.transport", "cluster.server", "cache.pruner", "engine.planner",
+    "engine.executor", "engine.merge.combine", "engine.merge.reduce",
+)
+MIN_COVERAGE = 0.9
+
+
+def traced_metrics(workload: str) -> dict[str, float]:
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "e2e" / "run.py"),
+         "--workload", workload, "--trace", "1",
+         "--scale", "0.05", "--seconds", "0.5"],
+        check=True, capture_output=True, text=True, cwd=ROOT,
+    ).stdout
+    report = json.loads(out.strip().splitlines()[-1])
+    if not report["correct"] or report["failed"]:
+        raise SystemExit(f"{workload}: run failed: {report}")
+    return {name: cell["value"] for name, cell in report["metrics"].items()}
+
+
+def main() -> int:
+    problems = []
+    for workload in WORKLOADS:
+        metrics = traced_metrics(workload)
+        for layer in LIVE_LAYERS:
+            if not metrics[f"{layer}.self_us_per_op"] > 0:
+                problems.append(f"{workload}: {layer} reports no self time")
+        coverage = metrics["trace.coverage_ratio"]
+        if coverage < MIN_COVERAGE:
+            problems.append(f"{workload}: trace.coverage_ratio "
+                            f"{coverage:.3f} < {MIN_COVERAGE}")
+        print(f"{workload}: coverage {coverage:.3f}, "
+              f"{len(LIVE_LAYERS)} layers checked")
+    for problem in problems:
+        print(f"FAIL {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

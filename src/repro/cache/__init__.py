@@ -1,41 +1,48 @@
-"""The multi-layer query cache & segment-prune subsystem.
+"""The query cache & segment-prune subsystem.
 
-Three cooperating layers make repeated site-facing traffic (the §5
-WVMP / share-analytics iceberg-query pattern) cheap:
+Two layers make repeated site-facing traffic (the §5 WVMP /
+share-analytics iceberg-query pattern) cheap, and a bus keeps the first
+one honest:
 
 * :class:`BrokerResultCache` — an LRU + byte-budget cache of whole
   broker responses, keyed on the normalized physical plan, the
   routing-table version, and a per-table *segment epoch* so offline
   tables get exact hits while realtime tables embed consuming-segment
   offsets in the key (staleness is zero by construction);
-* the server-side segment pruner (:mod:`repro.cache.pruner`) — skips
-  segments using column min/max zone maps, bloom filters, and
-  partition metadata before any filter plan is built;
-* :class:`HotStructureCache` — a per-server LRU over deserialized
-  column structures (decoded forward values) for the most-queried
-  columns, so repeated scans avoid re-decode.
+* the segment pruner (:mod:`repro.cache.pruner`) — the single owner of
+  "which segments can this predicate not match": zone maps, bloom
+  filters and partition metadata held against a WHERE clause taken
+  apart once per (sub-)query. The broker asks it before the scatter,
+  every server per resolved segment and in ``explain``, and
+  partition-aware routing reads its EQ/IN values.
 
 Invalidation is event-driven: segment completion, minion segment
 replacement, and Helix state transitions all publish to a small
 :class:`InvalidationBus`; each event bumps the table's epoch in every
-subscribed :class:`TableEpochs`, changing the cache key.
+subscribed :class:`TableEpochs`, changing the cache key. Decoded column
+arrays are not a layer here: they live and die with their segment
+object, which the per-server ``SegmentCache`` (:mod:`repro.store`)
+bounds.
 """
 
 from repro.cache.bus import InvalidationBus, InvalidationEvent, TableEpochs
-from repro.cache.hot import HotStructureCache
 from repro.cache.lru import CacheStats, LruCache
-from repro.cache.pruner import equality_constraints, prune_reason
+from repro.cache.pruner import (
+    compile_pruner,
+    equality_constraints,
+    prune_reason,
+)
 from repro.cache.result_cache import BrokerResultCache, CachedResult
 
 __all__ = [
     "BrokerResultCache",
     "CacheStats",
     "CachedResult",
-    "HotStructureCache",
     "InvalidationBus",
     "InvalidationEvent",
     "LruCache",
     "TableEpochs",
+    "compile_pruner",
     "equality_constraints",
     "prune_reason",
 ]

@@ -1,9 +1,8 @@
 """A small LRU cache with entry- and byte-budget eviction.
 
-Shared by the broker result cache and the server hot-structure cache.
-Values are opaque; the caller supplies the byte estimate at insert time
-(responses and numpy arrays know their own sizes, and a generic
-``sys.getsizeof`` would under-count both).
+Backs the broker result cache. Values are opaque; the caller supplies
+the byte estimate at insert time (responses know their own sizes, and a
+generic ``sys.getsizeof`` would under-count them).
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
-"""Server-side segment pruning from metadata (zone maps, blooms,
-partitions).
+"""Segment pruning from metadata (zone maps, blooms, partitions): the
+one reading of a WHERE clause that decides what to skip.
 
-A pre-execution stage: before building any filter plan, a server checks
-each routed segment's metadata against the query's top-level AND
-constraints and skips segments that provably contribute nothing:
+:func:`compile_pruner` takes a query's top-level AND apart once;
+:func:`prune_reason` then asks, per segment, whether that predicate
+provably matches nothing there:
 
 * **zone maps** — every column's min/max (kept in
   :class:`~repro.segment.metadata.ColumnMetadata`) against range and
@@ -15,6 +15,12 @@ constraints and skips segments that provably contribute nothing:
   partition of EQ/IN values on the partition column against the
   segment's ``partition_id``.
 
+Every caller shares it: the broker before the scatter (over
+:func:`record_summary`, what a segment's ZK record publishes), each
+server per resolved segment and in ``explain`` (over the segment's own
+metadata), and partition-aware routing (through
+:func:`equality_constraints`).
+
 Everything here is *conservative*: a leaf that cannot be reasoned about
 (OR trees, negations, LIKE, type mismatches) simply never prunes.
 Multi-value columns are safe too — metadata min/max bound every
@@ -24,8 +30,9 @@ proves no element can match.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Mapping, NamedTuple
 
+from repro.kafka.partitioner import kafka_partition
 from repro.pql.ast_nodes import (
     And,
     Between,
@@ -35,7 +42,63 @@ from repro.pql.ast_nodes import (
     Predicate,
     Query,
 )
+from repro.segment.bloom import BloomFilter
 from repro.segment.metadata import SegmentMetadata
+
+
+class CompiledPruner(NamedTuple):
+    """A predicate taken apart for pruning, once per (sub-)query."""
+
+    #: Top-level AND leaves a zone map can be held against.
+    leaves: tuple[Predicate, ...]
+    #: :func:`equality_constraints` of the same predicate.
+    constraints: dict[str, list]
+
+
+class ColumnSummary(NamedTuple):
+    """The three :class:`ColumnMetadata` fields pruning reads."""
+
+    min_value: Any
+    max_value: Any
+    bloom: dict | None
+
+
+class SegmentSummary(NamedTuple):
+    """The :class:`SegmentMetadata` fields pruning reads."""
+
+    columns: dict[str, ColumnSummary]
+    partition_column: str | None = None
+    partition_id: int | None = None
+    num_partitions: int | None = None
+
+
+def record_summary(record: Mapping[str, Any],
+                   time_column: str | None) -> SegmentSummary:
+    """The broker's view of a segment — the time range and blooms its
+    ZK record publishes — in the shape :func:`prune_reason` reads.
+    Narrowing by partition stays the routing strategy's call (§4.4)."""
+    blooms = record.get("blooms") or {}
+    columns = {name: ColumnSummary(None, None, payload)
+               for name, payload in blooms.items()}
+    if time_column is not None:
+        columns[time_column] = ColumnSummary(
+            record.get("min_time"), record.get("max_time"),
+            blooms.get(time_column))
+    return SegmentSummary(columns)
+
+
+#: The check of a query without a WHERE clause.
+NEVER_PRUNES = CompiledPruner((), {})
+
+
+def compile_pruner(query: Query) -> CompiledPruner:
+    if query.where is None:
+        return NEVER_PRUNES
+    return CompiledPruner(
+        tuple(leaf for leaf in _top_level_leaves(query.where)
+              if isinstance(leaf, (Comparison, Between, In))),
+        equality_constraints(query.where),
+    )
 
 
 def equality_constraints(predicate: Predicate) -> dict[str, list]:
@@ -68,42 +131,37 @@ def equality_constraints(predicate: Predicate) -> dict[str, list]:
     return out
 
 
-def prune_reason(metadata: SegmentMetadata,
-                 query: Query) -> str | None:
-    """Why this segment can be skipped for ``query`` — ``"zone_map"``,
-    ``"bloom"``, ``"partition"`` — or None when it must be executed."""
-    if query.where is None:
-        return None
-    leaves = _top_level_leaves(query.where)
-
-    for leaf in leaves:
+def prune_reason(metadata: SegmentMetadata | SegmentSummary,
+                 check: CompiledPruner) -> str | None:
+    """Why this segment can be skipped — ``"zone_map"``, ``"bloom"``,
+    ``"partition"`` — or None when it must be executed."""
+    for leaf in check.leaves:
         if _zone_map_excludes(metadata, leaf):
             return "zone_map"
-
-    constraints = equality_constraints(query.where)
-    for column, values in constraints.items():
+    for column, values in check.constraints.items():
         if _bloom_excludes(metadata, column, values):
             return "bloom"
-
-    if _partition_excludes(metadata, constraints):
+    if _partition_excludes(metadata, check.constraints):
         return "partition"
     return None
 
 
 def _top_level_leaves(predicate: Predicate) -> tuple[Predicate, ...]:
-    return (predicate.children if isinstance(predicate, And)
-            else (predicate,))
+    """The conjuncts of the top-level AND, through nested ANDs (the
+    hybrid split wraps the user's whole WHERE in one)."""
+    if not isinstance(predicate, And):
+        return (predicate,)
+    return tuple(leaf for child in predicate.children
+                 for leaf in _top_level_leaves(child))
 
 
 # -- zone maps ----------------------------------------------------------------
 
 
-def _zone_map_excludes(metadata: SegmentMetadata,
-                       leaf: Predicate) -> bool:
-    column = getattr(leaf, "column", None)
-    if column is None or column not in metadata.columns:
+def _zone_map_excludes(metadata, leaf: Predicate) -> bool:
+    meta = metadata.columns.get(leaf.column)
+    if meta is None:
         return False
-    meta = metadata.columns[column]
     low, high = meta.min_value, meta.max_value
     if low is None or high is None:
         return False
@@ -124,7 +182,7 @@ def _zone_map_excludes(metadata: SegmentMetadata,
         return False  # NEQ can never be excluded by a range
     if isinstance(leaf, Between):
         return _lt(high, leaf.low) or _lt(leaf.high, low)
-    if isinstance(leaf, In) and not leaf.negated:
+    if not leaf.negated:  # IN: every member outside the range
         checks = [_lt(v, low) or _lt(high, v) for v in leaf.values]
         return bool(checks) and all(checks)
     return False
@@ -148,22 +206,24 @@ def _lte(a: Any, b: Any) -> bool:
 # -- bloom filters ------------------------------------------------------------
 
 
-def _bloom_excludes(metadata: SegmentMetadata, column: str,
-                    values: list) -> bool:
+def _bloom_excludes(metadata, column: str, values: list) -> bool:
     meta = metadata.columns.get(column)
     if meta is None or meta.bloom is None:
         return False
-    from repro.segment.bloom import BloomFilter
-
     bloom = BloomFilter.from_payload(meta.bloom)
-    return not any(bloom.might_contain(v) for v in values)
+    # A STRING column compares a numeric literal by its text, and the
+    # payload does not say which kind it summarises: probe both forms.
+    return not any(
+        bloom.might_contain(v)
+        or (not isinstance(v, str) and bloom.might_contain(str(v)))
+        for v in values
+    )
 
 
 # -- partition metadata -------------------------------------------------------
 
 
-def _partition_excludes(metadata: SegmentMetadata,
-                        constraints: dict[str, list]) -> bool:
+def _partition_excludes(metadata, constraints: dict[str, list]) -> bool:
     if (
         metadata.partition_column is None
         or metadata.partition_id is None
@@ -173,8 +233,6 @@ def _partition_excludes(metadata: SegmentMetadata,
     values = constraints.get(metadata.partition_column)
     if not values:
         return False
-    from repro.kafka.partitioner import kafka_partition
-
     wanted = {
         kafka_partition(value, metadata.num_partitions) for value in values
     }

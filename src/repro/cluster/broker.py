@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from repro.cache.bus import TableEpochs
-from repro.cache.pruner import equality_constraints as _equality_constraints
+from repro.cache.pruner import compile_pruner, prune_reason, record_summary
 from repro.cache.result_cache import BrokerResultCache, CachedResult
 from repro.cluster.health import (
     EVENT_EJECTED,
@@ -36,7 +36,6 @@ from repro.cluster.table import (
 from repro.cluster.tenant import TenantQuotaManager
 from repro.common.timeutils import time_boundary
 from repro.engine.merge import reduce_server_results
-from repro.engine.planner import time_bounds
 from repro.engine.results import BrokerResponse, ServerResult
 from repro.errors import (
     ClusterError,
@@ -71,7 +70,6 @@ from repro.routing.balanced import BalancedRouting
 from repro.routing.base import RoutingStrategy, TableRoutingSnapshot
 from repro.routing.large_cluster import LargeClusterRouting
 from repro.routing.partition_aware import PartitionAwareRouting
-from repro.segment.bloom import BloomFilter
 
 _QUERYABLE_STATES = frozenset(
     {SegmentState.ONLINE.value, SegmentState.CONSUMING.value}
@@ -309,6 +307,7 @@ class BrokerInstance:
                               if config.partition else None),
             num_partitions=(config.partition.num_partitions
                             if config.partition else None),
+            time_column=config.time_column,
         )
         self._strategies[table].rebuild(snapshot)
 
@@ -701,7 +700,8 @@ class BrokerInstance:
                 )
                 run.finished_at = max(run.finished_at, self._clock.now())
                 return
-            routing_table, pruned = self._prune(query, routing_table)
+            routing_table, pruned = self._prune(
+                query, routing_table, run.strategy.snapshot.time_column)
             run.pruned += pruned
             routing_table = self._apply_health(run, routing_table)
             if span is not None:
@@ -1128,53 +1128,30 @@ class BrokerInstance:
                 reroute.setdefault(instance, []).extend(fsegs)
         return reroute, unroutable
 
-    def _prune(self, query: Query, routing_table):
+    def _prune(self, query: Query, routing_table,
+               time_column: str | None):
         """Drop segments that provably cannot match the filter before
         contacting any server, in one pass with one metadata read per
-        segment: a time range outside the query's bounds, or a
-        distinct-value bloom filter that rules out every EQ/IN value
-        (never a false negative, so pruning is always safe). Servers
-        left with no segments are not contacted at all. Returns the
-        pruned routing table and the number of segments dropped."""
-        if query.where is None:
-            return routing_table, 0
-        low = high = None
-        time_column = read_table_config(self._helix,
-                                        query.table).time_column
-        if time_column is not None:
-            low, high = time_bounds(query.where, time_column)
-        constraints = _equality_constraints(query.where)
-        if low is None and high is None and not constraints:
-            return routing_table, 0
-
-        def cannot_match(meta: dict) -> bool:
-            min_time = meta.get("min_time")
-            max_time = meta.get("max_time")
-            if (min_time is not None and high is not None
-                    and min_time > high):
-                return True
-            if (max_time is not None and low is not None
-                    and max_time < low):
-                return True
-            blooms = meta.get("blooms") or {}
-            for column, values in constraints.items():
-                payload = blooms.get(column)
-                if not payload:
-                    continue
-                # One parse per (segment, column): every segment is
-                # routed to exactly one server, so visited once.
-                bloom = BloomFilter.from_payload(payload)
-                if not any(bloom.might_contain(v) for v in values):
-                    return True
-            return False
-
+        segment: the query's compiled prune check held against what the
+        segment's record publishes — its time range and distinct-value
+        bloom filters (never a false negative, so pruning is always
+        safe). Servers left with no segments are not contacted at all.
+        Returns the pruned routing table and the number of segments
+        dropped."""
+        check = compile_pruner(query)
+        if not check.constraints and all(leaf.column != time_column
+                                         for leaf in check.leaves):
+            return routing_table, 0  # nothing a record could rule out
         pruned = 0
         out: dict[str, list[str]] = {}
         for instance, segments in routing_table.items():
+            # Every segment is routed to exactly one server, so its
+            # record is read, and each bloom parsed, once per query.
             kept = [
                 segment for segment in segments
-                if not cannot_match(read_segment_record(
-                    self._helix, query.table, segment))
+                if prune_reason(record_summary(
+                    read_segment_record(self._helix, query.table, segment),
+                    time_column), check) is None
             ]
             pruned += len(segments) - len(kept)
             if kept:

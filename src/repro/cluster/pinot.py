@@ -48,7 +48,7 @@ class PinotCluster:
     def __init__(self, num_servers: int = 3, num_brokers: int = 1,
                  num_controllers: int = 3, num_minions: int = 1,
                  object_store: ObjectStore | None = None,
-                 cluster_name: str = "pinot", seed: int = 0,
+                 seed: int = 0,
                  quotas: TenantQuotaManager | None = None,
                  clock: SimClock | None = None,
                  transport: Transport | None = None,
@@ -84,7 +84,7 @@ class PinotCluster:
         self.net = transport if transport is not None else Transport(
             self.clock, seed=seed
         )
-        self.helix = HelixManager(self.zk, cluster_name, transport=self.net)
+        self.helix = HelixManager(self.zk, "pinot", transport=self.net)
         # The deep store is an addressable service on the fabric, so
         # cold segment fetches are real timed RPCs (give the address a
         # LinkModel to shape cold-read latency/bandwidth).

@@ -16,8 +16,12 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.cache.hot import HotStructureCache
-from repro.cache.pruner import prune_reason
+from repro.cache.pruner import (
+    NEVER_PRUNES,
+    CompiledPruner,
+    compile_pruner,
+    prune_reason,
+)
 from repro.cluster.completion import Instruction
 from repro.cluster.objectstore import ObjectStore
 from repro.cluster.table import (
@@ -93,7 +97,7 @@ class ServerInstance:
         self.faults = FaultInjector(seed=zlib.crc32(instance_id.encode()))
         self.queries_executed = 0
         #: Per-server counters (segments_pruned, segments_scanned,
-        #: hot_hits, hot_misses, store_*).
+        #: store_*).
         self.metrics = Metrics()
         #: Hosted committed segments: sized refs over the deep store,
         #: loaded lazily and evicted under the byte budget
@@ -105,9 +109,6 @@ class ServerInstance:
             on_evict=self._on_store_evict,
             metrics=self.metrics,
         )
-        #: LRU of decoded column structures for the hottest columns
-        #: (layer 3 of the cache subsystem, repro.cache).
-        self.hot_cache = HotStructureCache()
         #: table -> primary-key upsert/dedup index (repro.upsert);
         #: created lazily from the table config on first contact.
         self._upsert: dict[str, TableUpsertManager] = {}
@@ -176,18 +177,15 @@ class ServerInstance:
         elif to_state in (SegmentState.OFFLINE, SegmentState.DROPPED):
             self.segment_cache.drop(resource, segment)
             self._consuming.pop(key, None)
-            self.hot_cache.invalidate_segment(resource, segment)
             self._on_segment_removed(resource)
         else:
             raise ClusterError(f"unsupported target state {to_state}")
 
     def _on_store_evict(self, table: str, segment: str) -> None:
         """A resident segment was evicted under memory pressure (or
-        tiered off): no derived structure may outlive its backing
-        segment, so the hot-structure cache drops the segment's decoded
-        columns and the eviction is published on the invalidation bus
-        (broker result-cache keys for the table rotate)."""
-        self.hot_cache.invalidate_segment(table, segment)
+        tiered off): its decoded columns went with it, and the eviction
+        is published on the invalidation bus (broker result-cache keys
+        for the table rotate)."""
         self._helix.invalidation_bus.publish(table, "segment_evicted",
                                              segment=segment)
 
@@ -628,8 +626,7 @@ class ServerInstance:
     def _execute_segments(self, query: Query, table: str,
                           segment_names: list[str],
                           deadline: float | None) -> ServerResult:
-        skip_cache = bool(query.options.get("skipCache"))
-        skip_prune = skip_cache or bool(query.options.get("skipPrune"))
+        check = _pruner_for(query)
         vectorized = bool(
             query.options.get("vectorized", self.default_vectorized)
         )
@@ -658,13 +655,7 @@ class ServerInstance:
                         recorder.end(span)
                         span = None
                     continue
-                # Pre-execution pruning applies only to immutable
-                # segments: consuming snapshots lack settled metadata.
-                immutable = (table, name) in self.segment_cache
-                reason = (
-                    prune_reason(segment.metadata, query)
-                    if not skip_prune and immutable else None
-                )
+                reason = prune_reason(segment.metadata, check)
                 if reason is not None:
                     self.metrics.incr("segments_pruned")
                     results.append(prune_result(segment, query))
@@ -675,12 +666,6 @@ class ServerInstance:
                         span = None
                     continue
                 self.metrics.incr("segments_scanned")
-                if not skip_cache and immutable:
-                    hits, misses = self._warm_hot_columns(table, segment,
-                                                          query)
-                    if span is not None:
-                        span.attributes["hot_hits"] = hits
-                        span.attributes["hot_misses"] = misses
                 valid_docs = (
                     upsert.selection_for(name, segment.num_docs)
                     if upsert is not None else None
@@ -710,44 +695,22 @@ class ServerInstance:
                 self.segment_cache.unpin(t, n)
         return combine_segment_results(query, results, self.instance_id)
 
-    def _warm_hot_columns(self, table: str, segment: ImmutableSegment,
-                          query: Query) -> tuple[int, int]:
-        """Pull the query's columns through the hot-structure cache so
-        their decoded arrays stay resident across queries (and cold
-        columns get evicted to honor the byte budget). Returns the
-        (hits, misses) of this warm-up's probes."""
-        if query.select_star:
-            names = segment.schema.column_names
-        else:
-            names = tuple(sorted(query.referenced_columns()))
-        hits = misses = 0
-        for name in names:
-            if not segment.has_column(name):
-                continue
-            column = segment.column(name)
-            if column.is_multi_value:
-                continue  # decoded arrays exist for single-value only
-            __, hit = self.hot_cache.values(table, segment, column)
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-            self.metrics.incr("hot_hits" if hit else "hot_misses")
-        return hits, misses
-
     def explain(self, query: Query, table: str,
                 segment_names: list[str]) -> dict[str, str]:
         """Describe the physical plan per segment (plans differ segment
         to segment by index availability, §3.3.4)."""
         from repro.engine.planner import plan_segment
 
+        check = _pruner_for(query)
         plans = {}
         for name in segment_names:
             segment = self._resolve_for_query(table, name)
             if segment is None:
                 plans[name] = "EMPTY (no rows consumed yet)"
                 continue
-            plans[name] = plan_segment(segment, query).describe()
+            reason = prune_reason(segment.metadata, check)
+            plans[name] = (f"PRUNED ({reason})" if reason is not None
+                           else plan_segment(segment, query).describe())
         return plans
 
     def _resolve_for_query(
@@ -773,6 +736,14 @@ class ServerInstance:
             f"server {self.instance_id!r} asked for unknown segment "
             f"{table}/{name}"
         )
+
+
+def _pruner_for(query: Query) -> CompiledPruner:
+    """The query's prune check; under ``skipPrune`` (which ``skipCache``
+    implies) one that skips nothing, so every segment is executed."""
+    if query.options.get("skipCache") or query.options.get("skipPrune"):
+        return NEVER_PRUNES
+    return compile_pruner(query)
 
 
 def realtime_segment_name(table: str, partition: int, sequence: int) -> str:

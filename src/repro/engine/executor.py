@@ -63,12 +63,8 @@ def execute_plan(plan: SegmentPlan,
     query = plan.query
     segment = plan.segment
     stats = ExecutionStats(num_segments_queried=1,
+                           num_segments_processed=1,
                            total_docs=segment.num_docs)
-
-    if plan.kind is PlanKind.EMPTY:
-        return _empty_result(query, stats)
-
-    stats.num_segments_processed = 1
 
     if plan.kind is PlanKind.METADATA:
         assert valid_docs is None, (
@@ -141,7 +137,7 @@ def execute_plan(plan: SegmentPlan,
 def prune_result(segment: ImmutableSegment, query: Query) -> SegmentResult:
     """The result for a segment skipped by the server-side pruner:
     counted as queried (its docs appear in total_docs) but never
-    processed — the same accounting as an EMPTY time-pruned plan."""
+    processed."""
     stats = ExecutionStats(num_segments_queried=1,
                            total_docs=segment.num_docs,
                            num_segments_pruned_by_server=1)

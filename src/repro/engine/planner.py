@@ -53,7 +53,6 @@ class PlanKind(enum.Enum):
     TIME_INDEX = "TIME_INDEX"
     STAR_TREE = "STAR_TREE"
     SCAN = "SCAN"
-    EMPTY = "EMPTY"  # segment provably contributes nothing
 
 
 @dataclass
@@ -111,10 +110,6 @@ def plan_segment(segment: ImmutableSegment, query: Query,
     """
     _validate_columns(segment, query)
 
-    if _time_pruned(segment, query):
-        return SegmentPlan(PlanKind.EMPTY, segment, query,
-                           notes=["pruned by segment time range"])
-
     if allow_metadata_only and _is_metadata_only(segment, query):
         return SegmentPlan(PlanKind.METADATA, segment, query,
                            notes=["answered from segment metadata"])
@@ -149,64 +144,6 @@ def _validate_columns(segment: ImmutableSegment, query: Query) -> None:
             f"segment {segment.name!r} is missing columns {missing} "
             f"referenced by the query"
         )
-
-
-def _time_pruned(segment: ImmutableSegment, query: Query) -> bool:
-    """Prune segments whose time range cannot match the query's time
-    filter — how hybrid-table rewritten queries avoid touching segments
-    on the wrong side of the boundary."""
-    time_range = segment.time_range()
-    time_column = segment.metadata.time_column
-    if time_range is None or time_column is None or query.where is None:
-        return False
-    low, high = _time_bounds(query.where, time_column)
-    min_time, max_time = time_range
-    if low is not None and max_time < low:
-        return True
-    if high is not None and min_time > high:
-        return True
-    return False
-
-
-def time_bounds(predicate: Predicate,
-                time_column: str) -> tuple[int | None, int | None]:
-    """Conservative [low, high] bounds implied on the time column by the
-    top-level AND of the predicate (None = unbounded). Shared by
-    per-segment pruning here and broker-side pruning."""
-    return _time_bounds(predicate, time_column)
-
-
-def _time_bounds(predicate: Predicate,
-                 time_column: str) -> tuple[int | None, int | None]:
-    if isinstance(predicate, And):
-        low, high = None, None
-        for child in predicate.children:
-            child_low, child_high = _time_bounds(child, time_column)
-            if child_low is not None:
-                low = child_low if low is None else max(low, child_low)
-            if child_high is not None:
-                high = child_high if high is None else min(high, child_high)
-        return low, high
-    if isinstance(predicate, Comparison) and predicate.column == time_column:
-        value = predicate.value
-        if not isinstance(value, (int, float)):
-            return None, None
-        if predicate.op is CompareOp.EQ:
-            return value, value
-        if predicate.op is CompareOp.GT:
-            return value + 1, None
-        if predicate.op is CompareOp.GTE:
-            return value, None
-        if predicate.op is CompareOp.LT:
-            return None, value - 1
-        if predicate.op is CompareOp.LTE:
-            return None, value
-        return None, None
-    if isinstance(predicate, Between) and predicate.column == time_column:
-        low, high = predicate.low, predicate.high
-        if isinstance(low, (int, float)) and isinstance(high, (int, float)):
-            return low, high
-    return None, None
 
 
 def _is_metadata_only(segment: ImmutableSegment, query: Query) -> bool:
@@ -271,9 +208,10 @@ def _plan_time_index(segment: ImmutableSegment,
     low: int | None = None
     high: int | None = None
     if query.where is not None:
-        if not _time_exact_range(query.where, time_column):
+        bounds = _exact_time_range(query.where, time_column)
+        if bounds is None:
             return None
-        low, high = _time_bounds(query.where, time_column)
+        low, high = bounds
         time_range = segment.time_range()
         if time_range is not None:
             min_time, max_time = time_range
@@ -293,25 +231,43 @@ def _plan_time_index(segment: ImmutableSegment,
     )
 
 
-def _time_exact_range(predicate: Predicate, time_column: str) -> bool:
-    """Whether ``predicate`` is *exactly* the [low, high] interval that
-    :func:`time_bounds` derives — i.e. a conjunction of integer range
-    comparisons on the time column only. Anything else (other columns,
+def _exact_time_range(
+    predicate: Predicate, time_column: str,
+) -> tuple[int | None, int | None] | None:
+    """The inclusive [low, high] (None = unbounded) that ``predicate``
+    is *exactly* — a conjunction of integer range comparisons on the
+    time column only — or None when anything else (other columns,
     OR/NOT, NEQ/IN, non-integer bounds) needs the raw rows."""
     if isinstance(predicate, And):
-        return all(_time_exact_range(child, time_column)
-                   for child in predicate.children)
-    if isinstance(predicate, Comparison):
-        return (predicate.column == time_column
-                and type(predicate.value) is int
-                and predicate.op in (CompareOp.EQ, CompareOp.GT,
-                                     CompareOp.GTE, CompareOp.LT,
-                                     CompareOp.LTE))
+        low, high = None, None
+        for child in predicate.children:
+            bounds = _exact_time_range(child, time_column)
+            if bounds is None:
+                return None
+            child_low, child_high = bounds
+            if child_low is not None:
+                low = child_low if low is None else max(low, child_low)
+            if child_high is not None:
+                high = child_high if high is None else min(high, child_high)
+        return low, high
+    if getattr(predicate, "column", None) != time_column:
+        return None
     if isinstance(predicate, Between):
-        return (predicate.column == time_column
-                and type(predicate.low) is int
-                and type(predicate.high) is int)
-    return False
+        if type(predicate.low) is int and type(predicate.high) is int:
+            return predicate.low, predicate.high
+    elif isinstance(predicate, Comparison) and type(predicate.value) is int:
+        value = predicate.value
+        if predicate.op is CompareOp.EQ:
+            return value, value
+        if predicate.op is CompareOp.GT:
+            return value + 1, None
+        if predicate.op is CompareOp.GTE:
+            return value, None
+        if predicate.op is CompareOp.LT:
+            return None, value - 1
+        if predicate.op is CompareOp.LTE:
+            return None, value
+    return None
 
 
 # -- filter compilation -------------------------------------------------------

@@ -127,22 +127,6 @@ class FaultInjector:
             return True
         return False
 
-    # -- transport bridge ---------------------------------------------------
-
-    def as_link_model(self):
-        """This injector's slow/flaky faults expressed as a network-link
-        model (``repro.net``): injected latency/jitter become link
-        latency/jitter and the error rate becomes packet loss. Lets a
-        scenario pin the *link* to a server instead of the server
-        itself — same schedule, observed as transport behaviour."""
-        from repro.net import LinkModel
-
-        return LinkModel(
-            latency_s=self.extra_latency_s,
-            jitter_s=self.jitter_latency_s,
-            drop_rate=self.error_rate,
-        )
-
 
 def run_with_faults(injector: FaultInjector, server_id: str, query,
                     run) -> ServerResult:

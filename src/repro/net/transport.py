@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.errors import ClusterError, PinotError, ServerBusyError, \
     ServerUnreachableError
 from repro.net.clock import SimClock
-from repro.net.codec import decode, encode, json_roundtrip, payload_bytes
+from repro.net.codec import decode, encode, payload_bytes
 from repro.obs import propagation
 from repro.obs.trace import SpanContext
 
@@ -211,17 +211,15 @@ class Transport:
     """The cluster's message fabric.
 
     ``codec=True`` (default) round-trips every payload through the
-    JSON-safe codec; ``strict_json=True`` additionally forces the tree
-    through real JSON text. ``codec=False`` passes object references
-    straight through — only for parity testing against direct calls.
+    JSON-safe codec. ``codec=False`` passes object references straight
+    through — only for parity testing against direct calls.
     """
 
     def __init__(self, clock: SimClock | None = None, seed: int = 0,
-                 codec: bool = True, strict_json: bool = False,
+                 codec: bool = True,
                  default_link: LinkModel | None = None):
         self.clock = clock if clock is not None else SimClock()
         self.codec = codec
-        self.strict_json = strict_json
         self.default_link = default_link or LinkModel()
         self._rng = random.Random(seed)
         self._endpoints: dict[str, Endpoint] = {}
@@ -426,10 +424,7 @@ class Transport:
         if not self.codec:
             return _Wire(payload)
         blobs: list = []
-        tree = encode(payload, blobs)
-        if self.strict_json:
-            tree = json_roundtrip(tree)
-        return _Wire(tree, blobs)
+        return _Wire(encode(payload, blobs), blobs)
 
     def _unpack(self, wire: _Wire):
         if not self.codec:

@@ -29,6 +29,9 @@ class TableRoutingSnapshot:
     segment_partitions: dict[str, int] = field(default_factory=dict)
     partition_column: str | None = None
     num_partitions: int | None = None
+    #: The table's time column: the one zone map a segment's ZK record
+    #: publishes, which the broker prunes by before the scatter.
+    time_column: str | None = None
 
     @property
     def instances(self) -> list[str]:

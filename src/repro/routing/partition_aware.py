@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import random
 
+from repro.cache.pruner import equality_constraints
 from repro.errors import RoutingError
 from repro.kafka.partitioner import kafka_partition
-from repro.pql.ast_nodes import And, CompareOp, Comparison, In, Predicate, Query
+from repro.pql.ast_nodes import Query
 from repro.routing.balanced import BalancedRouting
 from repro.routing.base import (
     RoutingStrategy,
@@ -30,32 +31,16 @@ def partitions_for_query(query: Query, partition_column: str,
     """Partitions the query can match, or None when not derivable.
 
     Only EQ / IN constraints on the partition column (at the top level
-    or inside a top-level AND) prune partitions; anything else means
+    or inside a top-level AND) prune partitions; anything else — a
+    float literal included, which no stored key hashes like — means
     every partition may match.
     """
     if query.where is None:
         return None
-    values = _partition_values(query.where, partition_column)
-    if values is None:
+    values = equality_constraints(query.where).get(partition_column)
+    if not values:
         return None
     return {kafka_partition(v, num_partitions) for v in values}
-
-
-def _partition_values(predicate: Predicate, column: str):
-    if isinstance(predicate, Comparison):
-        if predicate.column == column and predicate.op is CompareOp.EQ:
-            return {predicate.value}
-        return None
-    if isinstance(predicate, In):
-        if predicate.column == column and not predicate.negated:
-            return set(predicate.values)
-        return None
-    if isinstance(predicate, And):
-        for child in predicate.children:
-            values = _partition_values(child, column)
-            if values is not None:
-                return values
-    return None
 
 
 class PartitionAwareRouting(RoutingStrategy):

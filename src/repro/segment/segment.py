@@ -74,15 +74,11 @@ class Column:
         return self.forward.dict_ids()
 
     def values(self) -> np.ndarray:
-        """Decoded per-document values (single-value columns), cached."""
+        """Decoded per-document values (single-value columns), memoised
+        for the life of the segment object."""
         if self._decoded is None:
             self._decoded = self.dictionary.values_of(self.dict_ids())
         return self._decoded
-
-    def release_values(self) -> None:
-        """Drop the decoded-value cache (hot-structure cache eviction);
-        the next :meth:`values` call re-decodes."""
-        self._decoded = None
 
     def value_of_doc(self, doc_id: int) -> Any:
         if self.is_multi_value:

@@ -19,9 +19,9 @@ A segment larger than the entire budget is also served transiently
 rather than rejected — admitting it would evict everything else for a
 single resident.
 
-Evictions invoke ``on_evict(table, name)`` so the owner can drop
-derived state (the server invalidates its hot-structure cache and
-publishes ``segment_evicted`` on the invalidation bus). Metrics go
+Evictions invoke ``on_evict(table, name)`` so the owner can react (the
+server publishes ``segment_evicted`` on the invalidation bus). Decoded
+column arrays hang off the segment object and go with it. Metrics go
 through the owner's :class:`~repro.obs.metrics.Metrics` under the
 ``store_*`` names catalogued in ``docs/ARCHITECTURE.md``.
 """
@@ -103,8 +103,7 @@ class SegmentCache:
     def drop(self, table: str, name: str) -> bool:
         """Stop hosting (OFFLINE/DROPPED transition); True if hosted.
 
-        No eviction callback fires — the transition path does its own
-        hot-structure invalidation and the state change is already
+        No eviction callback fires — the state change is already
         published on the bus."""
         entry = self._entries.pop((table, name), None)
         if entry is None:

@@ -4,7 +4,7 @@ the conservative cases."""
 
 import pytest
 
-from repro.cache.pruner import equality_constraints, prune_reason
+from repro.cache.pruner import compile_pruner, prune_reason
 from repro.cluster.pinot import PinotCluster
 from repro.cluster.table import TableConfig
 from repro.pql.parser import parse
@@ -139,7 +139,8 @@ class TestConservativeCases:
         return builder.build().metadata
 
     def q(self, where):
-        return parse(f"SELECT count(*) FROM t WHERE {where}")
+        return compile_pruner(
+            parse(f"SELECT count(*) FROM t WHERE {where}"))
 
     def test_zone_map_prunes_out_of_range(self, metadata):
         assert prune_reason(metadata, self.q("vieweeId > 30")) == "zone_map"
@@ -161,9 +162,21 @@ class TestConservativeCases:
         assert prune_reason(
             metadata, self.q("vieweeId NOT IN (10, 20, 30)")) is None
 
+    def test_nested_and_is_taken_apart(self, metadata):
+        # The hybrid split wraps the user's WHERE: (a AND b) AND day <= t.
+        from repro.pql.rewriter import split_hybrid
+
+        query = parse("SELECT count(*) FROM t "
+                      "WHERE vieweeId = 15 AND views >= 1")
+        offline, realtime = split_hybrid(query, "day", 17300, "t_O", "t_R")
+        assert prune_reason(metadata, compile_pruner(offline)) == "bloom"
+        assert prune_reason(
+            metadata, compile_pruner(realtime)) == "zone_map"
+
     def test_no_where_never_prunes(self, metadata):
         assert prune_reason(
-            metadata, parse("SELECT count(*) FROM t")) is None
+            metadata, compile_pruner(parse("SELECT count(*) FROM t"))
+        ) is None
 
     def test_incomparable_types_never_prune(self, metadata):
         assert prune_reason(metadata, self.q("vieweeId = 'abc'")) in (
@@ -171,13 +184,9 @@ class TestConservativeCases:
         )
 
     def test_equality_constraints_drop_floats(self):
-        constraints = equality_constraints(
-            self.q("vieweeId = 5.5 AND viewerCompany = 'acme'").where
-        )
+        constraints = self.q(
+            "vieweeId = 5.5 AND viewerCompany = 'acme'").constraints
         assert constraints == {"viewerCompany": ["acme"]}
 
     def test_equality_constraints_drop_partial_in_lists(self):
-        constraints = equality_constraints(
-            self.q("vieweeId IN (1, 2.5)").where
-        )
-        assert constraints == {}
+        assert self.q("vieweeId IN (1, 2.5)").constraints == {}

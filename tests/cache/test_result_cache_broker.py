@@ -137,33 +137,6 @@ class TestNeverCacheRules:
         assert len(broker.result_cache) == 0
 
 
-class TestHotStructureCache:
-    def test_second_query_on_same_column_hits_hot_cache(self, cluster):
-        # Distinct literals so the broker result cache cannot hit; the
-        # decoded country column stays resident server-side.
-        cluster.execute("SELECT count(*) FROM events WHERE country = 'us'")
-        assert sum(s.metrics.count("hot_misses")
-                   for s in cluster.servers) > 0
-        assert sum(s.metrics.count("hot_hits")
-                   for s in cluster.servers) == 0
-        cluster.execute("SELECT count(*) FROM events WHERE country = 'ca'")
-        assert sum(s.metrics.count("hot_hits")
-                   for s in cluster.servers) > 0
-
-    def test_skip_cache_disables_hot_cache(self, schema):
-        cluster = PinotCluster(num_servers=1)
-        cluster.create_table(TableConfig.offline("events", schema))
-        cluster.upload_records(
-            "events",
-            [{"country": "us", "views": 1, "day": 17000}] * 50,
-        )
-        cluster.execute("SELECT count(*) FROM events WHERE country = 'us' "
-                        "OPTION(skipCache=true)")
-        server = cluster.servers[0]
-        assert len(server.hot_cache) == 0
-        assert server.metrics.count("hot_misses") == 0
-
-
 class TestEstimator:
     def test_estimate_scales_with_rows(self, cluster):
         small = cluster.execute("SELECT count(*) FROM events")

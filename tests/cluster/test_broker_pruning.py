@@ -6,6 +6,7 @@ from repro.cluster.pinot import PinotCluster
 from repro.cluster.table import TableConfig
 from repro.common.schema import Schema
 from repro.common.types import DataType, dimension, metric, time_column
+from repro.segment.builder import SegmentConfig
 
 
 @pytest.fixture
@@ -70,6 +71,71 @@ class TestBrokerTimePruning:
         assert response.num_segments_pruned_by_broker == 0
 
 
+class TestFloatTimeBounds:
+    """A float literal between two days must not be rounded into the
+    next day: ``day > 17004.5`` matches day 17005."""
+
+    def test_float_bound_keeps_the_matching_segment(self, cluster):
+        above = cluster.execute(
+            "SELECT count(*) FROM events WHERE day > 17004.5")
+        assert above.rows[0][0] == 100
+        assert above.num_segments_pruned_by_broker == 5
+        below = cluster.execute(
+            "SELECT count(*) FROM events WHERE day < 17000.5")
+        assert below.rows[0][0] == 100
+        assert below.num_segments_pruned_by_broker == 5
+
+    def test_float_bound_inside_both_segments_prunes_none(self):
+        schema = Schema("events", [
+            dimension("country"), metric("views", DataType.LONG),
+            time_column("day", DataType.INT),
+        ])
+        cluster = PinotCluster(num_servers=2)
+        cluster.create_table(TableConfig.offline("events", schema))
+        records = [{"country": "us", "views": 1, "day": 17000 + i % 4}
+                   for i in range(200)]
+        cluster.upload_records("events", records, rows_per_segment=100)
+        for where, expected in (("day > 17002.5", 50),
+                                ("day < 17000.5", 50)):
+            response = cluster.execute(
+                f"SELECT count(*) FROM events WHERE {where}")
+            assert response.rows[0][0] == expected, where
+            assert response.num_segments_pruned_by_broker == 0
+
+    def test_in_list_on_the_time_column_prunes(self, cluster):
+        response = cluster.execute(
+            "SELECT count(*) FROM events WHERE day IN (17001, 17004)")
+        assert response.rows[0][0] == 200
+        assert response.num_segments_pruned_by_broker == 4
+
+
+class TestBloomLiteralCoercion:
+    def test_numeric_literal_on_a_string_bloom_column(self):
+        """``code = 5`` matches the string ``'5'`` in the engine, so the
+        bloom (which hashes 5 and '5' apart) must be probed for both."""
+        schema = Schema("events", [
+            dimension("code"), metric("views", DataType.LONG),
+            time_column("day", DataType.INT),
+        ])
+        cluster = PinotCluster(num_servers=1)
+        cluster.create_table(TableConfig.offline(
+            "events", schema,
+            segment_config=SegmentConfig(bloom_columns=("code",)),
+        ))
+        cluster.upload_records(
+            "events",
+            [{"code": str(i % 7), "views": 1, "day": 17000}
+             for i in range(70)])
+        for where in ("code = 5", "code IN (5, 9)", "code = '5'"):
+            response = cluster.execute(
+                f"SELECT count(*) FROM events WHERE {where}")
+            assert response.rows[0][0] == 10, where
+        absent = cluster.execute(
+            "SELECT count(*) FROM events WHERE code = 9")
+        assert absent.rows[0][0] == 0
+        assert absent.num_segments_pruned_by_broker == 1
+
+
 class TestResponseCounters:
     def test_servers_queried_and_responded(self, cluster):
         response = cluster.execute("SELECT count(*) FROM events")
@@ -100,6 +166,14 @@ class TestExplain:
         descriptions = [d for server in plans.values()
                         for d in server.values()]
         assert all(d.startswith("METADATA") for d in descriptions)
+
+    def test_explain_names_the_prune_reason(self, cluster):
+        plans = cluster.explain(
+            "SELECT count(*) FROM events WHERE day = 17002")
+        descriptions = [d for server in plans.values()
+                        for d in server.values()]
+        assert descriptions.count("PRUNED (zone_map)") == 5
+        assert sum(d.startswith("SCAN") for d in descriptions) == 1
 
     def test_explain_does_not_execute(self, cluster):
         before = sum(s.queries_executed for s in cluster.servers)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache.pruner import compile_pruner, prune_reason
 from repro.common.schema import Schema
 from repro.common.types import DataType, dimension, metric, time_column
 from repro.engine.planner import PlanKind, plan_segment
@@ -78,25 +79,34 @@ class TestPlanKinds:
             plan(segment, "SELECT sum(zzz) FROM t")
 
 
+def reason(segment, pql):
+    return prune_reason(segment.metadata,
+                        compile_pruner(optimize(parse(pql))))
+
+
 class TestTimePruning:
+    """A segment outside the query's time range never reaches the
+    planner: the shared prune check (``repro.cache.pruner``) skips it."""
+
     def test_pruned_when_disjoint(self, segment):
-        p = plan(segment, "SELECT sum(m) FROM t WHERE day > 18000")
-        assert p.kind is PlanKind.EMPTY
+        assert reason(
+            segment, "SELECT sum(m) FROM t WHERE day > 18000") == "zone_map"
 
     def test_pruned_below(self, segment):
-        p = plan(segment, "SELECT sum(m) FROM t WHERE day < 16000")
-        assert p.kind is PlanKind.EMPTY
+        assert reason(
+            segment, "SELECT sum(m) FROM t WHERE day < 16000") == "zone_map"
 
     def test_not_pruned_when_overlapping(self, segment):
-        p = plan(segment,
-                 "SELECT sum(m) FROM t WHERE day BETWEEN 17003 AND 19000")
-        assert p.kind is not PlanKind.EMPTY
+        assert reason(
+            segment,
+            "SELECT sum(m) FROM t WHERE day BETWEEN 17003 AND 19000",
+        ) is None
 
     def test_or_does_not_prune(self, segment):
         # A top-level OR gives no usable time bound.
-        p = plan(segment,
-                 "SELECT sum(m) FROM t WHERE day > 18000 OR s = 'a'")
-        assert p.kind is not PlanKind.EMPTY
+        assert reason(
+            segment,
+            "SELECT sum(m) FROM t WHERE day > 18000 OR s = 'a'") is None
 
 
 class TestCostOrdering:

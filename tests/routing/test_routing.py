@@ -194,6 +194,40 @@ class TestPartitionAware:
         )
         assert partitions_for_query(query, "memberId", 8) is None
 
+    def test_float_literal_gives_no_partition(self):
+        # No stored key hashes like "7.0": never guess a partition.
+        for where in ("memberId = 7.0", "memberId IN (7, 8.0)"):
+            query = parse(f"SELECT count(*) FROM t WHERE {where}")
+            assert partitions_for_query(query, "memberId", 8) is None
+
+    def test_float_literals_match_like_ints_through_the_cluster(self):
+        from repro.cluster.pinot import PinotCluster
+        from repro.cluster.table import PartitionConfig, TableConfig
+        from repro.workloads import wvmp
+
+        cluster = PinotCluster(num_servers=4)
+        cluster.create_table(TableConfig.offline(
+            "wvmp", wvmp.schema(), replication=1,
+            partition=PartitionConfig("vieweeId", 4),
+            routing_strategy="partition_aware",
+        ))
+        records = wvmp.generate_records(4_000, seed=3)
+        cluster.upload_records("wvmp", records, rows_per_segment=500)
+        k, j = records[0]["vieweeId"], records[1]["vieweeId"]
+        count = "SELECT count(*) FROM wvmp WHERE "
+
+        def matching(*ids):
+            return sum(r["vieweeId"] in ids for r in records)
+
+        assert matching(k) > 0
+        for where, expected in (
+            (f"vieweeId = {k}", matching(k)),
+            (f"vieweeId = {k}.0", matching(k)),
+            (f"vieweeId IN ({k}, {j}.0)", matching(k, j)),
+        ):
+            response = cluster.execute(count + where)
+            assert response.rows[0][0] == expected, where
+
     def test_routes_only_relevant_partition(self):
         from repro.kafka.partitioner import kafka_partition
 
