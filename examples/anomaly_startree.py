@@ -9,6 +9,10 @@ index and shows how the planner transparently serves iceberg-style
 queries from pre-aggregated records — including Fig 9's simple
 predicate and Fig 10's OR + GROUP BY — while unsupported queries fall
 back to raw execution, unchanged.
+
+Self-checking: every star-tree query asserts that the tree answered it
+from fewer pre-aggregated records than there are raw rows, and the
+DISTINCTCOUNT query asserts the fallback.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from repro.cluster import PinotCluster, TableConfig
 from repro.workloads import anomaly
 
 
-def run(cluster, pql: str):
+def run(cluster, pql: str, star_tree: bool = True):
     response = cluster.execute(pql)
     stats = response.stats
     path = "star-tree" if stats.startree_used else "raw scan"
@@ -26,6 +30,10 @@ def run(cluster, pql: str):
           f"of {stats.total_docs} raw]")
     for row in response.rows[:5]:
         print(f"  {row}")
+    assert not response.partial, response.exceptions
+    assert stats.startree_used == star_tree, f"answered by {path}"
+    if star_tree:
+        assert 0 < stats.startree_docs_scanned < stats.total_docs
     return response
 
 
@@ -63,7 +71,8 @@ def main() -> None:
     # runs on the original unaggregated data").
     run(cluster,
         f"SELECT distinctcount(country) FROM anomaly "
-        f"WHERE metricName = '{metric_name}'")
+        f"WHERE metricName = '{metric_name}'",
+        star_tree=False)
 
 
 if __name__ == "__main__":

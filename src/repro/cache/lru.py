@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 
 @dataclass
@@ -41,23 +41,16 @@ class CacheStats:
 
 
 class LruCache:
-    """LRU over ``key -> value`` bounded by entry count and total bytes.
-
-    ``on_evict(key, value)`` fires for capacity evictions *and* explicit
-    invalidations, letting owners release side state (e.g. a decoded
-    column array) alongside the cache entry.
-    """
+    """LRU over ``key -> value`` bounded by entry count and total bytes."""
 
     def __init__(self, max_entries: int | None = None,
-                 max_bytes: int | None = None,
-                 on_evict: Callable[[Hashable, Any], None] | None = None):
+                 max_bytes: int | None = None):
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
         self._max_entries = max_entries
         self._max_bytes = max_bytes
-        self._on_evict = on_evict
         self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
         self.stats = CacheStats()
 
@@ -107,12 +100,10 @@ class LruCache:
             or (self._max_bytes is not None
                 and self.stats.bytes > self._max_bytes)
         ):
-            key, (value, nbytes) = self._entries.popitem(last=False)
+            __, (__, nbytes) = self._entries.popitem(last=False)
             self.stats.bytes -= nbytes
             self.stats.evictions += 1
             self.stats.entries = len(self._entries)
-            if self._on_evict is not None:
-                self._on_evict(key, value)
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; True if it existed."""
@@ -122,17 +113,8 @@ class LruCache:
         self.stats.bytes -= entry[1]
         self.stats.invalidations += 1
         self.stats.entries = len(self._entries)
-        if self._on_evict is not None:
-            self._on_evict(key, entry[0])
         return True
 
-    def invalidate_where(self,
-                         predicate: Callable[[Hashable], bool]) -> int:
-        """Drop every entry whose key matches; returns how many."""
-        doomed = [key for key in self._entries if predicate(key)]
-        for key in doomed:
-            self.invalidate(key)
-        return len(doomed)
-
     def clear(self) -> None:
-        self.invalidate_where(lambda __: True)
+        for key in list(self._entries):
+            self.invalidate(key)

@@ -18,6 +18,7 @@ from repro.common.schema import Schema
 from repro.common.timeutils import TimeGranularity, TimeUnit
 from repro.errors import ClusterError
 from repro.segment.builder import SegmentConfig
+from repro.startree.builder import StarTreeConfig
 from repro.upsert.config import UpsertConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -163,6 +164,7 @@ class TableConfig:
     # -- serialization (for the source-controlled config story of §5.2) ------
 
     def to_dict(self) -> dict[str, Any]:
+        star_tree = self.segment_config.star_tree
         return {
             "logical_name": self.logical_name,
             "table_type": self.table_type.value,
@@ -176,11 +178,18 @@ class TableConfig:
             "quota_bytes": self.quota_bytes,
             "tier_to_remote_after": self.tier_to_remote_after,
             "routing_strategy": self.routing_strategy,
+            "routing_options": dict(self.routing_options),
             "tenant": self.tenant,
             "sorted_column": self.segment_config.sorted_column,
             "inverted_columns": list(self.segment_config.inverted_columns),
             "bloom_columns": list(self.segment_config.bloom_columns),
             "timestamp_index": list(self.segment_config.timestamp_index),
+            "star_tree": (
+                {"dimensions": star_tree.dimensions,
+                 "max_leaf_records": star_tree.max_leaf_records,
+                 "metrics": star_tree.metrics}
+                if star_tree else None
+            ),
             "partition": (
                 {"column": self.partition.column,
                  "num_partitions": self.partition.num_partitions}
@@ -204,6 +213,16 @@ class TableConfig:
         stream = None
         if payload.get("stream"):
             stream = StreamConfig(**payload["stream"])
+        star_tree = None
+        if payload.get("star_tree"):
+            raw = payload["star_tree"]
+            # None means "the builder chooses"; keep it apart from ().
+            dimensions, metrics = (
+                None if raw[key] is None else tuple(raw[key])
+                for key in ("dimensions", "metrics")
+            )
+            star_tree = StarTreeConfig(dimensions, raw["max_leaf_records"],
+                                       metrics)
         # Older persisted configs predate the granularity field; they
         # were all written with the (DAYS, 1) default.
         granularity = payload.get("retention_granularity")
@@ -222,12 +241,14 @@ class TableConfig:
             quota_bytes=payload.get("quota_bytes"),
             tier_to_remote_after=payload.get("tier_to_remote_after"),
             routing_strategy=payload.get("routing_strategy", "balanced"),
+            routing_options=dict(payload.get("routing_options", {})),
             tenant=payload.get("tenant", "DefaultTenant"),
             segment_config=SegmentConfig(
                 sorted_column=payload.get("sorted_column"),
                 inverted_columns=tuple(payload.get("inverted_columns", ())),
                 bloom_columns=tuple(payload.get("bloom_columns", ())),
                 timestamp_index=tuple(payload.get("timestamp_index", ())),
+                star_tree=star_tree,
             ),
             partition=partition,
             stream=stream,

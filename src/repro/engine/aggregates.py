@@ -7,6 +7,8 @@ steps 6-7). Each function here therefore defines:
 
 * ``init_empty`` — identity state,
 * ``aggregate(values)`` — state from a numpy array of column values,
+* ``aggregate_rollup(rollup, rows)`` — the same state from rows that a
+  segment structure pre-aggregated (:class:`Rollup`),
 * ``merge(a, b)`` — combine two states,
 * ``finalize(state)`` — final result value.
 
@@ -19,7 +21,7 @@ default for a reproduction because the tests can assert equality.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -41,11 +43,31 @@ def _group_slices(values: np.ndarray, codes: np.ndarray,
     return values[order], bounds
 
 
+class Rollup(NamedTuple):
+    """One aggregated column as a pre-aggregated source keeps it.
+
+    Segment metadata (a single row), a timestamp-index rollup (one row
+    per bucket) and a star-tree (one row per record) all reduce to
+    this: how many raw docs each row stands for, and the sum / min /
+    max of the column over them. ``None`` marks an array the source
+    does not keep for the column; which arrays a function reads is its
+    ``rollup_inputs``.
+    """
+
+    counts: np.ndarray
+    sums: np.ndarray | None = None
+    mins: np.ndarray | None = None
+    maxs: np.ndarray | None = None
+
+
 class AggregateFunction:
     """Interface for one aggregation function."""
 
     #: Whether the function needs the raw column values (False for COUNT).
     needs_values = True
+    #: The :class:`Rollup` arrays this function's state is made of, in
+    #: state order; empty when only the raw rows can produce it.
+    rollup_inputs: tuple[str, ...] = ()
 
     def init_empty(self) -> Any:
         raise NotImplementedError
@@ -59,6 +81,28 @@ class AggregateFunction:
         its group index in ``[0, num_groups)``."""
         raise NotImplementedError
 
+    def aggregate_rollup(self, rollup: Rollup, rows: Any,
+                         codes: np.ndarray | None = None,
+                         num_groups: int = 0) -> Any:
+        """The state ``aggregate`` (``codes`` None) or the per-group
+        states ``aggregate_grouped`` would produce from the raw docs
+        behind ``rollup``'s rows ``rows`` (a slice or an index array).
+
+        Each input array re-aggregates under the function whose state
+        it already holds — sums under SUM, mins under MIN, maxs under
+        MAX, counts by integer addition — so every plan kind emits the
+        states of the scan path, identities for no rows included.
+        """
+        parts = []
+        for name in self.rollup_inputs:
+            values = getattr(rollup, name)[rows]
+            func = _REAGGREGATE[name]
+            parts.append(func.aggregate(values) if codes is None else
+                         func.aggregate_grouped(values, codes, num_groups))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(parts) if codes is None else list(zip(*parts))
+
     def merge(self, a: Any, b: Any) -> Any:
         raise NotImplementedError
 
@@ -68,6 +112,7 @@ class AggregateFunction:
 
 class CountFunction(AggregateFunction):
     needs_values = False
+    rollup_inputs = ("counts",)
 
     def init_empty(self) -> int:
         return 0
@@ -86,6 +131,8 @@ class CountFunction(AggregateFunction):
 
 
 class SumFunction(AggregateFunction):
+    rollup_inputs = ("sums",)
+
     def init_empty(self) -> float:
         return 0.0
 
@@ -104,6 +151,8 @@ class SumFunction(AggregateFunction):
 
 
 class MinFunction(AggregateFunction):
+    rollup_inputs = ("mins",)
+
     def init_empty(self) -> float:
         return math.inf
 
@@ -123,6 +172,8 @@ class MinFunction(AggregateFunction):
 
 
 class MaxFunction(AggregateFunction):
+    rollup_inputs = ("maxs",)
+
     def init_empty(self) -> float:
         return -math.inf
 
@@ -143,6 +194,8 @@ class MaxFunction(AggregateFunction):
 
 class AvgFunction(AggregateFunction):
     """State is (sum, count); merged exactly, finalized to sum/count."""
+
+    rollup_inputs = ("sums", "counts")
 
     def init_empty(self) -> tuple[float, int]:
         return (0.0, 0)
@@ -167,6 +220,8 @@ class AvgFunction(AggregateFunction):
 
 
 class MinMaxRangeFunction(AggregateFunction):
+    rollup_inputs = ("mins", "maxs")
+
     def init_empty(self):
         return (math.inf, -math.inf)
 
@@ -355,10 +410,26 @@ _FUNCTIONS: dict[AggFunc, AggregateFunction] = {
     AggFunc.PERCENTILEEST99: PercentileEstFunction(99.0),
 }
 
-#: Functions a star-tree's pre-aggregated metrics can serve directly.
-#: COUNT re-aggregates as SUM of pre-aggregated counts (§4.3).
-STAR_TREE_FUNCS = frozenset({AggFunc.COUNT, AggFunc.SUM, AggFunc.MIN,
-                             AggFunc.MAX, AggFunc.AVG})
+
+class _CountTotalFunction(CountFunction):
+    """COUNT over pre-aggregated rows: add up the raw docs each row
+    stands for instead of counting the rows."""
+
+    def aggregate(self, values: np.ndarray) -> int:
+        return int(values.sum())
+
+    def aggregate_grouped(self, values, codes, num_groups):
+        out = np.zeros(num_groups, dtype=np.int64)
+        np.add.at(out, codes, values)
+        return out.tolist()
+
+
+_REAGGREGATE: dict[str, AggregateFunction] = {
+    "counts": _CountTotalFunction(),
+    "sums": _FUNCTIONS[AggFunc.SUM],
+    "mins": _FUNCTIONS[AggFunc.MIN],
+    "maxs": _FUNCTIONS[AggFunc.MAX],
+}
 
 
 def function_for(aggregation: Aggregation) -> AggregateFunction:
@@ -368,3 +439,14 @@ def function_for(aggregation: Aggregation) -> AggregateFunction:
         raise ExecutionError(
             f"unsupported aggregation {aggregation.func}"
         ) from None
+
+
+def served_by_rollup(aggregation: Aggregation, rollup: Rollup) -> bool:
+    """Whether ``rollup`` — the aggregated column as some pre-aggregated
+    source keeps it — holds every array the aggregation's state is made
+    of: the one eligibility rule of the METADATA, TIME_INDEX and
+    STAR_TREE plan kinds."""
+    needed = function_for(aggregation).rollup_inputs
+    return bool(needed) and all(
+        getattr(rollup, name) is not None for name in needed
+    )

@@ -4,10 +4,16 @@ Executes a :class:`~repro.engine.planner.SegmentPlan`:
 
 * ``METADATA`` plans answer straight from segment metadata without
   touching any index (the ``SELECT COUNT(*)`` fast path of §4.1);
+* ``TIME_INDEX`` plans aggregate the buckets of a timestamp-index
+  rollup;
 * ``STAR_TREE`` plans traverse the segment's star-tree and aggregate
   pre-aggregated records (§4.3);
 * ``SCAN`` plans run the physical filter, then aggregate / group /
   project the surviving documents.
+
+The first three only pick pre-aggregated rows and key their groups;
+the states come from each function's ``aggregate_rollup``, so a merge
+cannot tell which plan kind produced a partial.
 """
 
 from __future__ import annotations
@@ -17,15 +23,22 @@ import numpy as np
 from repro.engine.aggregates import function_for
 from repro.engine.groupby import execute_group_by
 from repro.engine.operators import DocSelection
-from repro.engine.planner import PlanKind, SegmentPlan, plan_segment
+from repro.engine.planner import (
+    PlanKind,
+    SegmentPlan,
+    bucket_rollup,
+    metadata_rollup,
+    plan_segment,
+)
 from repro.engine.results import (
     AggregationPartial,
     ExecutionStats,
+    GroupByPartial,
     SegmentResult,
     SelectionPartial,
 )
 from repro.errors import ExecutionError
-from repro.pql.ast_nodes import AggFunc, Query
+from repro.pql.ast_nodes import Query
 from repro.segment.segment import ImmutableSegment
 
 
@@ -88,9 +101,9 @@ def execute_plan(plan: SegmentPlan,
         assert valid_docs is None, (
             "star-tree pre-aggregation ignores valid-docId masks"
         )
-        assert segment.star_tree is not None
+        assert plan.star_constraints is not None
         partial, docs_scanned = execute_on_star_tree(
-            segment.star_tree, query
+            segment, query, plan.star_constraints
         )
         stats.startree_used = True
         stats.startree_docs_scanned = docs_scanned
@@ -147,8 +160,6 @@ def prune_result(segment: ImmutableSegment, query: Query) -> SegmentResult:
 def _empty_result(query: Query, stats: ExecutionStats) -> SegmentResult:
     result = SegmentResult(stats=stats)
     if query.group_by:
-        from repro.engine.results import GroupByPartial
-
         result.group_by = GroupByPartial()
     elif query.is_aggregation:
         result.aggregation = AggregationPartial.empty(query.aggregations)
@@ -162,107 +173,32 @@ def _empty_result(query: Query, stats: ExecutionStats) -> SegmentResult:
 
 def _execute_time_index(plan: SegmentPlan,
                         stats: ExecutionStats) -> SegmentResult:
-    """Aggregate pre-aggregated rollup buckets instead of raw rows.
-
-    The partial states produced here have the exact shapes the scan
-    path emits (COUNT=int, SUM=float, MIN/MAX=float, AVG=(sum, count),
-    MINMAXRANGE=(min, max)), so broker/server merges cannot tell the
-    two plans apart.
-    """
+    """Aggregate pre-aggregated rollup buckets instead of raw rows."""
     query = plan.query
     rollup = plan.time_rollup
     assert rollup is not None
     window = rollup.slice_range(plan.time_low, plan.time_high)
     buckets = rollup.buckets[window]
-    counts = rollup.counts[window]
     stats.time_index_used = True
     stats.time_index_buckets_scanned = len(buckets)
     if len(buckets):
         stats.num_segments_matched = 1
 
-    result = SegmentResult(stats=stats)
-    if not query.group_by:
-        result.aggregation = AggregationPartial([
-            _rollup_total_state(a, rollup, window, counts)
-            for a in query.aggregations
-        ])
-        return result
-
-    size = plan.time_bucket_size or 1
-    keys = (buckets // size) * size if size > 1 else buckets
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    num_groups = len(uniq)
-    per_agg = [
-        _rollup_grouped_states(a, rollup, window, counts, inverse, num_groups)
+    codes, keys = None, []
+    if query.group_by:
+        size = plan.time_bucket_size or 1
+        bucket_keys = (buckets // size) * size if size > 1 else buckets
+        uniq, codes = np.unique(bucket_keys, return_inverse=True)
+        keys = [(key,) for key in uniq.tolist()]
+    states = [
+        function_for(a).aggregate_rollup(bucket_rollup(rollup, a.column),
+                                         window, codes, len(keys))
         for a in query.aggregations
     ]
-    from repro.engine.results import GroupByPartial
-
-    result.group_by = GroupByPartial({
-        (int(uniq[g]),): [states[g] for states in per_agg]
-        for g in range(num_groups)
-    })
-    return result
-
-
-def _rollup_total_state(aggregation, rollup, window: slice,
-                        counts: np.ndarray):
-    func = aggregation.func
-    if func is AggFunc.COUNT:
-        return int(counts.sum())
-    sums = rollup.sums[aggregation.column][window]
-    mins = rollup.mins[aggregation.column][window]
-    maxs = rollup.maxs[aggregation.column][window]
-    empty = len(counts) == 0
-    if func is AggFunc.SUM:
-        return float(sums.sum()) if not empty else 0.0
-    if func is AggFunc.MIN:
-        return float(mins.min()) if not empty else float("inf")
-    if func is AggFunc.MAX:
-        return float(maxs.max()) if not empty else float("-inf")
-    if func is AggFunc.AVG:
-        return (float(sums.sum()), int(counts.sum())) if not empty else (0.0, 0)
-    if func is AggFunc.MINMAXRANGE:
-        if empty:
-            return (float("inf"), float("-inf"))
-        return (float(mins.min()), float(maxs.max()))
-    raise ExecutionError(  # pragma: no cover - planner guarantees
-        f"{func} is not answerable from the timestamp index"
-    )
-
-
-def _rollup_grouped_states(aggregation, rollup, window: slice,
-                           counts: np.ndarray, inverse: np.ndarray,
-                           num_groups: int) -> list:
-    func = aggregation.func
-    group_counts = np.zeros(num_groups, dtype=np.int64)
-    np.add.at(group_counts, inverse, counts)
-    if func is AggFunc.COUNT:
-        return [int(c) for c in group_counts]
-    sums = rollup.sums[aggregation.column][window]
-    mins = rollup.mins[aggregation.column][window]
-    maxs = rollup.maxs[aggregation.column][window]
-    if func in (AggFunc.SUM, AggFunc.AVG):
-        group_sums = np.zeros(num_groups)
-        np.add.at(group_sums, inverse, sums)
-        if func is AggFunc.SUM:
-            return [float(s) for s in group_sums]
-        return [(float(s), int(c))
-                for s, c in zip(group_sums, group_counts)]
-    group_mins = np.full(num_groups, np.inf)
-    group_maxs = np.full(num_groups, -np.inf)
-    np.minimum.at(group_mins, inverse, mins)
-    np.maximum.at(group_maxs, inverse, maxs)
-    if func is AggFunc.MIN:
-        return [float(v) for v in group_mins]
-    if func is AggFunc.MAX:
-        return [float(v) for v in group_maxs]
-    if func is AggFunc.MINMAXRANGE:
-        return [(float(lo), float(hi))
-                for lo, hi in zip(group_mins, group_maxs)]
-    raise ExecutionError(  # pragma: no cover - planner guarantees
-        f"{func} is not answerable from the timestamp index"
-    )
+    if query.group_by:
+        return SegmentResult(
+            group_by=GroupByPartial.from_columns(keys, states), stats=stats)
+    return SegmentResult(aggregation=AggregationPartial(states), stats=stats)
 
 
 # -- metadata-only plans -----------------------------------------------------
@@ -270,22 +206,11 @@ def _rollup_grouped_states(aggregation, rollup, window: slice,
 
 def _execute_metadata(segment: ImmutableSegment, query: Query,
                       stats: ExecutionStats) -> SegmentResult:
-    states = []
-    for aggregation in query.aggregations:
-        if aggregation.func is AggFunc.COUNT:
-            states.append(segment.num_docs)
-            continue
-        meta = segment.metadata.column(aggregation.column)
-        if aggregation.func is AggFunc.MIN:
-            states.append(float(meta.min_value))
-        elif aggregation.func is AggFunc.MAX:
-            states.append(float(meta.max_value))
-        elif aggregation.func is AggFunc.MINMAXRANGE:
-            states.append((float(meta.min_value), float(meta.max_value)))
-        else:  # pragma: no cover - planner guarantees
-            raise ExecutionError(
-                f"{aggregation.func} is not metadata-answerable"
-            )
+    states = [
+        function_for(a).aggregate_rollup(metadata_rollup(segment, a.column),
+                                         slice(None))
+        for a in query.aggregations
+    ]
     return SegmentResult(aggregation=AggregationPartial(states), stats=stats)
 
 

@@ -26,9 +26,8 @@ from repro.segment.segment import ImmutableSegment
 def execute_group_by(segment: ImmutableSegment, query: Query,
                      selection: DocSelection) -> GroupByPartial:
     """Aggregate ``selection`` grouped by ``query.group_by``."""
-    partial = GroupByPartial()
     if selection.is_empty:
-        return partial
+        return GroupByPartial()
 
     docs = selection.doc_array()
     group_columns = [segment.column(group_by_column(g))
@@ -47,7 +46,7 @@ def execute_group_by(segment: ImmutableSegment, query: Query,
         id_columns = [column.dict_ids()[docs] for column in group_columns]
 
     if len(docs) == 0:
-        return partial
+        return GroupByPartial()
 
     # A TIMEBUCKET entry re-keys its column in *bucket* space: map each
     # dictionary id to its bucket once (cardinality-many floors, not
@@ -78,7 +77,7 @@ def execute_group_by(segment: ImmutableSegment, query: Query,
                 lambda key_id, c=column: c.dictionary.value_of(int(key_id))
             )
 
-    codes, unique_key_ids = _combine_codes(cards, id_columns)
+    codes, unique_key_ids = combine_codes(cards, id_columns)
     num_groups = len(unique_key_ids[0]) if unique_key_ids else 0
 
     # Aggregate each function over all groups at once.
@@ -94,15 +93,12 @@ def execute_group_by(segment: ImmutableSegment, query: Query,
         )
 
     # Decode group keys back to values.
-    for group_index in range(num_groups):
-        key = tuple(
-            decoders[i](unique_key_ids[i][group_index])
-            for i in range(len(decoders))
-        )
-        partial.groups[key] = [
-            states[group_index] for states in per_agg_states
-        ]
-    return partial
+    keys = [
+        tuple(decode(ids[group_index])
+              for decode, ids in zip(decoders, unique_key_ids))
+        for group_index in range(num_groups)
+    ]
+    return GroupByPartial.from_columns(keys, per_agg_states)
 
 
 def _expand_multi_value(group_columns, docs: np.ndarray, mv_column):
@@ -125,7 +121,7 @@ def _expand_multi_value(group_columns, docs: np.ndarray, mv_column):
     return expanded_docs, id_columns
 
 
-def _combine_codes(cards, id_columns):
+def combine_codes(cards, id_columns):
     """Pack per-column key ids into one group key per row; returns
     (compact codes per row, per-column unique key ids per group).
 

@@ -16,7 +16,6 @@ from repro.engine.aggregates import function_for
 from repro.engine.results import (
     AggregationPartial,
     BrokerResponse,
-    ExecutionStats,
     GroupByPartial,
     ResultTable,
     SegmentResult,
@@ -28,32 +27,32 @@ from repro.engine.results import (
 from repro.pql.ast_nodes import Query
 
 
+def _merge_into(query: Query, target: SegmentResult | ServerResult,
+                result: SegmentResult | ServerResult) -> None:
+    """Fold ``result``'s stats and partials into ``target`` — the one
+    merge step of both levels."""
+    target.stats.merge(result.stats)
+    if result.aggregation is not None:
+        if target.aggregation is None:
+            target.aggregation = AggregationPartial.empty(query.aggregations)
+        target.aggregation.merge(result.aggregation, query.aggregations)
+    if result.group_by is not None:
+        if target.group_by is None:
+            target.group_by = GroupByPartial()
+        target.group_by.merge(result.group_by, query.aggregations)
+    if result.selection is not None:
+        if target.selection is None:
+            target.selection = SelectionPartial(result.selection.columns)
+        target.selection.rows.extend(result.selection.rows)
+
+
 def combine_segment_results(query: Query, results: list[SegmentResult],
                             server: str = "local") -> ServerResult:
     """Merge per-segment partial results on one server."""
     combined = ServerResult(server=server)
-    stats = ExecutionStats()
     for result in results:
-        stats.merge(result.stats)
-        if result.aggregation is not None:
-            if combined.aggregation is None:
-                combined.aggregation = AggregationPartial.empty(
-                    query.aggregations
-                )
-            combined.aggregation.merge(result.aggregation,
-                                       query.aggregations)
-        if result.group_by is not None:
-            if combined.group_by is None:
-                combined.group_by = GroupByPartial()
-            combined.group_by.merge(result.group_by, query.aggregations)
-        if result.selection is not None:
-            if combined.selection is None:
-                combined.selection = SelectionPartial(
-                    result.selection.columns
-                )
-            combined.selection.rows.extend(result.selection.rows)
+        _merge_into(query, combined, result)
     _trim_selection(query, combined.selection)
-    combined.stats = stats
     return combined
 
 
@@ -81,42 +80,27 @@ def reduce_server_results(query: Query, server_results: list[ServerResult],
     do not mark the response partial — only errors in
     ``server_results`` (segments no replica could serve) do.
     """
-    stats = ExecutionStats()
     exceptions: list[str] = []
-    aggregation: AggregationPartial | None = None
-    group_by: GroupByPartial | None = None
-    selection: SelectionPartial | None = None
-
+    merged = SegmentResult()
     for result in server_results:
         if result.error is not None:
             exceptions.append(f"{result.server}: {result.error}")
             continue
-        stats.merge(result.stats)
-        if result.aggregation is not None:
-            if aggregation is None:
-                aggregation = AggregationPartial.empty(query.aggregations)
-            aggregation.merge(result.aggregation, query.aggregations)
-        if result.group_by is not None:
-            if group_by is None:
-                group_by = GroupByPartial()
-            group_by.merge(result.group_by, query.aggregations)
-        if result.selection is not None:
-            if selection is None:
-                selection = SelectionPartial(result.selection.columns)
-            selection.rows.extend(result.selection.rows)
+        _merge_into(query, merged, result)
 
     if query.group_by:
-        table = _finalize_group_by(query, group_by or GroupByPartial())
+        table = _finalize_group_by(query, merged.group_by or GroupByPartial())
     elif query.is_aggregation:
         table = _finalize_aggregation(
-            query, aggregation or AggregationPartial.empty(query.aggregations)
+            query, merged.aggregation
+            or AggregationPartial.empty(query.aggregations)
         )
     else:
-        table = _finalize_selection(query, selection)
+        table = _finalize_selection(query, merged.selection)
 
     return BrokerResponse(
         table=table,
-        stats=stats,
+        stats=merged.stats,
         is_partial=bool(exceptions),
         exceptions=exceptions,
         time_used_ms=time_used_ms,

@@ -20,6 +20,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.engine.aggregates import Rollup, served_by_rollup
 from repro.engine.operators import (
     AndFilter,
     FilterOperator,
@@ -34,7 +37,6 @@ from repro.engine.operators import (
 from repro.engine.predicates import compile_leaf
 from repro.errors import PlanningError
 from repro.pql.ast_nodes import (
-    AggFunc,
     And,
     Between,
     CompareOp,
@@ -72,6 +74,10 @@ class SegmentPlan:
     time_low: int | None = None
     time_high: int | None = None
     time_bucket_size: int | None = None
+    #: STAR_TREE plans: the filter compiled once, by
+    #: ``star_tree_constraints``, into allowed dictionary ids per tree
+    #: dimension.
+    star_constraints: "list | None" = None
 
     def describe(self) -> str:
         parts = [self.kind.value]
@@ -79,17 +85,6 @@ class SegmentPlan:
             parts.append(self.filter_plan.describe())
         parts.extend(self.notes)
         return " | ".join(parts)
-
-
-_METADATA_FUNCS = frozenset({AggFunc.COUNT, AggFunc.MIN, AggFunc.MAX,
-                             AggFunc.MINMAXRANGE})
-
-#: Functions the timestamp-index rollups can serve with partial states
-#: byte-identical to the scan path's (COUNT/SUM/MIN/MAX plus the two
-#: derived from them).
-_TIME_INDEX_FUNCS = frozenset({AggFunc.COUNT, AggFunc.SUM, AggFunc.MIN,
-                               AggFunc.MAX, AggFunc.AVG,
-                               AggFunc.MINMAXRANGE})
 
 
 def plan_segment(segment: ImmutableSegment, query: Query,
@@ -120,11 +115,13 @@ def plan_segment(segment: ImmutableSegment, query: Query,
             return plan
 
     if allow_star_tree and segment.star_tree is not None:
-        from repro.startree.query import supports_query
+        from repro.startree.query import star_tree_constraints
 
-        if supports_query(segment.star_tree, query):
+        constraints = star_tree_constraints(segment, query)
+        if constraints is not None:
             return SegmentPlan(PlanKind.STAR_TREE, segment, query,
-                               notes=["star-tree pre-aggregation"])
+                               notes=["star-tree pre-aggregation"],
+                               star_constraints=constraints)
 
     root = None
     if query.where is not None:
@@ -151,15 +148,26 @@ def _is_metadata_only(segment: ImmutableSegment, query: Query) -> bool:
         return False
     if query.projections:
         return False
-    for aggregation in query.aggregations:
-        if aggregation.func not in _METADATA_FUNCS:
-            return False
-        if aggregation.func is AggFunc.COUNT:
-            continue
-        column = segment.column(aggregation.column)
-        if column.is_multi_value:
-            return False
-    return True
+    return all(
+        served_by_rollup(aggregation,
+                         metadata_rollup(segment, aggregation.column))
+        for aggregation in query.aggregations
+    )
+
+
+def metadata_rollup(segment: ImmutableSegment, name: str) -> Rollup:
+    """Column ``name`` as segment metadata keeps it: the whole segment
+    as one pre-aggregated row of its doc count and the column's min /
+    max (which describe docs only on a single-value column)."""
+    counts = np.asarray([segment.num_docs])
+    if name == "*" or segment.column(name).is_multi_value:
+        return Rollup(counts)
+    # Object arrays: metadata values turn into floats exactly as the
+    # scan path's column values do.
+    meta = segment.metadata.column(name)
+    return Rollup(counts,
+                  mins=np.asarray([meta.min_value], dtype=object),
+                  maxs=np.asarray([meta.max_value], dtype=object))
 
 
 # -- timestamp-index plans ---------------------------------------------------
@@ -197,13 +205,6 @@ def _plan_time_index(segment: ImmutableSegment,
             bucket_size = 1
         else:
             return None
-    for aggregation in query.aggregations:
-        if aggregation.func not in _TIME_INDEX_FUNCS:
-            return None
-        if aggregation.func is AggFunc.COUNT:
-            continue
-        if not index.covers_column(aggregation.column):
-            return None
 
     low: int | None = None
     high: int | None = None
@@ -221,7 +222,11 @@ def _plan_time_index(segment: ImmutableSegment,
                 high = None
 
     rollup = index.rollup_for(bucket_size, low, high)
-    if rollup is None:
+    if rollup is None or not all(
+        served_by_rollup(aggregation,
+                         bucket_rollup(rollup, aggregation.column))
+        for aggregation in query.aggregations
+    ):
         return None
     return SegmentPlan(
         PlanKind.TIME_INDEX, segment, query,
@@ -229,6 +234,14 @@ def _plan_time_index(segment: ImmutableSegment,
         time_rollup=rollup, time_low=low, time_high=high,
         time_bucket_size=bucket_size,
     )
+
+
+def bucket_rollup(rollup, name: str) -> Rollup:
+    """Column ``name`` as a timestamp-index rollup keeps it, one row
+    per time bucket (bucket counts only, for a column it did not
+    pre-aggregate)."""
+    return Rollup(rollup.counts, rollup.sums.get(name),
+                  rollup.mins.get(name), rollup.maxs.get(name))
 
 
 def _exact_time_range(

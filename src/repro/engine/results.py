@@ -41,6 +41,12 @@ class ExecutionStats:
     time_index_buckets_scanned: int = 0
 
     def merge(self, other: "ExecutionStats") -> None:
+        # "Every segment was answered from metadata" is an AND, whose
+        # identity is True — but fresh stats say False, so stats that
+        # have counted no segment yet take the first answer as it is.
+        self.metadata_only = other.metadata_only and (
+            self.metadata_only or not self.num_segments_queried
+        )
         self.num_segments_queried += other.num_segments_queried
         self.num_segments_processed += other.num_segments_processed
         self.num_segments_matched += other.num_segments_matched
@@ -58,7 +64,6 @@ class ExecutionStats:
         self.startree_used = self.startree_used or other.startree_used
         self.startree_docs_scanned += other.startree_docs_scanned
         self.raw_docs_matched += other.raw_docs_matched
-        self.metadata_only = self.metadata_only and other.metadata_only
         self.time_index_used = (self.time_index_used
                                 or other.time_index_used)
         self.time_index_buckets_scanned += other.time_index_buckets_scanned
@@ -86,6 +91,17 @@ class GroupByPartial:
     """Per-group partial states keyed by the group-by value tuple."""
 
     groups: dict[tuple, list[Any]] = field(default_factory=dict)
+
+    @classmethod
+    def from_columns(cls, keys: list[tuple],
+                     per_agg_states: list[list[Any]]) -> "GroupByPartial":
+        """Build from the column-wise form every grouped producer
+        computes: ``keys[g]`` is group ``g``'s key and
+        ``per_agg_states[i][g]`` the state of aggregation ``i`` for it."""
+        return cls({
+            key: [states[g] for states in per_agg_states]
+            for g, key in enumerate(keys)
+        })
 
     def merge(self, other: "GroupByPartial",
               aggregations: tuple[Aggregation, ...]) -> None:

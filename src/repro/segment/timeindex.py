@@ -74,9 +74,6 @@ class TimeIndex:
     def nbytes(self) -> int:
         return sum(r.nbytes for r in self.rollups.values())
 
-    def covers_column(self, name: str) -> bool:
-        return name in self.metric_columns
-
     def rollup_for(self, bucket_size: int | None, low: int | None,
                    high: int | None) -> TimeRollup | None:
         """The coarsest rollup that can serve a query bucketing time at

@@ -8,8 +8,13 @@ over that dimension. Leaves own contiguous ranges of a shared
 pre-aggregated record table.
 
 For each metric the record table keeps sum / min / max together with a
-raw-row count, which is enough to serve COUNT, SUM, MIN, MAX and AVG —
-the aggregation functions the star-tree path supports.
+raw-row count, which is enough to serve COUNT, SUM, MIN, MAX, AVG and
+MINMAXRANGE — the functions whose state is made of those arrays (see
+``AggregateFunction.rollup_inputs``).
+
+A dimension is a column of the tree's segment and its dictionary here
+holds the same sorted values, so a dictionary id means the same value
+in both; ``dictionaries`` is kept to decode group keys.
 """
 
 from __future__ import annotations
@@ -86,16 +91,6 @@ class StarTree:
 
     def dimension_index(self, name: str) -> int:
         return self.dimensions.index(name)
-
-    def id_of(self, dim_index: int, value: Any) -> int | None:
-        """Dictionary id of ``value`` in dimension ``dim_index``."""
-        import bisect
-
-        values = self.dictionaries[dim_index]
-        idx = bisect.bisect_left(values, value)
-        if idx < len(values) and values[idx] == value:
-            return idx
-        return None
 
     def value_of(self, dim_index: int, dict_id: int) -> Any:
         if dict_id == STAR_ID:

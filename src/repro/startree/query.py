@@ -1,38 +1,43 @@
 """Star-tree query execution (§4.3, Figs 9 & 10).
 
-``supports_query`` decides whether a query can be answered from the
-pre-aggregated records — the planner transparently uses the star-tree
-when it can and falls back to raw execution otherwise, exactly as the
-paper describes. A query qualifies when:
+``star_tree_constraints`` decides whether a query can be answered from
+the pre-aggregated records — the planner transparently uses the
+star-tree when it can and falls back to raw execution otherwise,
+exactly as the paper describes. A query qualifies when:
 
-* every aggregation is COUNT/SUM/MIN/MAX/AVG over a pre-aggregated
-  metric (or ``COUNT(*)``);
+* every aggregation's state is made of arrays the records keep
+  (``served_by_rollup``): COUNT/SUM/MIN/MAX/AVG/MINMAXRANGE over a
+  pre-aggregated metric, or a bare COUNT;
 * every filtered / grouped column is a tree dimension;
 * the filter is a conjunction of per-dimension EQ / IN / range
   constraints (the broker rewriter already fuses ``browser = 'firefox'
   OR browser = 'safari'`` into one IN, so Fig 10's OR query qualifies;
   OR across *different* dimensions and negations fall back to raw
-  execution). Ranges work because each dimension's star-tree dictionary
-  is sorted, so BETWEEN / comparison predicates resolve to contiguous
-  id sets.
+  execution). Ranges work because dictionaries are sorted, so BETWEEN /
+  comparison predicates resolve to contiguous id sets.
 
 Execution walks the tree: for a constrained dimension it descends into
 the matching value children (multiple navigations for IN); for a
 grouped dimension it descends into every value child; for an
 unconstrained, ungrouped dimension it takes the star child, which is
 where the pre-aggregation pays off.
+
+This module only picks records and keys their groups. Filters compile
+through the scan path's ``compile_leaf``, group keys pack through its
+``combine_codes`` and every state comes from the aggregation
+function's ``aggregate_rollup`` — the star-tree has no predicate,
+key-packing or state logic of its own.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
+from repro.engine.aggregates import Rollup, function_for, served_by_rollup
+from repro.engine.groupby import combine_codes
+from repro.engine.predicates import IdMatch, compile_leaf
 from repro.engine.results import AggregationPartial, GroupByPartial
-from repro.errors import ExecutionError
 from repro.pql.ast_nodes import (
-    AggFunc,
     And,
     Between,
     CompareOp,
@@ -41,170 +46,133 @@ from repro.pql.ast_nodes import (
     Predicate,
     Query,
 )
+from repro.segment.segment import ImmutableSegment
 from repro.startree.node import StarTree, StarTreeNode
 
-_SUPPORTED_FUNCS = frozenset({AggFunc.COUNT, AggFunc.SUM, AggFunc.MIN,
-                              AggFunc.MAX, AggFunc.AVG})
+
+def supports_query(segment: ImmutableSegment, query: Query) -> bool:
+    """Whether ``segment``'s star-tree can answer ``query`` exactly."""
+    return star_tree_constraints(segment, query) is not None
 
 
-def supports_query(tree: StarTree, query: Query) -> bool:
-    """Whether the star-tree can answer ``query`` exactly."""
-    if not query.is_aggregation:
-        return False
-    for aggregation in query.aggregations:
-        if aggregation.func not in _SUPPORTED_FUNCS:
-            return False
-        if aggregation.column != "*" and (
-            aggregation.column not in tree.metric_columns
-        ):
-            return False
-    if any(column not in tree.dimensions for column in query.group_by):
-        return False
-    if query.where is None:
-        return True
-    constraints = _extract_constraints(tree, query.where)
-    return constraints is not None
+def star_tree_constraints(
+    segment: ImmutableSegment, query: Query
+) -> list[tuple[int, IdMatch]] | None:
+    """One ``(dim_index, allowed dictionary ids)`` per filter leaf of a
+    query the star-tree can answer (none without a filter), or None
+    when it cannot — unsupported aggregation, non-dimension column, OR
+    across dimensions, negation — and raw execution must.
 
-
-def _id_range(tree: StarTree, dim_index: int, low: Any, high: Any,
-              low_inclusive: bool, high_inclusive: bool) -> set[int]:
-    """Ids of dictionary values inside a range (dictionaries are sorted,
-    so ranges resolve to contiguous id runs)."""
-    import bisect
-
-    values = tree.dictionaries[dim_index]
-    if low is None:
-        lo = 0
-    elif low_inclusive:
-        lo = bisect.bisect_left(values, low)
-    else:
-        lo = bisect.bisect_right(values, low)
-    if high is None:
-        hi = len(values)
-    elif high_inclusive:
-        hi = bisect.bisect_right(values, high)
-    else:
-        hi = bisect.bisect_left(values, high)
-    return set(range(lo, max(lo, hi)))
-
-
-def _leaf_ids(tree: StarTree, leaf: Predicate) -> tuple[int, set[int]] | None:
-    """(dim_index, allowed dictionary ids) for one leaf, or None."""
-    if isinstance(leaf, Comparison):
-        if leaf.column not in tree.dimensions:
-            return None
-        index = tree.dimension_index(leaf.column)
-        op, value = leaf.op, leaf.value
-        if op is CompareOp.EQ:
-            dict_id = tree.id_of(index, value)
-            return index, (set() if dict_id is None else {dict_id})
-        if op is CompareOp.LT:
-            return index, _id_range(tree, index, None, value, True, False)
-        if op is CompareOp.LTE:
-            return index, _id_range(tree, index, None, value, True, True)
-        if op is CompareOp.GT:
-            return index, _id_range(tree, index, value, None, False, True)
-        if op is CompareOp.GTE:
-            return index, _id_range(tree, index, value, None, True, True)
-        return None  # NEQ falls back to raw execution
-    if isinstance(leaf, In):
-        if leaf.negated or leaf.column not in tree.dimensions:
-            return None
-        index = tree.dimension_index(leaf.column)
-        ids = {tree.id_of(index, v) for v in leaf.values} - {None}
-        return index, ids  # type: ignore[return-value]
-    if isinstance(leaf, Between):
-        if leaf.column not in tree.dimensions:
-            return None
-        index = tree.dimension_index(leaf.column)
-        return index, _id_range(tree, index, leaf.low, leaf.high, True, True)
-    return None
-
-
-def _extract_constraints(
-    tree: StarTree, predicate: Predicate
-) -> dict[int, set[int]] | None:
-    """Per-dimension allowed-id constraints, or None when unsupported.
-
-    Returns ``{dim_index: allowed dictionary ids}``; unsupported shapes
-    (OR across dimensions, negation) yield None — raw fallback.
+    Leaves compile through the scan path's ``compile_leaf`` against the
+    segment's own columns: a tree dimension is a column of its segment
+    with the same sorted dictionary, so the ids are the tree's ids and
+    literals are coerced (or rejected) exactly as a scan would.
     """
-    leaves: list[Predicate]
-    if isinstance(predicate, And):
-        leaves = list(predicate.children)
-    else:
-        leaves = [predicate]
-    constraints: dict[int, set[int]] = {}
-    for leaf in leaves:
-        resolved = _leaf_ids(tree, leaf)
-        if resolved is None:
+    tree = segment.star_tree
+    assert tree is not None
+    if not query.is_aggregation:
+        return None
+    if not all(served_by_rollup(a, _records(tree, a.column))
+               for a in query.aggregations):
+        return None
+    if any(column not in tree.dimensions for column in query.group_by):
+        return None
+    constraints: list[tuple[int, IdMatch]] = []
+    if query.where is None:
+        return constraints
+    where = query.where
+    for leaf in where.children if isinstance(where, And) else (where,):
+        if not _is_tree_leaf(tree, leaf):
             return None
-        index, ids = resolved
-        if index in constraints:
-            constraints[index] &= ids  # AND of constraints on one dim
-        else:
-            constraints[index] = ids
+        constraints.append((tree.dimension_index(leaf.column),
+                            compile_leaf(leaf, segment.column(leaf.column))))
     return constraints
 
 
+def _is_tree_leaf(tree: StarTree, leaf: Predicate) -> bool:
+    """EQ / range / IN / BETWEEN on a tree dimension; the negated forms
+    (and LIKE, OR, NOT) fall back to raw execution."""
+    if isinstance(leaf, Comparison):
+        positive = leaf.op is not CompareOp.NEQ
+    elif isinstance(leaf, In):
+        positive = not leaf.negated
+    else:
+        positive = isinstance(leaf, Between)
+    return positive and leaf.column in tree.dimensions
+
+
 def execute_on_star_tree(
-    tree: StarTree, query: Query
+    segment: ImmutableSegment, query: Query,
+    constraints: list[tuple[int, IdMatch]],
 ) -> tuple[AggregationPartial | GroupByPartial, int]:
-    """Execute a supported query; returns (partial, records_scanned)."""
-    id_constraints = (
-        _extract_constraints(tree, query.where)
-        if query.where is not None else {}
-    )
-    if id_constraints is None:
-        raise ExecutionError("query not supported by star-tree")
-    for ids in id_constraints.values():
-        if not ids:
-            # A constrained value absent from the segment: no matches.
-            empty = (
-                GroupByPartial() if query.group_by
-                else AggregationPartial.empty(query.aggregations)
-            )
-            return empty, 0
-
-    group_dims = {tree.dimension_index(c) for c in query.group_by}
-
+    """Execute a supported query under its ``star_tree_constraints``;
+    returns (partial, records_scanned)."""
+    tree = segment.star_tree
+    assert tree is not None
+    group_dims = [tree.dimension_index(c) for c in query.group_by]
     ranges: list[tuple[int, int]] = []
-    _traverse(tree.root, tree, id_constraints, group_dims, ranges)
+    # Descending by one leaf per dimension is enough: the post-filter
+    # applies every leaf.
+    _traverse(tree.root, dict(constraints), set(group_dims), ranges)
     rows = _rows_from_ranges(ranges)
 
     # Post-filter: leaves reached before all constrained dimensions were
     # consumed still contain non-matching records.
-    for dim_index, ids in id_constraints.items():
+    for dim_index, match in constraints:
         if not len(rows):
             break
-        column = tree.dim_ids[rows, dim_index]
-        rows = rows[np.isin(column, list(ids))]
+        rows = rows[match.mask_for(tree.dim_ids[rows, dim_index])]
 
-    scanned = int(len(rows))
+    # Group keys in dictionary-id space (selected rows never carry
+    # STAR_ID in grouped dimensions; see traversal invariants).
+    codes, keys = None, []
     if query.group_by:
-        return _group_by(tree, query, rows), scanned
-    return _aggregate(tree, query, rows), scanned
+        codes, key_ids = combine_codes(
+            [len(tree.dictionaries[dim]) for dim in group_dims],
+            [tree.dim_ids[rows, dim] for dim in group_dims],
+        )
+        keys = list(zip(*(
+            [tree.value_of(dim, dict_id) for dict_id in ids.tolist()]
+            for dim, ids in zip(group_dims, key_ids)
+        )))
+    states = [
+        function_for(a).aggregate_rollup(_records(tree, a.column), rows,
+                                         codes, len(keys))
+        for a in query.aggregations
+    ]
+    if query.group_by:
+        return GroupByPartial.from_columns(keys, states), len(rows)
+    return AggregationPartial(states), len(rows)
 
 
-def _traverse(node: StarTreeNode, tree: StarTree,
-              constraints: dict[int, set[int]], group_dims: set[int],
-              ranges: list[tuple[int, int]]) -> None:
+def _records(tree: StarTree, name: str) -> Rollup:
+    """Column ``name`` as the tree's record table keeps it (record
+    counts only, for a column that is not a pre-aggregated metric)."""
+    metric = tree.metrics.get(name)
+    if metric is None:
+        return Rollup(tree.counts)
+    return Rollup(tree.counts, metric.sums, metric.mins, metric.maxs)
+
+
+def _traverse(node: StarTreeNode, constraints: dict[int, IdMatch],
+              group_dims: set[int], ranges: list[tuple[int, int]]) -> None:
     if node.is_leaf:
         ranges.append((node.start, node.end))
         return
     depth = node.depth
     if depth in constraints:
-        for value_id in constraints[depth]:
-            child = node.children.get(value_id)
-            if child is not None:
-                _traverse(child, tree, constraints, group_dims, ranges)
+        for low, high in constraints[depth].ranges:
+            for value_id in range(low, high):
+                child = node.children.get(value_id)
+                if child is not None:
+                    _traverse(child, constraints, group_dims, ranges)
         return
     if depth in group_dims:
         for child in node.children.values():
-            _traverse(child, tree, constraints, group_dims, ranges)
+            _traverse(child, constraints, group_dims, ranges)
         return
     assert node.star_child is not None
-    _traverse(node.star_child, tree, constraints, group_dims, ranges)
+    _traverse(node.star_child, constraints, group_dims, ranges)
 
 
 def _rows_from_ranges(ranges: list[tuple[int, int]]) -> np.ndarray:
@@ -212,62 +180,3 @@ def _rows_from_ranges(ranges: list[tuple[int, int]]) -> np.ndarray:
     if not parts:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(parts)
-
-
-def _agg_state(tree: StarTree, func: AggFunc, column: str,
-               rows: np.ndarray) -> Any:
-    counts = tree.counts[rows]
-    if func is AggFunc.COUNT:
-        return int(counts.sum())
-    metric = tree.metrics[column]
-    if func is AggFunc.SUM:
-        return float(metric.sums[rows].sum()) if len(rows) else 0.0
-    if func is AggFunc.MIN:
-        return float(metric.mins[rows].min()) if len(rows) else float("inf")
-    if func is AggFunc.MAX:
-        return float(metric.maxs[rows].max()) if len(rows) else float("-inf")
-    if func is AggFunc.AVG:
-        if not len(rows):
-            return (0.0, 0)
-        return (float(metric.sums[rows].sum()), int(counts.sum()))
-    raise ExecutionError(f"star-tree cannot serve {func}")
-
-
-def _aggregate(tree: StarTree, query: Query,
-               rows: np.ndarray) -> AggregationPartial:
-    states = [
-        _agg_state(tree, a.func, a.column, rows) for a in query.aggregations
-    ]
-    return AggregationPartial(states)
-
-
-def _group_by(tree: StarTree, query: Query,
-              rows: np.ndarray) -> GroupByPartial:
-    partial = GroupByPartial()
-    if not len(rows):
-        return partial
-    dims = [tree.dimension_index(c) for c in query.group_by]
-    # Mixed-radix combine into one code per row (selected rows never
-    # carry STAR_ID in grouped dimensions; see traversal invariants).
-    codes = np.zeros(len(rows), dtype=np.int64)
-    for dim in dims:
-        cardinality = len(tree.dictionaries[dim])
-        codes = codes * cardinality + tree.dim_ids[rows, dim]
-    order = np.argsort(codes, kind="stable")
-    sorted_rows = rows[order]
-    sorted_codes = codes[order]
-    boundaries = np.concatenate(
-        ([0], np.nonzero(np.diff(sorted_codes))[0] + 1, [len(rows)])
-    )
-    aggregations = query.aggregations
-    for i in range(len(boundaries) - 1):
-        group_rows = sorted_rows[boundaries[i]:boundaries[i + 1]]
-        first = group_rows[0]
-        key = tuple(
-            tree.value_of(dim, int(tree.dim_ids[first, dim])) for dim in dims
-        )
-        partial.groups[key] = [
-            _agg_state(tree, a.func, a.column, group_rows)
-            for a in aggregations
-        ]
-    return partial

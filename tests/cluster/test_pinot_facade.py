@@ -92,3 +92,66 @@ class TestRealtimeGuards:
 
         with pytest.raises(IngestionError):
             cluster.create_kafka_topic("t", 1)
+
+
+class TestStarTreeTable:
+    """A star-tree table created through the facade: the config must
+    survive the property store (it used to lose ``star_tree`` and
+    ``routing_options``, so no cluster table ever built a tree), and a
+    query the tree cannot plan must come back as a flagged partial."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        import random
+
+        rng = random.Random(5)
+        return [{"a": rng.choice("uvw"), "n": rng.randint(0, 6),
+                 "code": str(rng.randint(0, 9)), "m": rng.randint(0, 50)}
+                for __ in range(1500)]
+
+    @pytest.fixture(scope="class")
+    def cluster(self, records):
+        from repro.segment.builder import SegmentConfig
+        from repro.startree.builder import StarTreeConfig
+
+        schema = Schema("t", [
+            dimension("a"), dimension("n", DataType.LONG),
+            dimension("code"), metric("m", DataType.LONG),
+        ])
+        cluster = PinotCluster(num_servers=2)
+        cluster.create_table(TableConfig.offline(
+            "t", schema, routing_strategy="large_cluster",
+            routing_options={"target_servers": 2, "keep_tables": 5,
+                             "generate_tables": 40},
+            segment_config=SegmentConfig(star_tree=StarTreeConfig(
+                dimensions=("a", "n", "code"), max_leaf_records=10)),
+        ))
+        cluster.upload_records("t", records, rows_per_segment=500)
+        return cluster
+
+    def test_explain_shows_star_tree_plans(self, cluster):
+        plans = cluster.explain("SELECT sum(m) FROM t WHERE a = 'u'")
+        described = [plan for per_server in plans.values()
+                     for plan in per_server.values()]
+        assert len(described) == 3
+        assert all(plan.startswith("STAR_TREE") for plan in described)
+
+    def test_broker_strategy_carries_routing_options(self, cluster):
+        strategy = cluster.brokers[0]._strategy_for("t_OFFLINE")
+        assert (strategy.target_servers, strategy.keep_tables,
+                strategy.generate_tables) == (2, 5, 40)
+
+    def test_numeric_literal_on_string_dimension(self, cluster, records):
+        response = cluster.execute("SELECT count(*) FROM t WHERE code = 5")
+        assert response.rows == [
+            (sum(1 for r in records if r["code"] == "5"),)]
+        assert response.stats.startree_used
+        assert not response.partial
+
+    def test_string_literal_on_numeric_dimension_is_flagged(self, cluster):
+        # Used to escape as a bare TypeError from star-tree planning,
+        # past every ``except PinotError`` on the way to the client.
+        response = cluster.execute("SELECT count(*) FROM t WHERE n = '3'")
+        assert response.partial
+        assert all("cannot compare string literal" in error
+                   for error in response.exceptions)

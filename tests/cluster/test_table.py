@@ -96,6 +96,67 @@ class TestSerialization:
         assert clone.schema == schema
 
 
+    def test_roundtrip_keeps_every_field(self, schema):
+        """``from_dict(to_dict(c)) == c`` with no field left at its
+        default, also through the JSON the property store may hold —
+        ``star_tree`` and ``routing_options`` used to be dropped."""
+        import json
+
+        from repro.common.timeutils import TimeGranularity, TimeUnit
+        from repro.startree.builder import StarTreeConfig
+        from repro.upsert import UpsertConfig
+
+        offline = TableConfig.offline(
+            "events", schema, replication=2, retention=30,
+            retention_granularity=TimeGranularity(TimeUnit.HOURS, 6),
+            quota_bytes=10_000_000, tier_to_remote_after=7,
+            tenant="analytics",
+            segment_config=SegmentConfig(
+                sorted_column="memberId", inverted_columns=("country",),
+                bloom_columns=("memberId",), timestamp_index=(1, 7),
+                star_tree=StarTreeConfig(dimensions=("country", "day"),
+                                         max_leaf_records=7,
+                                         metrics=("views",)),
+            ),
+            partition=PartitionConfig("memberId", 4),
+            routing_strategy="large_cluster",
+            routing_options={"target_servers": 2, "keep_tables": 5,
+                             "generate_tables": 40},
+        )
+        realtime = TableConfig.realtime(
+            "events", schema,
+            StreamConfig("events-topic", flush_threshold_rows=123,
+                         flush_threshold_ticks=9, records_per_poll=45),
+            upsert=UpsertConfig(mode="upsert", key_columns=("memberId",),
+                                comparison_column="day"),
+            segment_config=SegmentConfig(inverted_columns=("country",)),
+        )
+        for config in (offline, realtime):
+            payload = config.to_dict()
+            assert TableConfig.from_dict(payload) == config
+            assert TableConfig.from_dict(
+                json.loads(json.dumps(payload))) == config
+
+    def test_star_tree_defaults_survive(self, schema):
+        """None dimensions / metrics mean "the builder chooses" and
+        must not come back as empty tuples."""
+        from repro.startree.builder import StarTreeConfig
+
+        config = TableConfig.offline(
+            "events", schema,
+            segment_config=SegmentConfig(star_tree=StarTreeConfig()))
+        clone = TableConfig.from_dict(config.to_dict())
+        assert clone.segment_config.star_tree == StarTreeConfig()
+
+    def test_payload_without_the_newer_keys_loads(self, schema):
+        payload = TableConfig.offline("events", schema).to_dict()
+        for key in ("star_tree", "routing_options"):
+            payload.pop(key, None)
+        clone = TableConfig.from_dict(payload)
+        assert clone.segment_config.star_tree is None
+        assert clone.routing_options == {}
+
+
 class TestTimestampIndex:
     def test_roundtrip_timestamp_index(self, schema):
         config = TableConfig.offline(

@@ -116,3 +116,48 @@ class TestReduce:
         assert response.table.to_dicts() == [{"count(*)": 4}]
         assert response.table.column_values("count(*)") == [4]
         assert len(response.table) == 1
+
+
+class TestMetadataOnlyFlag:
+    """``metadata_only`` is an AND over segments; it used to be and-ed
+    into a fresh accumulator's False and could never come out True."""
+
+    def results(self, scanned_segments):
+        from repro.common.schema import Schema
+        from repro.common.types import DataType, dimension, metric
+        from repro.engine.executor import execute_plan
+        from repro.engine.planner import plan_segment
+        from repro.segment.builder import SegmentBuilder
+
+        schema = Schema("t", [dimension("a"), metric("m", DataType.LONG)])
+        query = q("SELECT count(*), max(m) FROM t")
+        results = []
+        for index in range(4):
+            builder = SegmentBuilder(f"seg{index}", "t", schema)
+            builder.add_all({"a": "x", "m": index * 10 + i}
+                            for i in range(5))
+            plan = plan_segment(
+                builder.build(), query,
+                allow_metadata_only=index >= scanned_segments)
+            results.append(execute_plan(plan))
+        servers = [combine_segment_results(query, results[:2], "s1"),
+                   combine_segment_results(query, results[2:], "s2")]
+        return servers, reduce_server_results(query, servers)
+
+    def test_all_segments_from_metadata(self):
+        servers, response = self.results(scanned_segments=0)
+        assert [s.stats.metadata_only for s in servers] == [True, True]
+        assert response.stats.metadata_only
+        assert response.rows == [(20, 34.0)]
+        assert response.stats.num_docs_scanned == 0
+
+    def test_one_scanned_segment_clears_it(self):
+        servers, response = self.results(scanned_segments=1)
+        assert [s.stats.metadata_only for s in servers] == [False, True]
+        assert not response.stats.metadata_only
+        assert response.rows == [(20, 34.0)]
+
+    def test_nothing_merged_stays_false(self):
+        query = q("SELECT count(*) FROM t")
+        assert not combine_segment_results(query, []).stats.metadata_only
+        assert not reduce_server_results(query, []).stats.metadata_only

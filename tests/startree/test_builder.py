@@ -128,6 +128,4 @@ class TestInvariants:
         check(tree.root)
 
     def test_lookup_helpers(self, tree):
-        assert tree.id_of(0, "x") == tree.dictionaries[0].index("x")
-        assert tree.id_of(0, "zz") is None
         assert tree.value_of(0, STAR_ID) == "*"
