@@ -193,8 +193,8 @@ def bench_timeindex(rows: int, days: int, seed: int,
 
     # Rollups must be indistinguishable from the scan: same groups,
     # same finalized value for every aggregation.
-    scan_groups = scan_result.group_by.groups
-    rollup_groups = rollup_result.group_by.groups
+    scan_groups = scan_result.group_by.groups(query.aggregations)
+    rollup_groups = rollup_result.group_by.groups(query.aggregations)
     groups_match = set(scan_groups) == set(rollup_groups)
     if groups_match:
         for key, scan_states in scan_groups.items():

@@ -9,7 +9,14 @@ small traced run per workload and fails if a layer every query must
 pass through reports no self time, or if the spans explain less than
 90 % of the query wall time.
 
-    python scripts/ci_layer_liveness.py
+The same runs feed the first gate that ratchets: at a fixed scale and
+seed the count-valued layer metrics repeat exactly, so
+``ci_layer_ceilings.json`` holds their committed values per workload
+and a run that reads *higher* fails. A run that reads more than 2 %
+lower prints a note to lower the ceiling (``--write-ceilings`` rewrites
+the file from this run).
+
+    python scripts/ci_layer_liveness.py [--write-ceilings]
 """
 
 from __future__ import annotations
@@ -28,6 +35,13 @@ LIVE_LAYERS = (
     "engine.executor", "engine.merge.combine", "engine.merge.reduce",
 )
 MIN_COVERAGE = 0.9
+CEILINGS = pathlib.Path(__file__).with_name("ci_layer_ceilings.json")
+#: Counts, not times: exact for a seed, so they can gate.
+COUNT_METRICS = (
+    "net.codec.wire_bytes_per_op", "net.codec.encode.calls_per_op",
+    "net.codec.decode.calls_per_op", "engine.planner.calls_per_op",
+    "zk.store.reads_per_op", "cluster.broker.servers_per_op",
+)
 
 
 def traced_metrics(workload: str) -> dict[str, float]:
@@ -45,8 +59,19 @@ def traced_metrics(workload: str) -> dict[str, float]:
 
 def main() -> int:
     problems = []
+    readings = {}
+    ceilings = json.loads(CEILINGS.read_text(encoding="utf-8"))
     for workload in WORKLOADS:
         metrics = traced_metrics(workload)
+        readings[workload] = {name: metrics[name] for name in COUNT_METRICS}
+        for name, ceiling in ceilings[workload].items():
+            value = metrics[name]
+            if value > ceiling * (1 + 1e-9):
+                problems.append(f"{workload}: {name} reads {value:.2f}, "
+                                f"above its ceiling {ceiling:.2f}")
+            elif value < ceiling * 0.98:
+                print(f"note: {workload}: {name} reads {value:.2f}; "
+                      f"lower the ceiling ({ceiling:.2f})")
         for layer in LIVE_LAYERS:
             if not metrics[f"{layer}.self_us_per_op"] > 0:
                 problems.append(f"{workload}: {layer} reports no self time")
@@ -56,6 +81,11 @@ def main() -> int:
                             f"{coverage:.3f} < {MIN_COVERAGE}")
         print(f"{workload}: coverage {coverage:.3f}, "
               f"{len(LIVE_LAYERS)} layers checked")
+    if "--write-ceilings" in sys.argv[1:]:
+        CEILINGS.write_text(json.dumps(readings, indent=2) + "\n",
+                            encoding="utf-8")
+        print(f"wrote {CEILINGS}")
+        return 0
     for problem in problems:
         print(f"FAIL {problem}", file=sys.stderr)
     return 1 if problems else 0

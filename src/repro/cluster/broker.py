@@ -106,7 +106,7 @@ def _make_strategy(config: TableConfig,
     raise ClusterError(f"unknown routing strategy {name!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryLogEntry:
     """One executed query's footprint, mined for auto-indexing (§5.2)."""
 
@@ -254,6 +254,8 @@ class BrokerInstance:
         self._dirty: set[str] = set()
         self.queries_served = 0
         self.query_log: list[QueryLogEntry] = []
+        #: Interned: the log's 10 000 entries share a few distinct sets.
+        self._filter_column_sets: dict[frozenset, frozenset] = {}
         self.metrics = Metrics()
         #: Distributed tracing (repro.obs): sampling off by default,
         #: per-query opt-in via ``OPTION(trace=true)``.
@@ -1170,9 +1172,10 @@ class BrokerInstance:
                       for r in results if r.error is None)
         docs = sum(r.stats.num_docs_scanned
                    for r in results if r.error is None)
+        columns = frozenset(predicate_columns(query.where))
         entry = QueryLogEntry(
             table=query.table,
-            filter_columns=frozenset(predicate_columns(query.where)),
+            filter_columns=self._filter_column_sets.setdefault(columns, columns),
             entries_scanned_in_filter=entries,
             docs_scanned=docs,
         )

@@ -12,6 +12,15 @@ steps 6-7). Each function here therefore defines:
 * ``merge(a, b)`` — combine two states,
 * ``finalize(state)`` — final result value.
 
+A group-by keeps the states of one aggregation for all its groups as a
+*state column* (``aggregate_grouped``, ``merge_grouped``,
+``finalize_grouped``): a function whose state is made of
+:class:`Rollup` arrays keeps those arrays — COUNT one int64 array,
+SUM / MIN / MAX one float64 array, AVG ``(sums, counts)``, MINMAXRANGE
+``(mins, maxs)`` — and any other state (value sets, samples, sketches)
+is an object, its column a plain list of them. Only this module knows
+which is which.
+
 ``DISTINCTCOUNT`` and the percentiles keep exact intermediate sets /
 samples; production Pinot uses sketches (HLL, quantile digests) for
 these, which trade accuracy for bounded size — exactness is the better
@@ -21,6 +30,7 @@ default for a reproduction because the tests can assert equality.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -65,6 +75,9 @@ class AggregateFunction:
 
     #: Whether the function needs the raw column values (False for COUNT).
     needs_values = True
+    #: Whether the function computes on numbers, so that a STRING column
+    #: is a planning error rather than an input.
+    numeric_only = True
     #: The :class:`Rollup` arrays this function's state is made of, in
     #: state order; empty when only the raw rows can produce it.
     rollup_inputs: tuple[str, ...] = ()
@@ -76,9 +89,10 @@ class AggregateFunction:
         raise NotImplementedError
 
     def aggregate_grouped(self, values: np.ndarray, codes: np.ndarray,
-                          num_groups: int) -> list[Any]:
-        """Vectorized per-group aggregation; ``codes`` maps each value to
-        its group index in ``[0, num_groups)``."""
+                          num_groups: int) -> Any:
+        """Vectorized per-group aggregation, as a state column;
+        ``codes`` maps each value to its group index in
+        ``[0, num_groups)``."""
         raise NotImplementedError
 
     def aggregate_rollup(self, rollup: Rollup, rows: Any,
@@ -99,9 +113,7 @@ class AggregateFunction:
             func = _REAGGREGATE[name]
             parts.append(func.aggregate(values) if codes is None else
                          func.aggregate_grouped(values, codes, num_groups))
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(parts) if codes is None else list(zip(*parts))
+        return parts[0] if len(parts) == 1 else tuple(parts)
 
     def merge(self, a: Any, b: Any) -> Any:
         raise NotImplementedError
@@ -109,9 +121,70 @@ class AggregateFunction:
     def finalize(self, state: Any) -> Any:
         raise NotImplementedError
 
+    # -- state columns -----------------------------------------------------
+
+    def _arrays(self, column: Any) -> tuple[np.ndarray, ...]:
+        return (column,) if len(self.rollup_inputs) == 1 else column
+
+    def state_column(self, states: list[Any]) -> Any:
+        """The state column holding ``states`` (one ``aggregate``-shaped
+        state per group) — the row-wise way in, for the scalar oracle."""
+        names = self.rollup_inputs
+        if not names:
+            return list(states)
+        arrays = tuple(
+            np.asarray(part, dtype=_STATE_DTYPES[name]) for name, part
+            in zip(names, [states] if len(names) == 1 else zip(*states)))
+        return arrays[0] if len(names) == 1 else arrays
+
+    def state_rows(self, column: Any) -> list[Any]:
+        """Inverse of :meth:`state_column`: one state per group."""
+        if not self.rollup_inputs:
+            return list(column)
+        arrays = self._arrays(column)
+        if len(arrays) == 1:
+            return arrays[0].tolist()
+        return list(zip(*(array.tolist() for array in arrays)))
+
+    def merge_grouped(self, columns: list[Any], codes: np.ndarray,
+                      num_groups: int) -> Any:
+        """Merge state columns laid end to end into one of ``num_groups``
+        groups; ``codes[i]`` is the group of entry ``i``.
+
+        Entries of a group fold in input order — ``0.0 + s1 + s2 + ...``
+        for sums, exactly the association of merging the columns one
+        after another — so the merged bits do not depend on how many
+        columns arrive at once. Array states re-aggregate like the
+        pre-aggregated rows they are (see :meth:`aggregate_rollup`).
+        """
+        names = self.rollup_inputs
+        if not names:
+            merged: list[Any] = [None] * num_groups
+            for code, state in zip(codes.tolist(),
+                                   chain.from_iterable(columns)):
+                mine = merged[code]
+                merged[code] = (state if mine is None
+                                else self.merge(mine, state))
+            return merged
+        arrays = tuple(
+            _REAGGREGATE[name].aggregate_grouped(np.concatenate(parts),
+                                                 codes, num_groups)
+            for name, parts in zip(names, zip(*map(self._arrays, columns)))
+        )
+        return arrays[0] if len(names) == 1 else arrays
+
+    def finalize_grouped(self, column: Any) -> np.ndarray:
+        """``finalize`` of every state of the column, as one array
+        (dtype object when some value is ``None``)."""
+        if len(self.rollup_inputs) == 1:
+            return column  # COUNT / SUM / MIN / MAX: the state is the value
+        return np.asarray([self.finalize(state)
+                           for state in self.state_rows(column)])
+
 
 class CountFunction(AggregateFunction):
     needs_values = False
+    numeric_only = False
     rollup_inputs = ("counts",)
 
     def init_empty(self) -> int:
@@ -121,7 +194,7 @@ class CountFunction(AggregateFunction):
         return int(len(values))
 
     def aggregate_grouped(self, values, codes, num_groups):
-        return np.bincount(codes, minlength=num_groups).tolist()
+        return np.bincount(codes, minlength=num_groups)
 
     def merge(self, a: int, b: int) -> int:
         return a + b
@@ -141,7 +214,7 @@ class SumFunction(AggregateFunction):
 
     def aggregate_grouped(self, values, codes, num_groups):
         return np.bincount(codes, weights=values.astype(np.float64),
-                           minlength=num_groups).tolist()
+                           minlength=num_groups)
 
     def merge(self, a: float, b: float) -> float:
         return a + b
@@ -162,7 +235,7 @@ class MinFunction(AggregateFunction):
     def aggregate_grouped(self, values, codes, num_groups):
         out = np.full(num_groups, np.inf)
         np.minimum.at(out, codes, values.astype(np.float64))
-        return out.tolist()
+        return out
 
     def merge(self, a: float, b: float) -> float:
         return min(a, b)
@@ -183,7 +256,7 @@ class MaxFunction(AggregateFunction):
     def aggregate_grouped(self, values, codes, num_groups):
         out = np.full(num_groups, -np.inf)
         np.maximum.at(out, codes, values.astype(np.float64))
-        return out.tolist()
+        return out
 
     def merge(self, a: float, b: float) -> float:
         return max(a, b)
@@ -209,7 +282,7 @@ class AvgFunction(AggregateFunction):
         sums = np.bincount(codes, weights=values.astype(np.float64),
                            minlength=num_groups)
         counts = np.bincount(codes, minlength=num_groups)
-        return list(zip(sums.tolist(), counts.tolist()))
+        return sums, counts
 
     def merge(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
@@ -217,6 +290,11 @@ class AvgFunction(AggregateFunction):
     def finalize(self, state) -> float:
         total, count = state
         return total / count if count else 0.0
+
+    def finalize_grouped(self, column):
+        sums, counts = column
+        return np.divide(sums, counts, out=np.zeros(len(sums)),
+                         where=counts != 0)
 
 
 class MinMaxRangeFunction(AggregateFunction):
@@ -236,7 +314,7 @@ class MinMaxRangeFunction(AggregateFunction):
         v = values.astype(np.float64)
         np.minimum.at(lows, codes, v)
         np.maximum.at(highs, codes, v)
-        return list(zip(lows.tolist(), highs.tolist()))
+        return lows, highs
 
     def merge(self, a, b):
         return (min(a[0], b[0]), max(a[1], b[1]))
@@ -247,9 +325,15 @@ class MinMaxRangeFunction(AggregateFunction):
             return 0.0
         return high - low
 
+    def finalize_grouped(self, column):
+        lows, highs = column
+        return np.where(np.isinf(lows), 0.0, highs - lows)
+
 
 class DistinctCountFunction(AggregateFunction):
     """Exact distinct count; the partial state is the value set."""
+
+    numeric_only = False
 
     def init_empty(self) -> frozenset:
         return frozenset()
@@ -279,6 +363,8 @@ class DistinctCountHllFunction(AggregateFunction):
     alternative to the exact set-based DISTINCTCOUNT, matching the
     sketch aggregations production Pinot later shipped.
     """
+
+    numeric_only = False
 
     def __init__(self, precision: int = 12):
         self.precision = precision
@@ -421,8 +507,12 @@ class _CountTotalFunction(CountFunction):
     def aggregate_grouped(self, values, codes, num_groups):
         out = np.zeros(num_groups, dtype=np.int64)
         np.add.at(out, codes, values)
-        return out.tolist()
+        return out
 
+
+#: dtype of each :class:`Rollup` array as (part of) a state column.
+_STATE_DTYPES = {"counts": np.int64, "sums": np.float64,
+                 "mins": np.float64, "maxs": np.float64}
 
 _REAGGREGATE: dict[str, AggregateFunction] = {
     "counts": _CountTotalFunction(),

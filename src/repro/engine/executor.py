@@ -36,10 +36,11 @@ from repro.engine.results import (
     GroupByPartial,
     SegmentResult,
     SelectionPartial,
+    order_rows,
+    selection_columns,
 )
-from repro.errors import ExecutionError
 from repro.pql.ast_nodes import Query
-from repro.segment.segment import ImmutableSegment
+from repro.segment.segment import Column, ImmutableSegment
 
 
 def execute_segment(segment: ImmutableSegment, query: Query,
@@ -164,7 +165,7 @@ def _empty_result(query: Query, stats: ExecutionStats) -> SegmentResult:
     elif query.is_aggregation:
         result.aggregation = AggregationPartial.empty(query.aggregations)
     else:
-        result.selection = SelectionPartial(_selection_columns(query))
+        result.selection = SelectionPartial(selection_columns(query, ("*",)))
     return result
 
 
@@ -184,20 +185,19 @@ def _execute_time_index(plan: SegmentPlan,
     if len(buckets):
         stats.num_segments_matched = 1
 
-    codes, keys = None, []
+    codes, keys = None, np.empty(0, dtype=np.int64)
     if query.group_by:
         size = plan.time_bucket_size or 1
         bucket_keys = (buckets // size) * size if size > 1 else buckets
-        uniq, codes = np.unique(bucket_keys, return_inverse=True)
-        keys = [(key,) for key in uniq.tolist()]
+        keys, codes = np.unique(bucket_keys, return_inverse=True)
     states = [
         function_for(a).aggregate_rollup(bucket_rollup(rollup, a.column),
                                          window, codes, len(keys))
         for a in query.aggregations
     ]
     if query.group_by:
-        return SegmentResult(
-            group_by=GroupByPartial.from_columns(keys, states), stats=stats)
+        return SegmentResult(group_by=GroupByPartial([keys], states),
+                             stats=stats)
     return SegmentResult(aggregation=AggregationPartial(states), stats=stats)
 
 
@@ -228,11 +228,6 @@ def _execute_aggregation(segment: ImmutableSegment, query: Query,
             states.append(func.aggregate(np.empty(selection.count)))
             continue
         column = segment.column(aggregation.column)
-        if column.is_multi_value:
-            raise ExecutionError(
-                f"cannot aggregate over multi-value column "
-                f"{aggregation.column!r}"
-            )
         if selection.is_contiguous:
             # Vectorized fast path on a contiguous range (§4.2).
             values = column.values()[selection.start:selection.end]
@@ -248,50 +243,29 @@ def _execute_aggregation(segment: ImmutableSegment, query: Query,
 # -- selection (projection) queries ---------------------------------------
 
 
-def _selection_columns(query: Query) -> tuple[str, ...]:
-    if query.select_star:
-        return ("*",)
-    return tuple(item.name for item in query.projections)
-
-
 def _execute_selection(segment: ImmutableSegment, query: Query,
                        selection: DocSelection) -> SelectionPartial:
-    if query.select_star:
-        columns = segment.schema.column_names
-    else:
-        columns = tuple(item.name for item in query.projections)
-    needed = query.limit + query.offset
-
+    columns = selection_columns(query, segment.schema.column_names)
     docs = selection.doc_array()
-    if not query.order_by:
-        docs = docs[:needed]
-    rows = _materialize_rows(segment, columns, docs)
     if query.order_by:
-        from repro.engine.results import row_sort_key
-
-        key = row_sort_key(query, columns)
-        if key is None:
-            raise ExecutionError("ORDER BY on selection failed to compile")
-        rows.sort(key=key)
-        rows = rows[:needed]
-    return SelectionPartial(columns, rows)
-
-
-def _materialize_rows(segment: ImmutableSegment, columns: tuple[str, ...],
-                      docs: np.ndarray) -> list[tuple]:
-    column_values = []
-    for name in columns:
-        column = segment.column(name)
-        if column.is_multi_value:
-            column_values.append(
-                [tuple(column.value_of_doc(int(d))) for d in docs]
-            )
-        else:
-            values = column.values()[docs]
-            column_values.append([_plain(v) for v in values])
-    return [tuple(col[i] for col in column_values)
-            for i in range(len(docs))]
+        # Sorted dictionaries: id order is value order, so the docs are
+        # ordered (stably: ties stay in doc order) before any is decoded.
+        docs = docs[order_rows([
+            (_cells(segment.column(o.expression.name), docs, Column.dict_ids),
+             o.descending)
+            for o in query.order_by
+        ])]
+    docs = docs[:query.limit + query.offset]
+    return SelectionPartial(
+        columns, [_cells(segment.column(name), docs) for name in columns])
 
 
-def _plain(value):
-    return value.item() if isinstance(value, np.generic) else value
+def _cells(column: Column, docs: np.ndarray,
+           single_value=Column.values) -> np.ndarray:
+    """``docs``' cells of ``column``: ``single_value(column)[docs]`` — a
+    copy, a partial never holds a view of a column's memoised values —
+    or, multi-value, one tuple per doc."""
+    if column.is_multi_value:
+        cells = (tuple(column.value_of_doc(doc)) for doc in docs.tolist())
+        return np.fromiter(cells, dtype=object, count=len(docs))
+    return single_value(column)[docs]

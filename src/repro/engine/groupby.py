@@ -4,7 +4,8 @@ Group keys are computed in dictionary-id space: each single-value group
 column contributes its per-document dictionary ids, the ids are combined
 into one mixed-radix code per document, and every aggregation function
 runs once per group via its vectorized ``aggregate_grouped``. Keys are
-decoded back to values only for the groups that actually occur.
+decoded back to values only for the groups that actually occur, one
+dictionary look-up per key column.
 
 A multi-value group column contributes one group *per value* of each
 document (matching Pinot's semantics); at most one multi-value group
@@ -53,7 +54,7 @@ def execute_group_by(segment: ImmutableSegment, query: Query,
     # row-many), renumber the buckets densely, and decode group keys
     # from the bucket values instead of the dictionary.
     cards: list[int] = []
-    decoders: list = []
+    decoders: list = []  # key-id array -> key-value array, per column
     for i, (expr, column) in enumerate(zip(query.group_by, group_columns)):
         if isinstance(expr, TimeBucket):
             if column.is_multi_value:
@@ -68,20 +69,16 @@ def execute_group_by(segment: ImmutableSegment, query: Query,
             id_columns[i] = inverse[np.asarray(id_columns[i],
                                                dtype=np.int64)]
             cards.append(len(buckets))
-            decoders.append(
-                lambda key_id, b=buckets: int(b[int(key_id)])
-            )
+            decoders.append(buckets.__getitem__)
         else:
             cards.append(column.dictionary.cardinality)
-            decoders.append(
-                lambda key_id, c=column: c.dictionary.value_of(int(key_id))
-            )
+            decoders.append(column.dictionary.values_of)
 
     codes, unique_key_ids = combine_codes(cards, id_columns)
     num_groups = len(unique_key_ids[0]) if unique_key_ids else 0
 
     # Aggregate each function over all groups at once.
-    per_agg_states: list[list] = []
+    per_agg_states: list = []
     for aggregation in query.aggregations:
         func = function_for(aggregation)
         if func.needs_values:
@@ -92,13 +89,9 @@ def execute_group_by(segment: ImmutableSegment, query: Query,
             func.aggregate_grouped(np.asarray(values), codes, num_groups)
         )
 
-    # Decode group keys back to values.
-    keys = [
-        tuple(decode(ids[group_index])
-              for decode, ids in zip(decoders, unique_key_ids))
-        for group_index in range(num_groups)
-    ]
-    return GroupByPartial.from_columns(keys, per_agg_states)
+    # Decode group keys back to values (fancy indexing: copies).
+    keys = [decode(ids) for decode, ids in zip(decoders, unique_key_ids)]
+    return GroupByPartial(keys, per_agg_states)
 
 
 def _expand_multi_value(group_columns, docs: np.ndarray, mv_column):

@@ -8,11 +8,22 @@ Two levels of merging mirror the production system:
   finalizes aggregation states, applies ordering / offset / limit, and
   produces the :class:`BrokerResponse`. Server errors or timeouts mark
   the response partial instead of failing it (step 7).
+
+Each level hands *all* its grouped partials to one N-way merge
+(concatenate the key columns, number the groups once, one reduction
+per state column) and all its selection partials to one (concatenate,
+one stable ``lexsort``, keep ``limit + offset``). Entries of a group
+fold in input order, so a sum's bits are those of merging the inputs
+one after another. HAVING, ORDER BY / TOP-n and the window run on the
+finalized arrays; only the window's rows become tuples.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.engine.aggregates import function_for
+from repro.engine.groupby import combine_codes
 from repro.engine.results import (
     AggregationPartial,
     BrokerResponse,
@@ -21,52 +32,75 @@ from repro.engine.results import (
     SegmentResult,
     ServerResult,
     SelectionPartial,
-    group_sort_key,
-    row_sort_key,
+    order_rows,
 )
-from repro.pql.ast_nodes import Query
+from repro.pql.ast_nodes import Aggregation, HavingCondition, Query
 
 
-def _merge_into(query: Query, target: SegmentResult | ServerResult,
-                result: SegmentResult | ServerResult) -> None:
-    """Fold ``result``'s stats and partials into ``target`` — the one
+def _merge_all(query: Query, target: SegmentResult | ServerResult,
+                results: list[SegmentResult] | list[ServerResult]) -> None:
+    """Fold every result's stats and partials into ``target`` — the one
     merge step of both levels."""
-    target.stats.merge(result.stats)
-    if result.aggregation is not None:
-        if target.aggregation is None:
-            target.aggregation = AggregationPartial.empty(query.aggregations)
-        target.aggregation.merge(result.aggregation, query.aggregations)
-    if result.group_by is not None:
-        if target.group_by is None:
-            target.group_by = GroupByPartial()
-        target.group_by.merge(result.group_by, query.aggregations)
-    if result.selection is not None:
-        if target.selection is None:
-            target.selection = SelectionPartial(result.selection.columns)
-        target.selection.rows.extend(result.selection.rows)
+    aggregations = query.aggregations
+    for result in results:
+        target.stats.merge(result.stats)
+        if result.aggregation is not None:
+            if target.aggregation is None:
+                target.aggregation = AggregationPartial.empty(aggregations)
+            target.aggregation.merge(result.aggregation, aggregations)
+    grouped = [r.group_by for r in results if r.group_by is not None]
+    if grouped:
+        target.group_by = _merge_group_by(aggregations, grouped)
+    selections = [r.selection for r in results if r.selection is not None]
+    if selections:
+        target.selection = _merge_selections(query, selections)
+
+
+def _merge_group_by(aggregations: tuple[Aggregation, ...],
+                    partials: list[GroupByPartial]) -> GroupByPartial:
+    partials = [p for p in partials if p.num_groups]
+    if len(partials) < 2:
+        return partials[0] if partials else GroupByPartial()
+    columns = [np.concatenate(parts)
+               for parts in zip(*(p.keys for p in partials))]
+    numbered = [np.unique(c, return_inverse=True) for c in columns]
+    if len(columns) == 1:
+        (uniques, codes), = numbered
+        keys = [uniques]
+    else:
+        codes, key_ids = combine_codes([len(u) for u, __ in numbered],
+                                       [ids for __, ids in numbered])
+        keys = [u[ids] for (u, __), ids in zip(numbered, key_ids)]
+    return GroupByPartial(keys, [
+        function_for(a).merge_grouped([p.states[i] for p in partials],
+                                      codes, len(keys[0]))
+        for i, a in enumerate(aggregations)
+    ])
+
+
+def _merge_selections(query: Query,
+                      partials: list[SelectionPartial]) -> SelectionPartial:
+    filled = [p for p in partials if p.num_rows]
+    if not filled:
+        return partials[0]
+    columns = filled[0].columns
+    data = [np.concatenate(parts)
+            for parts in zip(*(p.data for p in filled))]
+    keep: slice | np.ndarray = slice(query.limit + query.offset)
+    if query.order_by:
+        keep = order_rows([
+            (data[columns.index(o.expression.name)], o.descending)
+            for o in query.order_by
+        ])[keep]
+    return SelectionPartial(columns, [column[keep] for column in data])
 
 
 def combine_segment_results(query: Query, results: list[SegmentResult],
                             server: str = "local") -> ServerResult:
     """Merge per-segment partial results on one server."""
     combined = ServerResult(server=server)
-    for result in results:
-        _merge_into(query, combined, result)
-    _trim_selection(query, combined.selection)
+    _merge_all(query, combined, results)
     return combined
-
-
-def _trim_selection(query: Query, selection: SelectionPartial | None) -> None:
-    if selection is None:
-        return
-    needed = query.limit + query.offset
-    if not query.order_by:
-        del selection.rows[needed:]
-        return
-    key = row_sort_key(query, selection.columns)
-    if key is not None:
-        selection.rows.sort(key=key)
-    del selection.rows[needed:]
 
 
 def reduce_server_results(query: Query, server_results: list[ServerResult],
@@ -80,13 +114,11 @@ def reduce_server_results(query: Query, server_results: list[ServerResult],
     do not mark the response partial — only errors in
     ``server_results`` (segments no replica could serve) do.
     """
-    exceptions: list[str] = []
+    exceptions = [f"{result.server}: {result.error}"
+                  for result in server_results if result.error is not None]
     merged = SegmentResult()
-    for result in server_results:
-        if result.error is not None:
-            exceptions.append(f"{result.server}: {result.error}")
-            continue
-        _merge_into(query, merged, result)
+    _merge_all(query, merged,
+                [r for r in server_results if r.error is None])
 
     if query.group_by:
         table = _finalize_group_by(query, merged.group_by or GroupByPartial())
@@ -119,28 +151,47 @@ def _finalize_aggregation(query: Query,
 
 
 def _finalize_group_by(query: Query, partial: GroupByPartial) -> ResultTable:
+    aggregations = query.aggregations
     columns = tuple(str(g) for g in query.group_by) + tuple(
-        str(a) for a in query.aggregations
+        str(a) for a in aggregations
     )
-    having_specs = [
-        (query.aggregations.index(condition.aggregation), condition)
-        for condition in query.having
-    ]
-    entries = []
-    for key, states in partial.groups.items():
-        values = tuple(
-            function_for(a).finalize(state)
-            for a, state in zip(query.aggregations, states)
-        )
+    if not partial.num_groups:
+        return ResultTable(columns, [])
+    keys = partial.keys
+    values = [function_for(a).finalize_grouped(column)
+              for a, column in zip(aggregations, partial.states)]
+    if query.having:
         # HAVING: iceberg filtering on the finalized aggregates (§4.3).
-        if any(not condition.matches(values[index])
-               for index, condition in having_specs):
-            continue
-        entries.append((key, values))
-    entries.sort(key=group_sort_key(query))
-    window = entries[query.offset:query.offset + query.limit]
-    rows = [key + values for key, values in window]
-    return ResultTable(columns, rows)
+        keep = np.ones(partial.num_groups, dtype=bool)
+        for condition in query.having:
+            keep &= _having_mask(
+                condition, values[aggregations.index(condition.aggregation)])
+        keys = [column[keep] for column in keys]
+        values = [column[keep] for column in values]
+    # PQL's default for TOP-n group-by is descending by the first
+    # aggregation. The group key closes every ordering: deterministic
+    # TOP-n truncation even when the ordered values tie at the cut-off.
+    ordering = [(values[0], True)]
+    if query.order_by:
+        group_columns = list(query.group_by)
+        ordering = [
+            (values[aggregations.index(o.expression)]
+             if isinstance(o.expression, Aggregation)
+             else keys[group_columns.index(o.expression.name)], o.descending)
+            for o in query.order_by
+        ]
+    window = order_rows(ordering + [(column, False) for column in keys])[
+        query.offset:query.offset + query.limit]
+    return ResultTable(columns, list(zip(
+        *(column[window].tolist() for column in keys + values))))
+
+
+def _having_mask(condition: HavingCondition,
+                 finalized: np.ndarray) -> np.ndarray:
+    if finalized.dtype == object:  # holds a None, which matches nothing
+        return np.fromiter(map(condition.matches, finalized.tolist()),
+                           dtype=bool, count=len(finalized))
+    return condition.matches(finalized)
 
 
 def _finalize_selection(query: Query,
@@ -148,10 +199,11 @@ def _finalize_selection(query: Query,
     if selection is None:
         columns = tuple(i.name for i in query.projections) or ("*",)
         return ResultTable(columns, [])
-    rows = selection.rows
-    if query.order_by:
-        key = row_sort_key(query, selection.columns)
-        if key is not None:
-            rows = sorted(rows, key=key)
-    rows = rows[query.offset:query.offset + query.limit]
-    return ResultTable(selection.columns, list(rows))
+    # The merge left the rows ordered; ORDER BY columns the projection
+    # lacks trail it and are dropped here.
+    columns = selection.columns if query.select_star else (
+        selection.columns[:len(query.projections)])
+    window = slice(query.offset, query.offset + query.limit)
+    return ResultTable(columns, list(zip(
+        *(column[window].tolist()
+          for column in selection.data[:len(columns)]))))

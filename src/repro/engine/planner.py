@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.aggregates import Rollup, served_by_rollup
+from repro.common.types import DataType
+from repro.engine.aggregates import Rollup, function_for, served_by_rollup
 from repro.engine.operators import (
     AndFilter,
     FilterOperator,
@@ -35,7 +36,7 @@ from repro.engine.operators import (
     SortedRangeFilter,
 )
 from repro.engine.predicates import compile_leaf
-from repro.errors import PlanningError
+from repro.errors import ExecutionError, PlanningError
 from repro.pql.ast_nodes import (
     And,
     Between,
@@ -103,7 +104,7 @@ def plan_segment(segment: ImmutableSegment, query: Query,
     ``allow_time_index=False`` likewise disables the timestamp-index
     rollup path (rollups pre-aggregate every stored doc).
     """
-    _validate_columns(segment, query)
+    validate_columns(segment, query)
 
     if allow_metadata_only and _is_metadata_only(segment, query):
         return SegmentPlan(PlanKind.METADATA, segment, query,
@@ -131,7 +132,10 @@ def plan_segment(segment: ImmutableSegment, query: Query,
                        use_cost_ordering)
 
 
-def _validate_columns(segment: ImmutableSegment, query: Query) -> None:
+def validate_columns(segment: ImmutableSegment, query: Query) -> None:
+    """What every plan kind — and the scalar oracle — refuses before
+    touching a row: a column the segment lacks, an aggregate over a
+    multi-value column, a numeric aggregate over a STRING column."""
     missing = [
         column for column in query.referenced_columns()
         if not segment.has_column(column)
@@ -141,6 +145,21 @@ def _validate_columns(segment: ImmutableSegment, query: Query) -> None:
             f"segment {segment.name!r} is missing columns {missing} "
             f"referenced by the query"
         )
+    for aggregation in query.aggregations:
+        func = function_for(aggregation)
+        if not func.needs_values:
+            continue
+        column = segment.column(aggregation.column)
+        if column.is_multi_value:
+            raise ExecutionError(
+                f"cannot aggregate over multi-value column "
+                f"{aggregation.column!r}"
+            )
+        if func.numeric_only and column.dictionary.dtype is DataType.STRING:
+            raise PlanningError(
+                f"{aggregation} needs a numeric column; "
+                f"{aggregation.column!r} is STRING"
+            )
 
 
 def _is_metadata_only(segment: ImmutableSegment, query: Query) -> bool:

@@ -5,6 +5,15 @@ mergeable aggregation states, servers combine their segments' partials,
 and the broker merges server responses into the final
 :class:`ResultTable` returned to the client. Errors and timeouts mark
 the response *partial* rather than failing it (step 7).
+
+Grouped and selection partials are *column blocks* — one numpy array
+per group-by expression / projected column, one state column per
+aggregation — from the executor's output, through both merge levels
+and the wire, to the broker's finalize; rows are built once, for the
+``LIMIT`` window of the :class:`ResultTable`. The row-wise
+constructors and views here (``from_groups`` / ``groups``,
+``from_rows`` / ``rows``) are for the scalar oracle, tests and
+scripts.
 """
 
 from __future__ import annotations
@@ -12,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.engine.aggregates import function_for
-from repro.pql.ast_nodes import Aggregation, ColumnRef, Query
+from repro.pql.ast_nodes import Aggregation, Query
 
 
 @dataclass
@@ -86,45 +97,101 @@ class AggregationPartial:
             self.states[i] = func.merge(self.states[i], other.states[i])
 
 
+def block_column(values: list[Any]) -> np.ndarray:
+    """``values`` as one 1-D column of a block: a numeric array for
+    numbers, an object array for strings and multi-value cells (tuples
+    — ``np.asarray`` would make equal-length ones a 2-D array)."""
+    if set(map(type, values)) in ({int}, {float}, {bool}):
+        return np.asarray(values)
+    return np.fromiter(values, dtype=object, count=len(values))
+
+
 @dataclass
 class GroupByPartial:
-    """Per-group partial states keyed by the group-by value tuple."""
+    """Per-group partial states as a column block: ``keys[j][g]`` is
+    group ``g``'s value of group-by expression ``j`` and ``states[i]``
+    the state column of aggregation ``i`` (its form is the aggregate
+    function's, see :mod:`repro.engine.aggregates`). No groups: no key
+    columns, or empty ones."""
 
-    groups: dict[tuple, list[Any]] = field(default_factory=dict)
+    keys: list[np.ndarray] = field(default_factory=list)
+    states: list[Any] = field(default_factory=list)
+
+    @property
+    def num_groups(self) -> int:
+        return len(self.keys[0]) if self.keys else 0
 
     @classmethod
-    def from_columns(cls, keys: list[tuple],
-                     per_agg_states: list[list[Any]]) -> "GroupByPartial":
-        """Build from the column-wise form every grouped producer
-        computes: ``keys[g]`` is group ``g``'s key and
-        ``per_agg_states[i][g]`` the state of aggregation ``i`` for it."""
-        return cls({
-            key: [states[g] for states in per_agg_states]
-            for g, key in enumerate(keys)
-        })
+    def from_groups(cls, groups: dict[tuple, list[Any]],
+                    aggregations: tuple[Aggregation, ...]):
+        """Build from ``{group key tuple: [state per aggregation]}``."""
+        return cls(
+            [block_column(list(column)) for column in zip(*groups)],
+            [function_for(a).state_column(list(states))
+             for a, states in zip(aggregations, zip(*groups.values()))],
+        )
 
-    def merge(self, other: "GroupByPartial",
-              aggregations: tuple[Aggregation, ...]) -> None:
-        funcs = [function_for(a) for a in aggregations]
-        for key, states in other.groups.items():
-            mine = self.groups.get(key)
-            if mine is None:
-                self.groups[key] = list(states)
-            else:
-                for i, func in enumerate(funcs):
-                    mine[i] = func.merge(mine[i], states[i])
+    def groups(self, aggregations: tuple[Aggregation, ...]):
+        """The row-wise view :meth:`from_groups` is built from."""
+        states = zip(*(function_for(a).state_rows(column)
+                       for a, column in zip(aggregations, self.states)))
+        return dict(zip(zip(*(k.tolist() for k in self.keys)),
+                        map(list, states)))
 
 
 @dataclass
 class SelectionPartial:
-    """Projected rows for selection (non-aggregation) queries.
+    """Projected rows of a selection query as a column block:
+    ``data[j][r]`` is row ``r``'s cell of ``columns[j]``.
 
-    Rows are kept bounded to ``limit + offset`` per partial; ordering
-    happens at merge time when the query has ORDER BY.
+    ``columns`` are the projected columns followed by any ORDER BY
+    column the projection lacks (the merges order on them; the broker
+    drops them at finalize). Bounded to ``limit + offset`` rows per
+    partial, already in ORDER BY order. No rows: no, or empty, columns.
     """
 
     columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    data: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.data[0]) if self.data else 0
+
+    @classmethod
+    def from_rows(cls, columns: tuple[str, ...], rows: list[tuple]):
+        return cls(columns, [block_column(list(c)) for c in zip(*rows)])
+
+    def rows(self) -> list[tuple]:
+        return list(zip(*(column.tolist() for column in self.data)))
+
+
+def selection_columns(query: Query,
+                      all_columns: tuple[str, ...]) -> tuple[str, ...]:
+    """The columns of ``query``'s selection partials on a segment with
+    ``all_columns``: the projection, then the ORDER BY columns it
+    lacks."""
+    projected = (all_columns if query.select_star
+                 else tuple(item.name for item in query.projections))
+    return projected + tuple(dict.fromkeys(
+        ordering.expression.name for ordering in query.order_by
+        if ordering.expression.name not in projected
+    ))
+
+
+def order_rows(keys: list[tuple[np.ndarray, bool]]) -> np.ndarray:
+    """The stable order of a block's rows under ``(column, descending)``
+    sort keys, most significant first. Descending negates the key
+    (floats), complements it (integers: no overflow) or complements its
+    rank among the distinct values (strings, multi-value cells); NaN
+    sorts last in either direction, as numpy has it."""
+    columns = []
+    for values, descending in keys:
+        if values.dtype.kind not in "biuf":
+            values = np.unique(values, return_inverse=True)[1]
+        if descending:
+            values = -values if values.dtype.kind == "f" else ~values
+        columns.append(values)
+    return np.lexsort(columns[::-1])
 
 
 @dataclass
@@ -218,78 +285,3 @@ class BrokerResponse:
     @property
     def rows(self) -> list[tuple]:
         return self.table.rows
-
-
-def row_sort_key(query: Query, columns: tuple[str, ...]):
-    """Key function for ORDER BY on selection rows, where ``columns``
-    names the row tuple's fields in order."""
-    if not query.order_by:
-        return None
-    indices: list[tuple[int, bool]] = []
-    for ordering in query.order_by:
-        assert isinstance(ordering.expression, ColumnRef)
-        indices.append(
-            (columns.index(ordering.expression.name), ordering.descending)
-        )
-
-    def key(row: tuple):
-        return tuple(
-            _Reversed(row[i]) if desc else row[i] for i, desc in indices
-        )
-
-    return key
-
-
-class _Reversed:
-    """Wrapper inverting comparison order for DESC sort keys."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any):
-        self.value = value
-
-    def __lt__(self, other: "_Reversed") -> bool:
-        return other.value < self.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Reversed) and other.value == self.value
-
-
-def group_sort_key(query: Query):
-    """Key for ordering (key, finalized_values) group entries.
-
-    With an explicit ORDER BY the listed expressions are honored; PQL's
-    default for TOP-n group-by is descending by the first aggregation.
-    """
-    aggregations = query.aggregations
-    group_columns = list(query.group_by)
-
-    if not query.order_by:
-        def default_key(entry):
-            group_key, values = entry
-            # Group key as tiebreaker: deterministic TOP-n truncation
-            # even when aggregate values tie at the cut-off.
-            return (_Reversed(values[0]), group_key)
-
-        return default_key
-
-    specs: list[tuple[str, int, bool]] = []
-    for ordering in query.order_by:
-        expr = ordering.expression
-        if isinstance(expr, Aggregation):
-            specs.append(("agg", aggregations.index(expr),
-                          ordering.descending))
-        else:
-            specs.append(("key", group_columns.index(expr.name),
-                          ordering.descending))
-
-    def key(entry):
-        group_key, values = entry
-        parts = []
-        for kind, index, descending in specs:
-            value = values[index] if kind == "agg" else group_key[index]
-            parts.append(_Reversed(value) if descending else value)
-        parts.append(group_key)  # deterministic tiebreak
-        return tuple(parts)
-
-    return key

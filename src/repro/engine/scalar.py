@@ -8,9 +8,12 @@ are interpreted per row over materialized Python values, and aggregates
 accumulate in plain Python loops. It shares the AST and the *state
 shapes* with the vectorized engine (partial states must merge across
 servers regardless of which engine produced them) but none of its
-kernels, planner, or index structures — a bug in selection vectors,
+kernels, plans, or index structures — a bug in selection vectors,
 bitmap unions, dictionary-id range compilation or grouped kernels
-cannot cancel itself out here.
+cannot cancel itself out here. It accumulates into plain dicts and
+row lists and converts on its last line (``from_groups`` /
+``from_rows``); what a query is refused for
+(``planner.validate_columns``) is shared, so both engines fail alike.
 
 Selected per query with ``OPTION(vectorized=false)`` or per cluster via
 ``ServerInstance.default_vectorized`` — see docs/ENGINE.md. It is the
@@ -22,16 +25,18 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.common.types import DataType
+from repro.engine.planner import validate_columns
 from repro.engine.results import (
     AggregationPartial,
     ExecutionStats,
     GroupByPartial,
     SegmentResult,
     SelectionPartial,
-    row_sort_key,
+    selection_columns,
 )
 from repro.errors import ExecutionError, PlanningError
 from repro.pql.ast_nodes import (
@@ -79,7 +84,7 @@ def execute_segment_scalar(segment: ImmutableSegment,
     docs are skipped before the predicate runs, mirroring the vectorized
     engine's base-selection intersection exactly.
     """
-    _validate(segment, query)
+    validate_columns(segment, query)
     stats = ExecutionStats(num_segments_queried=1,
                            num_segments_processed=1,
                            total_docs=segment.num_docs)
@@ -114,18 +119,6 @@ def execute_segment_scalar(segment: ImmutableSegment,
 
 
 # -- predicate interpretation ------------------------------------------------
-
-
-def _validate(segment: ImmutableSegment, query: Query) -> None:
-    missing = [
-        column for column in query.referenced_columns()
-        if not segment.has_column(column)
-    ]
-    if missing:
-        raise PlanningError(
-            f"segment {segment.name!r} is missing columns {missing} "
-            f"referenced by the query"
-        )
 
 
 def _count_leaves(predicate: Predicate | None) -> int:
@@ -241,11 +234,6 @@ class _Accumulator:
     def __init__(self, aggregation: Aggregation, column: Column | None):
         self.func = aggregation.func
         self.column = column
-        if column is not None and column.is_multi_value:
-            raise ExecutionError(
-                f"cannot aggregate over multi-value column "
-                f"{aggregation.column!r}"
-            )
         self.count = 0
         self.total = 0.0
         self.low = math.inf
@@ -357,7 +345,6 @@ def _execute_group_by(segment: ImmutableSegment, query: Query,
             f"{[c.name for c in multi_value]}"
         )
 
-    partial = GroupByPartial()
     accumulators: dict[tuple, list[_Accumulator]] = {}
     matched = 0
     entries = 0
@@ -396,9 +383,11 @@ def _execute_group_by(segment: ImmutableSegment, query: Query,
     stats.num_entries_scanned_post_filter = entries * (
         len(group_columns) + values_needed
     )
-    for key, group in accumulators.items():
-        partial.groups[key] = [a.state() for a in group]
-    return partial
+    return GroupByPartial.from_groups(
+        {key: [a.state() for a in group]
+         for key, group in accumulators.items()},
+        query.aggregations,
+    )
 
 
 # -- scalar selection (projection) -------------------------------------------
@@ -413,10 +402,7 @@ def _plain(value: Any) -> Any:
 def _execute_selection(segment: ImmutableSegment, query: Query,
                        test: _RowTest,
                        stats: ExecutionStats) -> SelectionPartial:
-    if query.select_star:
-        columns = segment.schema.column_names
-    else:
-        columns = tuple(item.name for item in query.projections)
+    columns = selection_columns(query, segment.schema.column_names)
     needed = query.limit + query.offset
     bounded = not query.order_by
 
@@ -437,10 +423,9 @@ def _execute_selection(segment: ImmutableSegment, query: Query,
         rows.append(row)
     stats.raw_docs_matched = matched
     stats.num_entries_scanned_post_filter = len(rows) * len(columns)
-    if query.order_by:
-        key = row_sort_key(query, columns)
-        if key is None:
-            raise ExecutionError("ORDER BY on selection failed to compile")
-        rows.sort(key=key)
-        rows = rows[:needed]
-    return SelectionPartial(columns, rows)
+    # One stable pass per ORDER BY column, least significant first
+    # (``reverse`` keeps equal rows in their order).
+    for ordering in reversed(query.order_by):
+        rows.sort(key=itemgetter(columns.index(ordering.expression.name)),
+                  reverse=ordering.descending)
+    return SelectionPartial.from_rows(columns, rows[:needed])

@@ -336,6 +336,9 @@ class Query:
                 cols.add(item.name)
             elif item.column != "*":
                 cols.add(item.column)
+        for ordering in self.order_by:
+            if isinstance(ordering.expression, ColumnRef):
+                cols.add(ordering.expression.name)
         return cols
 
     def with_where(self, where: Predicate | None) -> "Query":

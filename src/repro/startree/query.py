@@ -131,17 +131,17 @@ def execute_on_star_tree(
             [len(tree.dictionaries[dim]) for dim in group_dims],
             [tree.dim_ids[rows, dim] for dim in group_dims],
         )
-        keys = list(zip(*(
-            [tree.value_of(dim, dict_id) for dict_id in ids.tolist()]
-            for dim, ids in zip(group_dims, key_ids)
-        )))
+        # A tree dimension shares its segment column's dictionary.
+        keys = [segment.column(name).dictionary.values_of(ids)
+                for name, ids in zip(query.group_by, key_ids)]
+    num_groups = len(keys[0]) if keys else 0
     states = [
         function_for(a).aggregate_rollup(_records(tree, a.column), rows,
-                                         codes, len(keys))
+                                         codes, num_groups)
         for a in query.aggregations
     ]
     if query.group_by:
-        return GroupByPartial.from_columns(keys, states), len(rows)
+        return GroupByPartial(keys, states), len(rows)
     return AggregationPartial(states), len(rows)
 
 

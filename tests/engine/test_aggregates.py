@@ -125,7 +125,8 @@ class TestGroupedAggregation:
         num_groups = int(codes.max()) + 1
         for func in ALL_FUNCS:
             f = _FUNCTIONS[func]
-            grouped = f.aggregate_grouped(values, codes, num_groups)
+            grouped = f.state_rows(
+                f.aggregate_grouped(values, codes, num_groups))
             for group in range(num_groups):
                 member_values = values[codes == group]
                 if len(member_values) == 0:

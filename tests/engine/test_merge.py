@@ -33,24 +33,27 @@ class TestCombineSegments:
 
     def test_group_by_merges_keys(self):
         query = q("SELECT sum(m) FROM t GROUP BY s")
-        a = GroupByPartial({("x",): [1.0], ("y",): [2.0]})
-        b = GroupByPartial({("y",): [3.0], ("z",): [4.0]})
+        aggregations = query.aggregations
+        a = GroupByPartial.from_groups({("x",): [1.0], ("y",): [2.0]},
+                                       aggregations)
+        b = GroupByPartial.from_groups({("y",): [3.0], ("z",): [4.0]},
+                                       aggregations)
         combined = combine_segment_results(
             query,
             [SegmentResult(group_by=a), SegmentResult(group_by=b)],
         )
-        assert combined.group_by.groups == {
+        assert combined.group_by.groups(aggregations) == {
             ("x",): [1.0], ("y",): [5.0], ("z",): [4.0]
         }
 
     def test_selection_rows_trimmed_to_limit(self):
         query = q("SELECT a FROM t LIMIT 3")
         partials = [
-            SegmentResult(selection=SelectionPartial(("a",),
-                                                     [(i,) for i in range(5)]))
+            SegmentResult(selection=SelectionPartial.from_rows(
+                ("a",), [(i,) for i in range(5)]))
         ]
         combined = combine_segment_results(query, partials)
-        assert len(combined.selection.rows) == 3
+        assert len(combined.selection.rows()) == 3
 
 
 class TestReduce:
@@ -78,8 +81,9 @@ class TestReduce:
     def test_group_by_top_n_applied_at_reduce(self):
         query = q("SELECT sum(m) FROM t GROUP BY s TOP 2")
         servers = [
-            ServerResult("s1", group_by=GroupByPartial(
-                {("a",): [5.0], ("b",): [1.0], ("c",): [9.0]}
+            ServerResult("s1", group_by=GroupByPartial.from_groups(
+                {("a",): [5.0], ("b",): [1.0], ("c",): [9.0]},
+                query.aggregations,
             )),
         ]
         response = reduce_server_results(query, servers)
@@ -99,10 +103,10 @@ class TestReduce:
     def test_selection_merge_sorts_across_servers(self):
         query = q("SELECT a FROM t ORDER BY a DESC LIMIT 3")
         servers = [
-            ServerResult("s1", selection=SelectionPartial(("a",),
-                                                          [(1,), (5,)])),
-            ServerResult("s2", selection=SelectionPartial(("a",),
-                                                          [(9,), (2,)])),
+            ServerResult("s1", selection=SelectionPartial.from_rows(
+                ("a",), [(1,), (5,)])),
+            ServerResult("s2", selection=SelectionPartial.from_rows(
+                ("a",), [(9,), (2,)])),
         ]
         response = reduce_server_results(query, servers)
         assert [row[0] for row in response.rows] == [9, 5, 2]

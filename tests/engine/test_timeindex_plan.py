@@ -23,8 +23,7 @@ from repro.pql.rewriter import optimize
 from repro.segment.builder import SegmentBuilder, SegmentConfig
 
 
-@pytest.fixture(scope="module")
-def segment():
+def build_segment():
     schema = Schema(
         "events",
         [
@@ -47,6 +46,11 @@ def segment():
             "day": 17000 + rng.randrange(30),  # days 17000..17029
         })
     return builder.build()
+
+
+@pytest.fixture(scope="module")
+def segment():
+    return build_segment()
 
 
 def plan(segment, pql, **kwargs):
@@ -88,9 +92,16 @@ class TestPlanGating:
                  "SELECT distinctcount(views) FROM events GROUP BY day")
         assert p.kind is PlanKind.SCAN
 
-    def test_uncovered_column_scans(self, segment):
-        # country is a string dimension: no rollup arrays for it.
-        p = plan(segment, "SELECT min(country) FROM events GROUP BY day")
+    def test_uncovered_column_scans(self):
+        # A column attached after the build (§5.2 schema evolution) has
+        # no rollup arrays. (A STRING column has none either, but a
+        # numeric aggregate over it is a planning error.)
+        from repro.cluster.server import ServerInstance
+
+        evolved = build_segment()
+        ServerInstance._add_virtual_column(evolved,
+                                           metric("bonus", DataType.LONG))
+        p = plan(evolved, "SELECT min(bonus) FROM events GROUP BY day")
         assert p.kind is PlanKind.SCAN
 
     def test_non_time_group_by_scans(self, segment):

@@ -63,9 +63,10 @@ class TestSerializationBoundary:
         # The server trashes every result object it ever returned.
         for result in wrapper.returned:
             if result.group_by is not None:
-                for states in result.group_by.groups.values():
-                    states[:] = [10 ** 9 for _ in states]
-                result.group_by.groups[("poison",)] = [10 ** 9]
+                for states in result.group_by.states:
+                    states[:] = 10 ** 9
+                for keys in result.group_by.keys:
+                    keys[:] = "poison"
             result.server = "poisoned"
 
         # Neither the already-returned response nor a cache hit nor a

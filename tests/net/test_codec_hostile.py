@@ -1,0 +1,170 @@
+"""``codec.decode`` on frames no ``encode`` produced (ROADMAP F(2)).
+
+Decode reads what another process wrote. Whatever is done to a frame —
+keys deleted, tags swapped, lists truncated, class paths renamed,
+nodes replaced — it either returns something or raises
+:class:`PinotError`: never a bare ``KeyError`` / ``IndexError`` /
+``AssertionError``, and never by importing the module a frame names.
+"""
+
+import copy
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.schema import Schema
+from repro.common.types import DataType, dimension, metric, time_column
+from repro.engine.aggregates import function_for
+from repro.engine.executor import execute_segment
+from repro.engine.results import (
+    AggregationPartial,
+    ExecutionStats,
+    GroupByPartial,
+    ServerResult,
+)
+from repro.engine.sketches import HyperLogLog
+from repro.errors import PinotError, SegmentError
+from repro.net import decode, encode
+from repro.pql.parser import parse
+from repro.pql.rewriter import optimize
+from repro.segment.builder import SegmentBuilder
+
+pytestmark = pytest.mark.net
+
+
+def seed_frames():
+    """(tree, blobs) of every kind of payload a query ships."""
+    schema = Schema("t", [
+        dimension("s"), dimension("tags", multi_value=True),
+        metric("m", DataType.LONG), time_column("day", DataType.INT),
+    ])
+    builder = SegmentBuilder("t_0", "t", schema)
+    builder.add_all({"s": "ab"[i % 2], "tags": ["x", "y"][:i % 3],
+                     "m": i, "day": 100 + i % 4} for i in range(12))
+    segment = builder.build()
+    query = optimize(parse(
+        "SELECT avg(m), distinctcount(s), percentileest50(m) FROM t "
+        "WHERE s IN ('a', 'b') AND day BETWEEN 100 AND 103 OR m < 7 "
+        "GROUP BY s, timebucket(day, 2) HAVING avg(m) > 1 "
+        "ORDER BY avg(m) DESC TOP 5 OPTION(timeoutMs=50)"))
+    selection = optimize(parse(
+        "SELECT s, tags, m FROM t ORDER BY m DESC LIMIT 5"))
+    sketch = HyperLogLog(precision=4)
+    sketch.add("x")
+    payloads = [
+        query,
+        execute_segment(segment, query).group_by,
+        execute_segment(segment, selection).selection,
+        AggregationPartial([frozenset({1, 2, 3}), (1.5, 2), sketch,
+                            function_for(query.aggregations[2]).aggregate(
+                                np.arange(5.0))]),
+        ServerResult("server-1", error="segment t_0 missing",
+                     aggregation=AggregationPartial([sketch]),
+                     stats=ExecutionStats(num_docs_scanned=7)),
+        {"request": ("execute", query, ["t_0"]), "segment": segment,
+         "error": SegmentError("segment t_0 missing"),
+         "dtype": DataType.LONG, "count": np.int64(3)},
+        GroupByPartial(),
+    ]
+    frames = []
+    for payload in payloads:
+        blobs = []
+        frames.append((encode(payload, blobs), blobs))
+    return frames
+
+
+FRAMES = seed_frames()
+TAGS = ["t", "d", "s", "fs", "np", "nd", "e", "b", "hll", "qsk", "dc", "exc",
+        "zz", 7, None]
+#: Real but (in a codec-only process) unimported modules, a missing
+#: one, a non-repro one, a non-class.
+CLASS_PATHS = [
+    "repro.bench.loadsim:LoadSimulator", "repro.gone:Missing", "os:system",
+    "repro.errors:annotations", "repro.engine.results:NoSuchClass", 5, "",
+    "repro.pql.ast_nodes:Query", "repro.common.types:DataType",
+]
+REPLACEMENTS = [None, 0, -1, 2 ** 70, 1.5, "", "x", [], {}, [[]], {"~": "t"},
+                {"~": "nd", "d": "<i8"}, {"~": "b", "i": 99}]
+
+
+def nodes(tree, path=()):
+    yield path
+    children = (tree.items() if isinstance(tree, dict)
+                else enumerate(tree) if isinstance(tree, list) else ())
+    for key, child in children:
+        yield from nodes(child, path + (key,))
+
+
+def mutate(tree, where, kind, pick):
+    """One edit to ``tree`` at its ``where``-th node (wrapping)."""
+    paths = list(nodes(tree))
+    path = paths[where % len(paths)]
+    replacement = copy.deepcopy(REPLACEMENTS[pick % len(REPLACEMENTS)])
+    if not path:
+        return replacement
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]]
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "truncate" and isinstance(node, list):
+        del node[pick % (len(node) + 1):]
+    elif kind == "tag" and isinstance(node, dict):
+        node["~"] = TAGS[pick % len(TAGS)]
+    elif kind == "class" and isinstance(node, dict):
+        node["c"] = CLASS_PATHS[pick % len(CLASS_PATHS)]
+    else:
+        parent[path[-1]] = replacement
+    return tree
+
+
+edits = st.tuples(st.integers(0, 10 ** 6),
+                  st.sampled_from(["delete", "truncate", "tag", "class",
+                                   "replace"]),
+                  st.integers(0, 10 ** 3))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(0, len(FRAMES) - 1), st.lists(edits, min_size=1,
+                                                 max_size=3))
+def test_mutated_frames_decode_or_raise_pinot_error(which, edit_list):
+    tree, blobs = FRAMES[which]
+    tree = copy.deepcopy(tree)
+    for where, kind, pick in edit_list:
+        tree = mutate(tree, where, kind, pick)
+    modules = set(sys.modules)
+    try:
+        decode(tree, blobs)
+    except PinotError:
+        pass
+    assert set(sys.modules) == modules
+
+
+def test_the_seeds_decode_unmutated():
+    for tree, blobs in FRAMES:
+        decode(copy.deepcopy(tree), blobs)
+
+
+@pytest.mark.parametrize("tree", [
+    "not a node but fine", ("tuple",), {"~": "t"}, {"~": "dc", "c": 5},
+    {"~": "dc", "c": "repro.pql.ast_nodes:Query", "v": {"nope": 1}},
+    {"~": "dc", "c": "repro.pql.ast_nodes:Query",
+     "v": {"table": "t", "select": [], "limit": -1}},
+    {"~": "e", "c": "repro.common.types:DataType", "v": "DECIMAL"},
+    {"~": "b", "i": 3}, {"~": "nd", "d": "no-such-dtype", "v": []},
+    {"~": "hll", "p": 4, "r": [0, 0]}, {"~": ["t"], "v": []},
+    {"~": "dc", "c": "repro.sim.harness:SimHarness", "v": {}},
+])
+def test_named_malformations(tree):
+    encode(optimize(parse("SELECT a FROM t")))  # registers Query
+    encode(DataType.LONG)
+    modules = set(sys.modules)
+    try:
+        decode(tree, [])
+    except PinotError:
+        pass
+    assert set(sys.modules) == modules
