@@ -1,5 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the vectorized batch engine against the scalar oracle.
+"""Parity suite over the fig11 / fig14 query logs, with a liveness
+ratio as its by-product.
+
+**The speedup this prints is not a performance claim.** Its denominator
+is the scalar oracle, which is slow on purpose (per-row Python, no
+planner, no index), so "hundreds of x" says only that no kernel fell
+back to a Python loop; a 100x regression of the batch engine would
+still pass ``--min-speedup 3``. How fast a query is, end to end and per
+layer, is ``benchmarks/e2e`` (``BENCHMARK.json``) and nothing else.
 
 Runs the fig11 (anomaly) and fig14 (share analytics) query logs at a
 reduced, CI-friendly scale through two single-process executors over
@@ -17,10 +25,10 @@ per-figure JSON summaries already present under ``benchmarks/results/``
 (written by the pytest-benchmark figures via ``write_report``) are
 folded in under ``"satellites"``.
 
-CI gate: the run fails (exit 1) when the per-figure p50 speedup of the
-vectorized engine over the scalar oracle drops below ``--min-speedup``
-(default 3x) — a trajectory guard so kernel regressions surface as a
-red build, not as a slow chart three PRs later.
+CI gate: the run fails (exit 1) when the two engines disagree on any
+query, or when the per-figure p50 ratio of scalar over vectorized time
+drops below ``--min-speedup`` (default 3x) — the "did a kernel turn
+into a row loop" check above, not a ratchet.
 
 Deliberately no timestamps in the output: the committed file should
 only churn when the numbers move.
@@ -47,6 +55,9 @@ from repro.bench.harness import (  # noqa: E402
 from repro.segment.builder import SegmentBuilder  # noqa: E402
 
 SCHEMA_VERSION = 1
+#: Written into the report so the committed number carries its caveat.
+READING = ("parity-suite by-product: vectorized vs the deliberately slow "
+           "scalar oracle; not a performance claim (see benchmarks/e2e)")
 RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
 
 
@@ -160,6 +171,7 @@ def main() -> int:
         "figures": figures,
         "gate": {
             "metric": "min over figures of p50 speedup",
+            "reading": READING,
             "min_speedup": args.min_speedup,
             "achieved": achieved,
             "pass": achieved >= args.min_speedup,
@@ -174,7 +186,7 @@ def main() -> int:
         print(f"GATE FAILED: speedup {achieved}x < "
               f"{args.min_speedup}x minimum", file=sys.stderr)
         return 1
-    print(f"gate OK: {achieved}x >= {args.min_speedup}x")
+    print(f"gate OK: {achieved}x >= {args.min_speedup}x ({READING})")
     return 0
 
 

@@ -41,6 +41,10 @@ COUNT_METRICS = (
     "net.codec.wire_bytes_per_op", "net.codec.encode.calls_per_op",
     "net.codec.decode.calls_per_op", "engine.planner.calls_per_op",
     "zk.store.reads_per_op", "cluster.broker.servers_per_op",
+    # What the engine was asked to do, not how fast it did it: a change
+    # to its kernels must leave these where they were.
+    "engine.executor.calls_per_op", "engine.executor.docs_scanned_per_op",
+    "engine.executor.entries_in_filter_per_op",
 )
 
 

@@ -53,6 +53,12 @@ def _group_slices(values: np.ndarray, codes: np.ndarray,
     return values[order], bounds
 
 
+def _as_float64(values: np.ndarray) -> np.ndarray:
+    """``values`` as the float64 a state column holds — itself when it
+    already is (the kernels only read it)."""
+    return values.astype(np.float64, copy=False)
+
+
 class Rollup(NamedTuple):
     """One aggregated column as a pre-aggregated source keeps it.
 
@@ -213,7 +219,7 @@ class SumFunction(AggregateFunction):
         return float(values.sum()) if len(values) else 0.0
 
     def aggregate_grouped(self, values, codes, num_groups):
-        return np.bincount(codes, weights=values.astype(np.float64),
+        return np.bincount(codes, weights=_as_float64(values),
                            minlength=num_groups)
 
     def merge(self, a: float, b: float) -> float:
@@ -234,7 +240,7 @@ class MinFunction(AggregateFunction):
 
     def aggregate_grouped(self, values, codes, num_groups):
         out = np.full(num_groups, np.inf)
-        np.minimum.at(out, codes, values.astype(np.float64))
+        np.minimum.at(out, codes, _as_float64(values))
         return out
 
     def merge(self, a: float, b: float) -> float:
@@ -255,7 +261,7 @@ class MaxFunction(AggregateFunction):
 
     def aggregate_grouped(self, values, codes, num_groups):
         out = np.full(num_groups, -np.inf)
-        np.maximum.at(out, codes, values.astype(np.float64))
+        np.maximum.at(out, codes, _as_float64(values))
         return out
 
     def merge(self, a: float, b: float) -> float:
@@ -279,7 +285,7 @@ class AvgFunction(AggregateFunction):
         return (float(values.sum()), int(len(values)))
 
     def aggregate_grouped(self, values, codes, num_groups):
-        sums = np.bincount(codes, weights=values.astype(np.float64),
+        sums = np.bincount(codes, weights=_as_float64(values),
                            minlength=num_groups)
         counts = np.bincount(codes, minlength=num_groups)
         return sums, counts
@@ -311,7 +317,7 @@ class MinMaxRangeFunction(AggregateFunction):
     def aggregate_grouped(self, values, codes, num_groups):
         lows = np.full(num_groups, np.inf)
         highs = np.full(num_groups, -np.inf)
-        v = values.astype(np.float64)
+        v = _as_float64(values)
         np.minimum.at(lows, codes, v)
         np.maximum.at(highs, codes, v)
         return lows, highs

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.aggregates import function_for
-from repro.engine.groupby import execute_group_by
+from repro.engine.groupby import execute_group_by, selected_values
 from repro.engine.operators import DocSelection
 from repro.engine.planner import (
     PlanKind,
@@ -221,22 +221,23 @@ def _execute_aggregation(segment: ImmutableSegment, query: Query,
                          selection: DocSelection,
                          stats: ExecutionStats) -> AggregationPartial:
     states = []
-    docs = None
+    # What subscripts a column down to the selection: slices of a
+    # contiguous range — the vectorized fast path of §4.2 — else doc
+    # ids, made when the first aggregate needs values (COUNT(*) alone
+    # never does) and then shared.
+    rows = None
+    gathered: dict[str, np.ndarray] = {}
     for aggregation in query.aggregations:
         func = function_for(aggregation)
         if not func.needs_values:
             states.append(func.aggregate(np.empty(selection.count)))
             continue
-        column = segment.column(aggregation.column)
-        if selection.is_contiguous:
-            # Vectorized fast path on a contiguous range (§4.2).
-            values = column.values()[selection.start:selection.end]
-        else:
-            if docs is None:
-                docs = selection.doc_array()
-            values = column.values()[docs]
+        if rows is None:
+            rows = selection.index()
+        values = selected_values(segment, aggregation.column, rows,
+                                 gathered)
         stats.num_entries_scanned_post_filter += len(values)
-        states.append(func.aggregate(np.asarray(values)))
+        states.append(func.aggregate(values))
     return AggregationPartial(states)
 
 

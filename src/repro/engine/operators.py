@@ -50,7 +50,13 @@ class DocSelection:
     * a *sorted id array* — produced by inverted-index bitmap unions.
 
     Conversions are lazy and cached; ``doc_array()`` is the
-    materialization point for gather-style consumers.
+    materialization point for gather-style consumers and ``index()``
+    what a kernel subscripts a column with.
+
+    A mask handed to a selection is a *value*: it may be an upsert
+    table's valid-docId mask or the input of another OR branch, so no
+    operator ever writes into ``context``'s mask — in-place operations
+    are for arrays an operator has just made itself.
     """
 
     __slots__ = ("start", "end", "_docs", "_mask", "_count")
@@ -92,16 +98,25 @@ class DocSelection:
 
     @classmethod
     def from_mask(cls, mask: np.ndarray) -> "DocSelection":
-        count = int(np.count_nonzero(mask))
+        return cls(0, 0, mask=mask).classified()
+
+    def classified(self) -> "DocSelection":
+        """This selection with a mask that is empty or one dense run
+        turned into the range it is: ``count`` set bits are one run
+        exactly when the ``count`` entries from the first set bit on
+        are all set. Scan operators hand each other plain masks (the
+        next one needs only the count), so a filter tree classifies
+        once, on its result."""
+        mask = self._mask
+        if mask is None:
+            return self
+        count = self.count
         if count == 0:
-            return cls.empty()
+            return DocSelection.empty()
         first = int(mask.argmax())
-        last = len(mask) - 1 - int(mask[::-1].argmax())
-        if last - first + 1 == count:  # dense run: keep it contiguous
-            return cls(first, last + 1)
-        out = cls(0, 0, mask=mask)
-        out._count = count
-        return out
+        if mask[first:first + count].all():  # dense run: a range
+            return DocSelection(first, first + count)
+        return self
 
     # -- accessors ---------------------------------------------------------
 
@@ -129,9 +144,19 @@ class DocSelection:
         if self._docs is not None:
             return self._docs
         if self._mask is not None:
-            self._docs = np.nonzero(self._mask)[0].astype(np.int64)
+            self._docs = self._mask.nonzero()[0].astype(np.int64,
+                                                        copy=False)
             return self._docs
         return np.arange(self.start, self.end, dtype=np.int64)
+
+    def index(self) -> slice | np.ndarray:
+        """What ``array[...]`` takes to read this selection's rows in
+        doc order: a slice for a contiguous range (a view — feed it to
+        a kernel, never store it in a partial), else the doc-id array
+        (a gather, which copies)."""
+        if self.is_contiguous:
+            return slice(self.start, self.end)
+        return self.doc_array()
 
     def mask(self, num_docs: int) -> np.ndarray:
         """This selection as a boolean mask over ``[0, num_docs)``."""
@@ -327,27 +352,41 @@ def _scan_within(column: Column, match: IdMatch, context: DocSelection,
                  stats: FilterStats) -> DocSelection:
     """Vectorized forward-index check of ``match`` on the context docs.
 
-    Contiguous contexts produce a boolean selection vector over the
-    whole segment (no id materialization — AND/OR chains combine masks
-    in O(num_docs)); narrowed id-array contexts gather only the
-    surviving documents' dictionary ids.
+    One physical form per context form:
+
+    * a contiguous context compares its slice of the column and yields
+      a mask over the whole segment;
+    * a mask context — what an earlier scan of the same AND left —
+      stays in mask space: one comparison over the whole column, ANDed
+      into the fresh result, no doc ids in between;
+    * an id-array context (an inverted-index result, or this being
+      :class:`InvertedFilter`'s narrow-context fallback) gathers only
+      the surviving documents' dictionary ids — §4.2's "iterator-style
+      scan on a range of the column".
+
+    ``stats.entries_scanned`` grows by the entries whose membership the
+    operator decides — the size of its context — whichever form
+    evaluates them: the whole-column comparison of the mask form reads
+    more ids than it is charged for, and decides nothing about them.
+
+    Masks are returned unclassified (:meth:`DocSelection.classified`
+    runs once, on the filter tree's result).
     """
-    forward = column.forward
+    ids = column.forward.dict_ids()
+    stats.entries_scanned += context.count
     if context.is_contiguous:
         if context.start == 0 and context.end == column.num_docs:
-            ids = forward.dict_ids()
-            stats.entries_scanned += len(ids)
-            return DocSelection.from_mask(match.mask_for(ids))
-        ids = forward.dict_ids()[context.start:context.end]
-        stats.entries_scanned += len(ids)
+            return DocSelection(mask=match.mask_for(ids))
         mask = np.zeros(column.num_docs, dtype=bool)
-        mask[context.start:context.end] = match.mask_for(ids)
-        return DocSelection.from_mask(mask)
+        mask[context.start:context.end] = match.mask_for(
+            ids[context.start:context.end])
+        return DocSelection(mask=mask)
+    if context._mask is not None:
+        mask = match.mask_for(ids)
+        mask &= context._mask  # ``mask`` is ours; the context's is not
+        return DocSelection(mask=mask)
     docs = context.doc_array()
-    ids = forward.dict_ids()[docs]
-    stats.entries_scanned += len(ids)
-    mask = match.mask_for(ids)
-    return DocSelection.from_docs(docs[mask])
+    return DocSelection.from_docs(docs[match.mask_for(ids[docs])])
 
 
 @dataclass
@@ -440,7 +479,7 @@ class FilterPlan:
             context = context.intersect(base)
         if self.root is None:
             return context
-        return self.root.execute(context, self.stats)
+        return self.root.execute(context, self.stats).classified()
 
     def describe(self) -> str:
         return self.root.describe() if self.root else "MatchAll"

@@ -72,12 +72,16 @@ class IdMatch:
         return np.concatenate(parts)
 
     def mask_for(self, dict_ids: np.ndarray) -> np.ndarray:
-        """Boolean mask of which entries in ``dict_ids`` match.
+        """Boolean mask of which entries in ``dict_ids`` match — always
+        a new array, which the caller may write into.
 
-        Few ranges (EQ, a range predicate, NEQ's two-sided complement)
-        evaluate as direct comparisons; many ranges (IN / NOT IN / LIKE
-        over a large dictionary) use one binary search per entry against
-        the flattened range boundaries — an id is inside some half-open
+        ``dict_ids`` are ids of this match's dictionary (``0 <= id <
+        cardinality``), so a range that starts at id 0 or ends at the
+        cardinality needs only its other bound: EQ, ``<``, ``>=`` and
+        friends cost one comparison, a two-sided range two, NEQ's
+        complement one per side. Many ranges (IN / NOT IN / LIKE over a
+        large dictionary) use one binary search per entry against the
+        flattened range boundaries — an id is inside some half-open
         range exactly when its insertion point is odd, so the whole
         batch is a single ``searchsorted`` instead of one comparison
         pass per range.
@@ -85,12 +89,9 @@ class IdMatch:
         if not self.ranges:
             return np.zeros(len(dict_ids), dtype=bool)
         if len(self.ranges) <= 2:
-            mask = np.zeros(len(dict_ids), dtype=bool)
-            for lo, hi in self.ranges:
-                if hi == lo + 1:
-                    mask |= dict_ids == lo
-                else:
-                    mask |= (dict_ids >= lo) & (dict_ids < hi)
+            mask = self._range_mask(dict_ids, *self.ranges[0])
+            for lo, hi in self.ranges[1:]:
+                mask |= self._range_mask(dict_ids, lo, hi)
             return mask
         # _coalesce guarantees sorted, disjoint, non-adjacent ranges, so
         # the flattened boundaries are strictly increasing.
@@ -100,6 +101,18 @@ class IdMatch:
         )
         positions = np.searchsorted(boundaries, dict_ids, side="right")
         return (positions & 1).astype(bool)
+
+    def _range_mask(self, dict_ids: np.ndarray, lo: int,
+                    hi: int) -> np.ndarray:
+        if hi == lo + 1:
+            return dict_ids == lo
+        if lo == 0:
+            return dict_ids < hi
+        if hi == self.cardinality:
+            return dict_ids >= lo
+        mask = dict_ids >= lo
+        mask &= dict_ids < hi
+        return mask
 
 
 def _coalesce(ranges: list[tuple[int, int]], cardinality: int) -> IdMatch:

@@ -26,7 +26,9 @@ what this process has itself encoded: a ``dc`` / ``e`` node names a
 class by path, and the path must be in the registry ``encode`` fills
 (exception classes may also come from ``repro.errors``). It never
 imports a module, and a truncated or mis-tagged frame raises
-:class:`~repro.errors.PinotError` — nothing else.
+:class:`~repro.errors.PinotError` — nothing else. Both directions
+recurse per nesting level, so the interpreter's recursion limit bounds
+the depth of a payload; one nested beyond it is a ``PinotError`` too.
 
 Bulk immutable payloads (sealed segments travelling server -> broker ->
 object store during a commit) are **blobs**: the tree carries a sized
@@ -110,7 +112,10 @@ def encode(obj: Any, blobs: list[Any] | None = None) -> Any:
     kind = type(obj)
     if kind in _FLAT:
         return obj
-    return (_ENCODERS.get(kind) or _encoder_for(kind))(obj, blobs)
+    try:
+        return (_ENCODERS.get(kind) or _encoder_for(kind))(obj, blobs)
+    except RecursionError:
+        raise PinotError("codec payload is nested too deeply") from None
 
 
 def _encode_items(items: list, blobs: list[Any] | None) -> list:
@@ -207,7 +212,7 @@ def decode(tree: Any, blobs: list[Any] | None = None) -> Any:
     try:
         return _decode(tree, blobs)
     except (LookupError, TypeError, ValueError, AttributeError,
-            ArithmeticError) as exc:
+            ArithmeticError, RecursionError) as exc:
         raise PinotError(f"malformed codec frame: {exc!r}") from exc
 
 

@@ -1,8 +1,10 @@
 """Property-based parity: vectorized batch kernels vs the scalar oracle.
 
 Hypothesis generates random dictionary-encoded datasets and random
-queries (AND/OR/NOT trees over =, !=, range, IN, BETWEEN, LIKE leaves;
-plain and grouped aggregates; multi-value group-bys), then executes
+queries (AND/OR/NOT trees over =, !=, range, IN, BETWEEN, LIKE leaves
+and two-scan-leaf conjunctions; plain and grouped aggregates, one
+column under several of them; one to three group columns, multi-value
+included), then executes
 each query twice per segment configuration — once through the numpy
 batch engine and once through the row-at-a-time scalar oracle
 (``vectorized=False``) — and requires *exact* equality of the merged
@@ -116,6 +118,13 @@ predicate_strings = st.recursive(
     max_leaves=5,
 )
 
+# The benchmark's scan shape: two scan leaves ANDed (on the "plain"
+# segment the second one runs inside the first one's mask).
+scan_conjunctions = st.tuples(
+    st.sampled_from(DAYS), st.integers(0, 5), st.sampled_from(N_VALUES),
+    st.sampled_from(["<", "<=", ">", ">="]),
+).map(lambda t: f"day BETWEEN {t[0]} AND {t[0] + t[1]} AND n {t[3]} {t[2]}")
+
 select_lists = st.sampled_from([
     "count(*)",
     "sum(m)",
@@ -123,16 +132,21 @@ select_lists = st.sampled_from([
     "avg(m), distinctcount(d1)",
     "minmaxrange(m), percentile95(m)",
     "distinctcounthll(d1), sum(n)",
+    # One column under several aggregates: gathered once, shared.
+    "max(m), min(m), sum(m)",
+    "sum(n), avg(m), max(n), minmaxrange(m), min(n)",
 ])
 
 group_bys = st.sampled_from(["", "d1", "d2", "d1, n", "day", "tags",
-                             "tags, d2"])
+                             "tags, d2", "d1, d2, n", "day, d2, d1",
+                             "n, tags, d1"])
 
 
 @st.composite
 def query_texts(draw):
     select = draw(select_lists)
-    where = draw(st.one_of(st.none(), predicate_strings))
+    where = draw(st.one_of(st.none(), predicate_strings,
+                           scan_conjunctions))
     group = draw(group_bys)
     text = f"SELECT {select} FROM t"
     if where:

@@ -168,3 +168,34 @@ def test_named_malformations(tree):
     except PinotError:
         pass
     assert set(sys.modules) == modules
+
+
+def _nested(depth, leaf, wrap):
+    for __ in range(depth):
+        leaf = wrap(leaf)
+    return leaf
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda inner: [inner], lambda inner: (inner,),
+    lambda inner: {"k": inner}, lambda inner: {1: inner},
+], ids=["list", "tuple", "dict", "tagged-dict"])
+def test_nesting_beyond_the_recursion_limit_is_a_pinot_error(wrap):
+    """5 000 levels of any container: ``encode`` and ``decode`` recurse
+    per level, and what the interpreter stops is reported as a typed
+    error, not a bare ``RecursionError``."""
+    with pytest.raises(PinotError, match="nested too deeply"):
+        encode(_nested(5000, 1, wrap))
+    shallow = _nested(20, 1, wrap)
+    assert decode(encode(shallow)) == shallow
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda inner: [inner], lambda inner: {"~": "t", "v": [inner]},
+    lambda inner: {"k": inner},
+    lambda inner: {"~": "d", "v": [[inner, inner]]},
+], ids=["list", "tuple", "dict", "tagged-dict"])
+def test_a_frame_nested_beyond_the_limit_is_a_pinot_error(wrap):
+    # Built iteratively: no ``encode`` could have produced it.
+    with pytest.raises(PinotError, match="malformed codec frame"):
+        decode(_nested(5000, 1, wrap))
