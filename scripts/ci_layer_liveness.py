@@ -45,6 +45,10 @@ COUNT_METRICS = (
     # to its kernels must leave these where they were.
     "engine.executor.calls_per_op", "engine.executor.docs_scanned_per_op",
     "engine.executor.entries_in_filter_per_op",
+    # How often a consuming segment was refreshed and how many segments
+    # went through SegmentBuilder.build: a faster realtime path must
+    # still take both the same number of times.
+    "segment.mutable.snapshot.calls_per_op", "segment.builder.seals_per_krow",
 )
 
 

@@ -441,8 +441,9 @@ class ServerInstance:
         applying the table's upsert/dedup semantics row by row."""
         manager = self.upsert_manager(consuming.table)
         if manager is None:
-            for message in messages:
-                consuming.mutable.index(message.value)
+            consuming.mutable.index_all(
+                [message.value for message in messages]
+            )
             return
         invalidated = False
         for message in messages:

@@ -101,15 +101,16 @@ class Schema:
         column default, which is what production Pinot does when a
         column is added to an existing table (§5.2).
         """
-        unknown = set(record) - set(self._fields)
-        if unknown:
+        if not record.keys() <= self._fields.keys():
+            unknown = set(record) - set(self._fields)
             raise SchemaError(
                 f"record has columns {sorted(unknown)} not in schema "
                 f"{self.name!r}"
             )
+        get = record.get
         return {
-            spec.name: spec.coerce(record.get(spec.name))
-            for spec in self.fields
+            name: spec.coerce(get(name))
+            for name, spec in self._fields.items()
         }
 
     # -- evolution -------------------------------------------------------

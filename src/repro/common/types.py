@@ -50,7 +50,7 @@ class DataType(enum.Enum):
         type (e.g. a non-numeric string for INT).
         """
         try:
-            return _COERCERS[self](value)
+            return _COERCERS[self._value_](value)
         except (TypeError, ValueError) as exc:
             raise SchemaError(
                 f"cannot coerce {value!r} to {self.value}"
@@ -112,13 +112,15 @@ def _coerce_bool(value: Any) -> bool:
     raise ValueError(f"{value!r} is not a boolean")
 
 
+#: By member value: a look-up per cell, and an enum member hashes
+#: through Python code where its value, a string, does not.
 _COERCERS = {
-    DataType.INT: _coerce_int,
-    DataType.LONG: _coerce_long,
-    DataType.FLOAT: float,
-    DataType.DOUBLE: float,
-    DataType.BOOLEAN: _coerce_bool,
-    DataType.STRING: str,
+    "INT": _coerce_int,
+    "LONG": _coerce_long,
+    "FLOAT": float,
+    "DOUBLE": float,
+    "BOOLEAN": _coerce_bool,
+    "STRING": str,
 }
 
 

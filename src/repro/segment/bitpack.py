@@ -8,8 +8,6 @@ width and unpacks it back, both fully vectorized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import SegmentError
@@ -23,23 +21,33 @@ def bits_required(max_value: int) -> int:
     return max(1, int(max_value).bit_length())
 
 
-def pack(values: np.ndarray, bit_width: int) -> bytes:
-    """Pack ``values`` (non-negative ints) at ``bit_width`` bits each.
-
-    The layout is little-endian bit order: value ``i`` occupies bits
-    ``[i * bit_width, (i + 1) * bit_width)`` of the output bit stream.
-    """
+def _check_fits(values: np.ndarray, bit_width: int) -> None:
     if not 1 <= bit_width <= 32:
         raise SegmentError(f"bit width must be in [1, 32], got {bit_width}")
-    values = np.asarray(values)
     if len(values) == 0:
-        return b""
+        return
     if values.min() < 0:
         raise SegmentError("bit packing requires non-negative values")
     if int(values.max()).bit_length() > bit_width:
         raise SegmentError(
             f"value {int(values.max())} does not fit in {bit_width} bits"
         )
+
+
+def pack(values: np.ndarray, bit_width: int) -> bytes:
+    """Pack ``values`` (non-negative ints) at ``bit_width`` bits each.
+
+    The layout is little-endian bit order: value ``i`` occupies bits
+    ``[i * bit_width, (i + 1) * bit_width)`` of the output bit stream.
+    """
+    values = np.asarray(values)
+    _check_fits(values, bit_width)
+    return _pack_checked(values, bit_width)
+
+
+def _pack_checked(values: np.ndarray, bit_width: int) -> bytes:
+    if len(values) == 0:
+        return b""
     # Expand each value to its bits (little-endian within the value),
     # then pack the flat bit stream into bytes.
     vals = values.astype(np.uint32)
@@ -66,20 +74,24 @@ def unpack(buffer: bytes, bit_width: int, count: int) -> np.ndarray:
     return (bits << shifts[None, :]).sum(axis=1, dtype=np.uint32)
 
 
-@dataclass
 class PackedIntArray:
     """An immutable bit-packed integer array with O(1) random access.
 
     This is the physical storage for dictionary-encoded forward indexes.
     For query execution the whole array is usually unpacked once into a
     cached uint32 array (Pinot similarly memory-maps and reads ranges).
+
+    An array made :meth:`from_values` starts out holding those values
+    as its unpacked form and packs them when the bytes are first read,
+    so a consuming segment's query view — rebuilt after every ingest
+    step, never written out — pays for neither a pack nor an unpack;
+    :meth:`compact` is how a sealed segment gets its storage form.
     """
 
-    buffer: bytes
-    bit_width: int
-    count: int
-
-    def __post_init__(self) -> None:
+    def __init__(self, buffer: bytes | None, bit_width: int, count: int):
+        self._buffer = buffer
+        self.bit_width = bit_width
+        self.count = count
         self._cache: np.ndarray | None = None
 
     @classmethod
@@ -89,7 +101,13 @@ class PackedIntArray:
         if bit_width is None:
             max_value = int(values.max()) if len(values) else 0
             bit_width = bits_required(max_value)
-        return cls(pack(values, bit_width), bit_width, len(values))
+        _check_fits(values, bit_width)
+        out = cls(None, bit_width, len(values))
+        # A read-only view: the caller's array is not frozen, and no
+        # reader of the unpacked form can write through to it.
+        out._cache = values.astype(np.uint32, copy=False).view()
+        out._cache.flags.writeable = False
+        return out
 
     def __len__(self) -> int:
         return self.count
@@ -97,13 +115,28 @@ class PackedIntArray:
     def __getitem__(self, index: int) -> int:
         return int(self.to_numpy()[index])
 
+    @property
+    def buffer(self) -> bytes:
+        """The packed bytes."""
+        if self._buffer is None:
+            self._buffer = _pack_checked(self._cache, self.bit_width)
+        return self._buffer
+
+    def compact(self) -> None:
+        """Keep only the packed bytes (a segment's storage form); the
+        next :meth:`to_numpy` unpacks them again."""
+        self._buffer = self.buffer
+        self._cache = None
+
     def to_numpy(self) -> np.ndarray:
         """Unpack (once) to a uint32 array; cached for reuse."""
         if self._cache is None:
-            self._cache = unpack(self.buffer, self.bit_width, self.count)
+            self._cache = unpack(self._buffer, self.bit_width, self.count)
         return self._cache
 
     @property
     def nbytes(self) -> int:
         """Size of the packed representation."""
-        return len(self.buffer)
+        if self._buffer is not None:
+            return len(self._buffer)
+        return (self.count * self.bit_width + 7) // 8

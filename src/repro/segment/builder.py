@@ -1,22 +1,31 @@
 """Segment builder: raw records -> :class:`ImmutableSegment`.
 
-The builder normalizes records against the schema, optionally reorders
-them physically by a *sorted column* (§4.2), dictionary-encodes and
-bit-packs every column, builds requested inverted indexes, computes the
-column statistics the planner relies on, and optionally attaches a
-star-tree (§4.3).
+The builder normalizes records against the schema as they are added and
+holds them column-wise — per column an insertion-ordered dictionary and
+the per-document ids into it. Building optionally reorders documents
+physically by a *sorted column* (§4.2), gives every column its sorted
+dictionary and bit-packed forward index, builds requested inverted
+indexes, computes the column statistics the planner relies on, and
+optionally attaches a star-tree (§4.3). A consuming segment
+(:mod:`repro.segment.mutable`) keeps its rows in a builder and asks it
+for a segment after every ingest step, so what one build leaves behind
+— a column's sorted dictionary, its ids under that dictionary — is kept
+and extended by the next one instead of recomputed.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
 
 from repro.common.schema import Schema
+from repro.common.types import FieldSpec
 from repro.errors import SegmentError
-from repro.segment.bitpack import bits_required
+from repro.segment.bitpack import PackedIntArray, bits_required
 from repro.segment.dictionary import Dictionary
 from repro.segment.forward import (
     MultiValueForwardIndex,
@@ -66,6 +75,115 @@ class SegmentConfig:
             )
 
 
+#: numpy's reading of ``array("I")``, the growable id buffers.
+_ID_DTYPE = np.dtype(f"u{array('I').itemsize}")
+#: A large batch is normalized and appended this many rows at a time,
+#: so no more than these are ever held both as records and as columns.
+_APPEND_ROWS = 4096
+
+
+class _ColumnBuffer:
+    """One column of the rows added so far, append-only.
+
+    ``seen`` is the mutable dictionary: value -> insertion id, in
+    arrival order. ``ids`` holds one insertion id per document (per
+    entry for a multi-value column, whose ``offsets`` mark each
+    document's run). Insertion ids never change; the *sorted* ids a
+    segment needs are ``rank[ids]``, and :meth:`encode` keeps ``rank``,
+    the sorted dictionary and the sorted ids from one call to the next.
+    """
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
+        self.seen: dict[Any, int] = {}
+        self.ids = array("I")
+        self.offsets = array("q", [0]) if spec.multi_value else None
+        self._values = np.empty(0, dtype=spec.dtype.numpy_dtype)  # sorted
+        self._rank = np.empty(0, dtype=np.uint32)
+        self._dictionary: Dictionary | None = None
+        self._sorted_ids = np.empty(0, dtype=np.uint32)
+        self._partitions: set[int] = set()
+        self._partitioned = 0  # distinct values _partitions covers
+
+    def extend(self, cells: list) -> None:
+        """Append one normalized cell per new document."""
+        if self.offsets is not None:
+            end = len(self.ids)
+            flat: list = []
+            ends = []
+            for cell in cells:
+                flat += cell
+                ends.append(end + len(flat))
+            self.offsets.extend(ends)
+            cells = flat
+        seen = self.seen
+        self.ids.extend([seen.setdefault(cell, len(seen)) for cell in cells])
+
+    def cells(self) -> list:
+        """The normalized cells back, one per document."""
+        values = list(self.seen)
+        flat = [values[i] for i in self.ids]
+        if self.offsets is None:
+            return flat
+        return [flat[start:end]
+                for start, end in zip(self.offsets, self.offsets[1:])]
+
+    def encode(self) -> tuple[Dictionary, np.ndarray]:
+        """The column's sorted dictionary and its per-entry ids under
+        it. Costs the entries added since the last call, plus one
+        gather over all of them when the column gained a distinct
+        value. The arrays returned are never written again."""
+        if not self.seen:
+            # An all-empty multi-value column still needs a dictionary.
+            return (Dictionary(self.spec.dtype, [self.spec.default]),
+                    self._sorted_ids)
+        if len(self.seen) > len(self._rank):
+            self._merge_new_values()
+            self._sorted_ids = self._sorted_ids[:0]  # every id may move
+        done = len(self._sorted_ids)
+        if done < len(self.ids):
+            new = np.frombuffer(self.ids[done:], dtype=_ID_DTYPE)
+            self._sorted_ids = np.concatenate(
+                (self._sorted_ids, self._rank.take(new))
+            )
+        return self._dictionary, self._sorted_ids
+
+    def _merge_new_values(self) -> None:
+        """Bring the sorted dictionary and ``rank`` up to ``seen``:
+        sort only the values that arrived since the last merge and
+        splice them into the sorted ones."""
+        ranked = len(self._rank)
+        new = np.asarray(list(islice(self.seen, ranked, None)),
+                         dtype=self._values.dtype)
+        order = np.argsort(new, kind="stable")
+        new = new[order]
+        at = np.searchsorted(self._values, new)
+        # An old value moves up by the new values spliced in at or
+        # before its place; new value j lands j places after its own.
+        moved = np.cumsum(np.bincount(at, minlength=ranked + 1))
+        landing = at + np.arange(len(new))
+        values = np.empty(ranked + len(new), dtype=self._values.dtype)
+        values[np.arange(ranked) + moved[:ranked]] = self._values
+        values[landing] = new
+        rank = np.empty(len(values), dtype=np.uint32)
+        rank[:ranked] = self._rank + moved[self._rank]
+        rank[ranked + order] = landing
+        self._dictionary = Dictionary(self.spec.dtype, values)
+        self._values = values
+        self._rank = rank
+
+    def partitions(self, num_partitions: int) -> set[int]:
+        """The Kafka partitions the column's distinct values map to."""
+        from repro.kafka.partitioner import kafka_partition
+
+        self._partitions.update(
+            kafka_partition(value, num_partitions)
+            for value in islice(self.seen, self._partitioned, None)
+        )
+        self._partitioned = len(self.seen)
+        return self._partitions
+
+
 @dataclass
 class SegmentBuilder:
     """Accumulates records and builds an immutable segment."""
@@ -76,7 +194,8 @@ class SegmentBuilder:
     config: SegmentConfig = field(default_factory=SegmentConfig)
 
     def __post_init__(self) -> None:
-        self._records: list[dict[str, Any]] = []
+        self._columns: dict[str, _ColumnBuffer] = {}
+        self._num_rows = 0
         if self.config.sorted_column is not None:
             spec = self.schema.field(self.config.sorted_column)
             if spec.multi_value:
@@ -86,171 +205,131 @@ class SegmentBuilder:
             self.schema.field(name)  # validates existence
 
     def add(self, record: Mapping[str, Any]) -> None:
-        self._records.append(self.schema.normalize(record))
+        self.add_all((record,))
 
     def add_all(self, records: Iterable[Mapping[str, Any]]) -> None:
-        for record in records:
-            self.add(record)
+        """Validate each record once, here, and append the batch to
+        every column. Records ahead of an invalid one are kept."""
+        normalize = self.schema.normalize
+        pending = iter(records)
+        more = True
+        while more:
+            rows: list[dict[str, Any]] = []
+            try:
+                for record in islice(pending, _APPEND_ROWS):
+                    rows.append(normalize(record))
+                more = len(rows) == _APPEND_ROWS
+            finally:
+                for spec in self.schema:
+                    name = spec.name
+                    self._column(spec).extend([row[name] for row in rows])
+                self._num_rows += len(rows)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._num_rows
+
+    def records(self, order: np.ndarray | None = None) -> list[dict[str, Any]]:
+        """The normalized records, in arrival order or in ``order``."""
+        names = self.schema.column_names
+        rows = [
+            dict(zip(names, cells))
+            for cells in zip(*(self._column(spec).cells()
+                               for spec in self.schema))
+        ]
+        if order is not None:
+            rows = [rows[i] for i in order.tolist()]
+        return rows
+
+    def _column(self, spec: FieldSpec) -> _ColumnBuffer:
+        buffer = self._columns.get(spec.name)
+        if buffer is None:
+            # Also a column the schema gained after rows arrived
+            # (§5.2): the rows already here read its default.
+            buffer = self._columns[spec.name] = _ColumnBuffer(spec)
+            buffer.extend([spec.coerce(None)] * self._num_rows)
+        return buffer
 
     # -- build ----------------------------------------------------------
 
     def build(self) -> ImmutableSegment:
-        if not self._records:
+        """The segment to push or commit: everything ``config`` asks
+        for, forward indexes in their bit-packed storage form."""
+        segment = self.assemble(self.config)
+        for name in segment.column_names:
+            segment.column(name).forward.compact()
+        return segment
+
+    def assemble(self, config: SegmentConfig) -> ImmutableSegment:
+        """A segment over the rows added so far, under ``config`` — the
+        one column-wise build. Forward indexes keep their ids unpacked;
+        nothing it returns changes when more rows are added."""
+        if not self._num_rows:
             raise SegmentError(
                 f"segment {self.segment_name!r} has no records"
             )
-        records = self._records
-        sorted_col = self.config.sorted_column
+        encoded = {
+            spec.name: self._column(spec).encode() for spec in self.schema
+        }
+        sorted_col = config.sorted_column
+        order = None
         if sorted_col is not None:
-            records = sorted(records, key=lambda r: r[sorted_col])
+            # Ids rank values, so this is sorted(records, key=value).
+            order = np.argsort(encoded[sorted_col][1], kind="stable")
 
         columns: dict[str, Column] = {}
-        column_metas: dict[str, ColumnMetadata] = {}
         for spec in self.schema:
-            column = self._build_column(spec, records)
-            columns[spec.name] = column
-            column_metas[spec.name] = column.metadata
+            dictionary, ids = encoded[spec.name]
+            offsets = None
+            if spec.multi_value:
+                offsets = np.array(self._columns[spec.name].offsets,
+                                   dtype=np.int64)
+                if order is not None:
+                    ids, offsets = _reorder_cells(ids, offsets, order)
+            elif order is not None:
+                ids = ids[order]
+            columns[spec.name] = _make_column(spec, dictionary, ids,
+                                              offsets, config)
 
         metadata = SegmentMetadata(
             segment_name=self.segment_name,
             table_name=self.table_name,
-            num_docs=len(records),
-            columns=column_metas,
+            num_docs=self._num_rows,
+            columns={name: col.metadata for name, col in columns.items()},
             sorted_column=sorted_col,
             time_column=self.schema.time_column,
         )
-        self._fill_time_metadata(metadata, records)
-        self._fill_partition_metadata(metadata, records)
+        if self.schema.time_column is not None:
+            times = columns[self.schema.time_column].metadata
+            metadata.min_time = int(times.min_value)
+            metadata.max_time = int(times.max_value)
+        if config.partition_column is not None:
+            self._fill_partition_metadata(metadata, config)
 
-        star_tree = None
-        if self.config.star_tree is not None:
+        star_tree = time_index = None
+        if config.star_tree is not None or config.timestamp_index:
+            # These two builders take records.
+            records = self.records(order)
+        if config.star_tree is not None:
             from repro.startree.builder import build_star_tree
 
-            star_tree = build_star_tree(
-                self.schema, records, self.config.star_tree
-            )
-        time_index = None
-        if self.config.timestamp_index:
+            star_tree = build_star_tree(self.schema, records,
+                                        config.star_tree)
+        if config.timestamp_index:
             from repro.segment.timeindex import build_time_index
 
             time_index = build_time_index(
-                self.schema, records, self.config.timestamp_index
+                self.schema, records, config.timestamp_index
             )
             if time_index is not None:
                 metadata.time_index_bytes = time_index.nbytes
         return ImmutableSegment(metadata, self.schema, columns, star_tree,
                                 time_index)
 
-    # -- internals ---------------------------------------------------------
-
-    def _build_column(self, spec, records: Sequence[dict[str, Any]]) -> Column:
-        name = spec.name
-        if spec.multi_value:
-            return self._build_multi_value_column(spec, records)
-        raw = [record[name] for record in records]
-        dictionary = Dictionary.build(spec.dtype, raw)
-        dict_ids = dictionary.encode(raw)
-        is_sorted_column = name == self.config.sorted_column
-        if is_sorted_column:
-            forward: Any = SortedForwardIndex.from_sorted_dict_ids(
-                dict_ids, dictionary.cardinality
-            )
-        else:
-            forward = SingleValueForwardIndex.from_dict_ids(dict_ids)
-        inverted = None
-        if name in self.config.inverted_columns:
-            inverted = InvertedIndex.build(forward, dictionary.cardinality)
-        meta = ColumnMetadata(
-            name=name,
-            dtype=spec.dtype,
-            role=spec.role,
-            cardinality=dictionary.cardinality,
-            min_value=dictionary.min_value,
-            max_value=dictionary.max_value,
-            multi_value=False,
-            is_sorted=is_sorted_column,
-            has_inverted_index=inverted is not None,
-            total_docs=len(records),
-            total_entries=len(records),
-            bit_width=bits_required(dictionary.cardinality - 1),
-            dictionary_bytes=dictionary.nbytes,
-            forward_bytes=forward.nbytes,
-            inverted_bytes=inverted.nbytes if inverted else 0,
-        )
-        self._attach_bloom(meta, dictionary)
-        _jsonify_minmax(meta)
-        return Column(spec, dictionary, forward, meta, inverted)
-
-    def _attach_bloom(self, meta: ColumnMetadata, dictionary) -> None:
-        if meta.name not in self.config.bloom_columns:
-            return
-        from repro.segment.bloom import BloomFilter
-
-        bloom = BloomFilter.for_capacity(dictionary.cardinality, fpp=0.01)
-        bloom.add_many(dictionary.to_list())
-        meta.bloom = bloom.to_payload()
-
-    def _build_multi_value_column(self, spec,
-                                  records: Sequence[dict[str, Any]]) -> Column:
-        name = spec.name
-        cell_lists = [record[name] for record in records]
-        flat = [v for cell in cell_lists for v in cell]
-        if not flat:
-            # All-empty multi-value column still needs a dictionary.
-            flat = [spec.default]
-        dictionary = Dictionary.build(spec.dtype, flat)
-        id_lists = [
-            dictionary.encode(cell) if cell else np.empty(0, dtype=np.uint32)
-            for cell in cell_lists
-        ]
-        forward = MultiValueForwardIndex.from_id_lists(id_lists)
-        inverted = None
-        if name in self.config.inverted_columns:
-            inverted = InvertedIndex.build(forward, dictionary.cardinality)
-        meta = ColumnMetadata(
-            name=name,
-            dtype=spec.dtype,
-            role=spec.role,
-            cardinality=dictionary.cardinality,
-            min_value=dictionary.min_value,
-            max_value=dictionary.max_value,
-            multi_value=True,
-            is_sorted=False,
-            has_inverted_index=inverted is not None,
-            total_docs=len(records),
-            total_entries=forward.total_entries,
-            bit_width=bits_required(dictionary.cardinality - 1),
-            dictionary_bytes=dictionary.nbytes,
-            forward_bytes=forward.nbytes,
-            inverted_bytes=inverted.nbytes if inverted else 0,
-        )
-        self._attach_bloom(meta, dictionary)
-        _jsonify_minmax(meta)
-        return Column(spec, dictionary, forward, meta, inverted)
-
-    def _fill_time_metadata(self, metadata: SegmentMetadata,
-                            records: Sequence[dict[str, Any]]) -> None:
-        time_col = self.schema.time_column
-        if time_col is None:
-            return
-        values = [record[time_col] for record in records]
-        metadata.min_time = int(min(values))
-        metadata.max_time = int(max(values))
-
     def _fill_partition_metadata(self, metadata: SegmentMetadata,
-                                 records: Sequence[dict[str, Any]]) -> None:
-        column = self.config.partition_column
-        if column is None:
-            return
-        from repro.kafka.partitioner import kafka_partition
-
-        num = self.config.num_partitions
-        partitions = {
-            kafka_partition(record[column], num) for record in records
-        }
+                                 config: SegmentConfig) -> None:
+        column = config.partition_column
+        num = config.num_partitions
+        partitions = self._columns[column].partitions(num)
         if len(partitions) != 1:
             raise SegmentError(
                 f"segment {self.segment_name!r} spans partitions "
@@ -259,12 +338,61 @@ class SegmentBuilder:
             )
         metadata.partition_column = column
         metadata.num_partitions = num
-        metadata.partition_id = partitions.pop()
+        (metadata.partition_id,) = partitions
 
 
-def _jsonify_minmax(meta: ColumnMetadata) -> None:
-    """Convert numpy scalars in min/max to plain Python for JSON I/O."""
-    if isinstance(meta.min_value, np.generic):
-        meta.min_value = meta.min_value.item()
-    if isinstance(meta.max_value, np.generic):
-        meta.max_value = meta.max_value.item()
+def _make_column(spec: FieldSpec, dictionary: Dictionary, ids: np.ndarray,
+                 offsets: np.ndarray | None, config: SegmentConfig) -> Column:
+    """One column's indexes and statistics from its sorted dictionary
+    and per-document ids (flat ids plus offsets when multi-value)."""
+    name = spec.name
+    cardinality = dictionary.cardinality
+    is_sorted_column = name == config.sorted_column
+    forward: Any
+    if offsets is not None:
+        forward = MultiValueForwardIndex(PackedIntArray.from_values(ids),
+                                         offsets)
+    elif is_sorted_column:
+        forward = SortedForwardIndex.from_sorted_dict_ids(ids, cardinality)
+    else:
+        forward = SingleValueForwardIndex.from_dict_ids(ids)
+    inverted = None
+    if name in config.inverted_columns:
+        inverted = InvertedIndex.build(forward, cardinality)
+    meta = ColumnMetadata(
+        name=name,
+        dtype=spec.dtype,
+        role=spec.role,
+        cardinality=cardinality,
+        min_value=dictionary.value_of(0),
+        max_value=dictionary.value_of(cardinality - 1),
+        multi_value=offsets is not None,
+        is_sorted=is_sorted_column,
+        has_inverted_index=inverted is not None,
+        total_docs=forward.num_docs,
+        total_entries=len(ids),
+        bit_width=bits_required(cardinality - 1),
+        dictionary_bytes=dictionary.nbytes,
+        forward_bytes=forward.nbytes,
+        inverted_bytes=inverted.nbytes if inverted else 0,
+    )
+    if name in config.bloom_columns:
+        from repro.segment.bloom import BloomFilter
+
+        bloom = BloomFilter.for_capacity(cardinality, fpp=0.01)
+        bloom.add_many(dictionary.to_list())
+        meta.bloom = bloom.to_payload()
+    return Column(spec, dictionary, forward, meta, inverted)
+
+
+def _reorder_cells(flat: np.ndarray, offsets: np.ndarray,
+                   order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A multi-value column's entries and offsets with its documents
+    taken in ``order``."""
+    lengths = np.diff(offsets)[order]
+    moved = np.concatenate(([0], np.cumsum(lengths)))
+    # Entry k of the output is entry k - moved[d] of old document
+    # order[d], for the output document d it falls in.
+    source = (np.repeat(offsets[:-1][order] - moved[:-1], lengths)
+              + np.arange(moved[-1]))
+    return flat[source], moved

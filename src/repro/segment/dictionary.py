@@ -10,6 +10,7 @@ integer comparisons on the forward index.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -36,12 +37,13 @@ class Dictionary:
         if len(self._values) == 0:
             raise SegmentError("dictionary must contain at least one value")
         # Values must be strictly ascending for id-order == value-order.
-        for i in range(1, len(values)):
-            if not values[i - 1] < values[i]:
-                raise SegmentError(
-                    "dictionary values must be strictly ascending; "
-                    f"saw {values[i - 1]!r} before {values[i]!r}"
-                )
+        ascending = self._values[:-1] < self._values[1:]
+        if not ascending.all():
+            i = int(np.argmin(ascending)) + 1
+            raise SegmentError(
+                "dictionary values must be strictly ascending; "
+                f"saw {values[i - 1]!r} before {values[i]!r}"
+            )
 
     @classmethod
     def build(cls, dtype: DataType, raw_values: Iterable[Any]) -> "Dictionary":
@@ -68,7 +70,7 @@ class Dictionary:
     def max_value(self) -> Any:
         return self._values[-1]
 
-    @property
+    @cached_property
     def nbytes(self) -> int:
         if self.dtype is DataType.STRING:
             return sum(len(str(v)) for v in self._values)
@@ -94,16 +96,17 @@ class Dictionary:
 
     def encode(self, raw_values: Iterable[Any]) -> np.ndarray:
         """Encode raw values to ids; raises if any value is absent."""
-        out = np.empty(0, dtype=np.uint32)
         values = list(raw_values)
         ids = np.searchsorted(self._sorted_key, values)
         ids = np.clip(ids, 0, len(self._values) - 1)
-        decoded = self._values[ids]
-        for raw, dec in zip(values, decoded):
-            if raw != dec:
-                raise SegmentError(f"value {raw!r} not in dictionary")
-        out = ids.astype(np.uint32)
-        return out
+        absent = self._values[ids] != np.asarray(
+            values, dtype=object if self.dtype is DataType.STRING else None
+        )
+        if absent.any():
+            raise SegmentError(
+                f"value {values[int(np.argmax(absent))]!r} not in dictionary"
+            )
+        return ids.astype(np.uint32)
 
     # -- range support (what makes sorted dictionaries worth it) ---------
 

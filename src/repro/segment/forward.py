@@ -48,6 +48,10 @@ class SingleValueForwardIndex:
     def dict_id(self, doc_id: int) -> int:
         return self._packed[doc_id]
 
+    def compact(self) -> None:
+        """Reduce to the storage form (bit-packed ids only)."""
+        self._packed.compact()
+
 
 class SortedForwardIndex:
     """Forward index for the physically sorted column.
@@ -114,6 +118,9 @@ class SortedForwardIndex:
     def dict_id(self, doc_id: int) -> int:
         return int(np.searchsorted(self._starts, doc_id, side="right") - 1)
 
+    def compact(self) -> None:
+        """The document ranges already are the storage form."""
+
 
 class MultiValueForwardIndex:
     """Flattened bit-packed ids plus per-document offsets."""
@@ -157,6 +164,10 @@ class MultiValueForwardIndex:
     def dict_ids_of(self, doc_id: int) -> np.ndarray:
         start, end = self._offsets[doc_id], self._offsets[doc_id + 1]
         return self._packed.to_numpy()[start:end]
+
+    def compact(self) -> None:
+        """Reduce to the storage form (bit-packed ids and offsets)."""
+        self._packed.compact()
 
     def max_entries_per_doc(self) -> int:
         if self.num_docs == 0:

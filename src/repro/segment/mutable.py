@@ -5,6 +5,12 @@ mutable in-memory segment. Queries must see those rows with seconds-level
 freshness, so the mutable segment can produce a queryable snapshot at
 any time; when the end criteria is reached the segment is *sealed* into
 a regular immutable segment, flushed, and committed.
+
+Rows are indexed as they arrive: they live column-wise in a
+:class:`SegmentBuilder` (a mutable dictionary and an id array per
+column), a snapshot is that builder's segment over the rows so far —
+costing the rows added since the last one, not the rows consumed —
+and sealing is the same builder's :meth:`~SegmentBuilder.build`.
 """
 
 from __future__ import annotations
@@ -24,82 +30,86 @@ class MutableSegment:
                  config: SegmentConfig | None = None):
         self.segment_name = segment_name
         self.table_name = table_name
-        self.schema = schema
         self.config = config or SegmentConfig()
-        self._records: list[dict[str, Any]] = []
+        self._rows = SegmentBuilder(segment_name, table_name, schema,
+                                    self.config)
         self._sealed = False
-        # Snapshot cache: rebuilding an immutable view is only needed
-        # when new rows have arrived since the last snapshot.
+        # Snapshot cache: a new immutable view is only needed when new
+        # rows have arrived since the last snapshot.
         self._snapshot: ImmutableSegment | None = None
-        self._snapshot_rows = -1
         self.start_offset: int | None = None
         self.end_offset: int | None = None
+
+    @property
+    def schema(self) -> Schema:
+        return self._rows.schema
+
+    @schema.setter
+    def schema(self, schema: Schema) -> None:
+        """A column the schema gains reads its default in the rows
+        already consumed (§5.2)."""
+        self._rows.schema = schema
 
     # -- ingestion -------------------------------------------------------
 
     def index(self, record: Mapping[str, Any]) -> None:
         """Append one event (already decoded from the stream)."""
+        self.index_all((record,))
+
+    def index_all(self, records: Iterable[Mapping[str, Any]]) -> None:
+        """Append a batch of events: each is validated once, here."""
         if self._sealed:
             raise SegmentError(
                 f"segment {self.segment_name!r} is sealed; cannot index"
             )
-        self._records.append(self.schema.normalize(record))
-
-    def index_all(self, records: Iterable[Mapping[str, Any]]) -> None:
-        for record in records:
-            self.index(record)
+        self._rows.add_all(records)
 
     @property
     def num_docs(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     @property
     def is_sealed(self) -> bool:
         return self._sealed
 
     def records(self) -> list[dict[str, Any]]:
-        """A copy of the raw records consumed so far."""
-        return list(self._records)
+        """The normalized records consumed so far, in arrival order."""
+        return self._rows.records()
 
     def estimated_size_bytes(self) -> int:
         """Byte accounting for an in-flight consuming segment.
 
-        No built indexes exist yet, so the estimate is row-shaped:
-        rows x columns x 8 bytes, the same floor the sealed form's
-        metadata-derived size bottoms out at.
+        The estimate is row-shaped: rows x columns x 8 bytes, the same
+        floor the sealed form's metadata-derived size bottoms out at.
         """
-        return max(1024, len(self._records) * len(self.schema.column_names) * 8)
+        return max(1024, self.num_docs * len(self.schema.column_names) * 8)
 
     # -- querying --------------------------------------------------------
 
     def snapshot(self) -> ImmutableSegment | None:
         """A queryable immutable view of the rows consumed so far.
 
-        Returns None while empty. The snapshot is cached and only
-        rebuilt when new rows have arrived, so steady-state queries on a
-        quiet consuming segment are cheap.
+        Returns None while empty. The snapshot is cached until new rows
+        arrive, and a returned snapshot never changes: documents are in
+        arrival order, and of the build config only the inverted
+        indexes and the partition are applied — physical sort, bloom
+        filters, star-tree and timestamp index wait for the seal.
         """
-        if not self._records:
+        if not self.num_docs:
             return None
-        if self._snapshot is None or self._snapshot_rows != len(self._records):
-            builder = SegmentBuilder(
-                self.segment_name, self.table_name, self.schema,
-                SegmentConfig(
-                    inverted_columns=self.config.inverted_columns,
-                    partition_column=self.config.partition_column,
-                    num_partitions=self.config.num_partitions,
-                ),
-            )
-            builder.add_all(self._records)
-            self._snapshot = builder.build()
-            self._snapshot_rows = len(self._records)
+        if (self._snapshot is None
+                or self._snapshot.num_docs != self.num_docs):
+            self._snapshot = self._rows.assemble(SegmentConfig(
+                inverted_columns=self.config.inverted_columns,
+                partition_column=self.config.partition_column,
+                num_partitions=self.config.num_partitions,
+            ))
         return self._snapshot
 
     def invalidate_snapshot(self) -> None:
-        """Force the next :meth:`snapshot` to rebuild (e.g. after a
-        schema change added a column)."""
+        """Force the next :meth:`snapshot` to be a new one (e.g. after
+        a schema change added a column)."""
         self._snapshot = None
-        self._snapshot_rows = -1
 
     # -- sealing -----------------------------------------------------------
 
@@ -111,21 +121,20 @@ class MutableSegment:
         this mirrors how offline/completed segments are better optimized
         than consuming ones.
         """
-        if not self._records:
+        if not self.num_docs:
             raise SegmentError(
                 f"cannot seal empty segment {self.segment_name!r}"
             )
+        sealed = self._rows.build()
         self._sealed = True
-        builder = SegmentBuilder(
-            self.segment_name, self.table_name, self.schema, self.config
-        )
-        builder.add_all(self._records)
-        return builder.build()
+        return sealed
 
     def discard_and_replace(self, records: Iterable[Mapping[str, Any]]) -> None:
         """Replace local rows with an authoritative copy (DISCARD, §3.3.6)."""
         if self._sealed:
             raise SegmentError("cannot replace rows of a sealed segment")
-        self._records = [self.schema.normalize(r) for r in records]
-        self._snapshot = None
-        self._snapshot_rows = -1
+        rows = SegmentBuilder(self.segment_name, self.table_name,
+                              self.schema, self.config)
+        rows.add_all(records)
+        self._rows = rows
+        self.invalidate_snapshot()

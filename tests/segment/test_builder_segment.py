@@ -149,3 +149,142 @@ class TestSegmentApi:
         other = build(schema, records=RECORDS[:2])
         with pytest.raises(SegmentError):
             segment.add_virtual_column(other.column("country"))
+
+
+# -- pinned build bytes --------------------------------------------------------
+#
+# The SHA-256 of what ``segment/io`` writes for one seeded record set
+# under each config shape, computed at d604113 (the record-wise
+# builder): whatever builds segments must keep producing these bytes.
+
+
+def _pinned_schema():
+    return Schema(
+        "pinned",
+        [
+            dimension("country"),
+            dimension("member", DataType.LONG),
+            dimension("tags", DataType.STRING, multi_value=True),
+            dimension("codes", DataType.INT, multi_value=True),
+            metric("clicks", DataType.LONG),
+            metric("spend", DataType.DOUBLE),
+            time_column("day", DataType.INT),
+        ],
+    )
+
+
+def _pinned_records():
+    import random
+
+    rng = random.Random(20180610)
+    countries = ["us", "ca", "mx", "br", "de", "in", "jp", "U", "", "é"]
+    tags = ["a", "b", "c", "dd", "eee"]
+    records = []
+    for i in range(400):
+        record = {
+            "country": rng.choice(countries),
+            "member": rng.randrange(0, 60) * 8,
+            "tags": rng.sample(tags, rng.randrange(0, 4)),
+            "codes": [rng.randrange(-5, 5)
+                      for __ in range(rng.randrange(0, 3))],
+            "clicks": rng.randrange(0, 1000),
+            "spend": rng.randrange(-400, 400) / 8.0,
+            "day": 17000 + rng.randrange(0, 45),
+        }
+        if i % 37 == 0:
+            del record["spend"]  # filled with the column default
+        if i % 53 == 0:
+            del record["tags"]
+        records.append(record)
+    return records
+
+
+def _pinned_configs():
+    from repro.startree.builder import StarTreeConfig
+
+    return {
+        "plain": SegmentConfig(),
+        "sorted": SegmentConfig(sorted_column="member"),
+        "sorted_string": SegmentConfig(sorted_column="country"),
+        "inverted": SegmentConfig(
+            inverted_columns=("country", "member", "tags")),
+        "bloom": SegmentConfig(bloom_columns=("member", "country", "codes")),
+        "partitioned": SegmentConfig(partition_column="country",
+                                     num_partitions=4),
+        "star_tree": SegmentConfig(star_tree=StarTreeConfig(
+            dimensions=("country", "day"), max_leaf_records=10)),
+        "timestamp_index": SegmentConfig(timestamp_index=(7, 30)),
+        "everything": SegmentConfig(
+            sorted_column="member",
+            inverted_columns=("member", "country", "codes"),
+            bloom_columns=("country",),
+            star_tree=StarTreeConfig(max_leaf_records=25),
+            timestamp_index=(1, 10),
+        ),
+    }
+
+
+PINNED_SHA256 = {
+    "bloom":
+        "a09658539c84b17dbdf7c4f75057ac7de278e214b92126bdf4c17d42e2b0c9b0",
+    "everything":
+        "1a9a2d6cdca762b34f47ad281c2e9a76db2bc58b1571c21e100e2097e03d457d",
+    "inverted":
+        "696bd801ea98a45c5ce78a0d7e78a335d6a67a5a99ea7803e474bfc66f215b87",
+    "partitioned":
+        "fd92a32c2a39b9ca4ff83c6a8fe79730c8547de459c471ff51d34d05c0e9b501",
+    "plain":
+        "a51aca4f4906b11cb1321e0fc94dd1d59953fd60fb970ad35b64e0d2764c8821",
+    "sorted":
+        "7430e3f2c9808cf1dbe4fa90a65d880962b86bc9229628c9a72a2ca9aec6ea99",
+    "sorted_string":
+        "f3056e372c5813bf3820ff79f1ee6c3b8c0866001034aae203c4b23cc23c7343",
+    "star_tree":
+        "fb5264a8cb7e3c0477ea9141d2cb5ebfe3f1962bbf09f63702b85ddf4295c77d",
+    "timestamp_index":
+        "9f78d9af28992f8e49440c0bcba0417f09cf0a890ef9e825104b8b5482427be6",
+}
+
+
+def _segment_sha256(segment, directory):
+    import hashlib
+
+    from repro.segment.io import INDEX_FILE, METADATA_FILE, write_segment
+
+    path = write_segment(segment, directory)
+    digest = hashlib.sha256()
+    for name in (METADATA_FILE, INDEX_FILE):
+        digest.update((path / name).read_bytes())
+    return digest.hexdigest()
+
+
+class TestPinnedBuildBytes:
+    @pytest.mark.parametrize("shape", sorted(_pinned_configs()))
+    def test_bytes_are_the_record_wise_builders(self, shape, tmp_path):
+        config = _pinned_configs()[shape]
+        records = _pinned_records()
+        if config.partition_column is not None:
+            records = [r for r in records if r["country"] == "us"]
+        segment = build(_pinned_schema(), config, records)
+        assert _segment_sha256(segment, tmp_path) == PINNED_SHA256[shape]
+
+    @pytest.mark.parametrize("shape", sorted(_pinned_configs()))
+    def test_a_sealed_consuming_segment_has_the_same_bytes(self, shape,
+                                                           tmp_path):
+        """Rows that arrived one by one, in batches and around queries
+        seal into the segment a push of the same rows builds."""
+        from repro.segment.mutable import MutableSegment
+
+        config = _pinned_configs()[shape]
+        records = _pinned_records()
+        if config.partition_column is not None:
+            records = [r for r in records if r["country"] == "us"]
+        mutable = MutableSegment("seg1", "events", _pinned_schema(), config)
+        for record in records[:3]:
+            mutable.index(record)
+        mutable.snapshot()
+        mutable.index_all(records[3:20])
+        mutable.snapshot()
+        mutable.index_all(records[20:])
+        assert (_segment_sha256(mutable.seal(), tmp_path)
+                == PINNED_SHA256[shape])

@@ -27,6 +27,25 @@ class TestBuild:
         with pytest.raises(SegmentError):
             Dictionary(DataType.INT, [1, 1])
 
+    @pytest.mark.parametrize("dtype, values, saw", [
+        (DataType.INT, [1, 3, 2, 0], "saw 3 before 2"),
+        (DataType.LONG, [1, 2, 2], "saw 2 before 2"),
+        (DataType.DOUBLE, [0.5, 0.25], "saw 0.5 before 0.25"),
+        (DataType.STRING, ["a", "c", "b"], "saw 'c' before 'b'"),
+        (DataType.STRING, ["a", "b", "b"], "saw 'b' before 'b'"),
+    ])
+    def test_first_descent_is_named(self, dtype, values, saw):
+        with pytest.raises(SegmentError, match=saw):
+            Dictionary(dtype, values)
+
+    def test_array_of_values_accepted(self):
+        import numpy as np
+
+        dictionary = Dictionary(DataType.LONG, np.array([2, 5, 9]))
+        assert dictionary.to_list() == [2, 5, 9]
+        with pytest.raises(SegmentError, match="strictly ascending"):
+            Dictionary(DataType.LONG, np.array([2, 5, 5]))
+
     def test_min_max(self):
         dictionary = Dictionary.build(DataType.LONG, [9, 2, 5])
         assert dictionary.min_value == 2
@@ -57,6 +76,26 @@ class TestLookups:
         dictionary = Dictionary.build(DataType.INT, [1, 2])
         with pytest.raises(SegmentError):
             dictionary.encode([3])
+
+    @pytest.mark.parametrize("dtype, values, raw, absent", [
+        (DataType.INT, [1, 5], [1, 3, 9], "3"),       # between two values
+        (DataType.INT, [1, 5], [5, 9], "9"),          # past the last
+        (DataType.INT, [-1, 0], [-1.5], "-1.5"),      # not a truncation
+        (DataType.DOUBLE, [0.5, 2.0], [2.0, 0.75], "0.75"),
+        (DataType.STRING, ["a", "c"], ["c", "b"], "'b'"),
+        (DataType.STRING, ["a", "c"], ["", "a"], "''"),
+    ])
+    def test_first_absent_value_is_named(self, dtype, values, raw, absent):
+        dictionary = Dictionary(dtype, values)
+        with pytest.raises(SegmentError,
+                           match=f"value {absent} not in dictionary"):
+            dictionary.encode(raw)
+
+    def test_encode_nothing(self):
+        for dictionary in (Dictionary(DataType.INT, [1]),
+                           Dictionary(DataType.STRING, ["a"])):
+            ids = dictionary.encode([])
+            assert ids.tolist() == [] and ids.dtype.name == "uint32"
 
 
 class TestIdRanges:
