@@ -215,7 +215,7 @@ class BrokerInstance:
                  seed: int = 0, clock: SimClock | None = None,
                  hedging: HedgePolicy | None = None,
                  tracer: Tracer | None = None,
-                 health: HealthPolicy | FailureDetector | None = None,
+                 health: HealthPolicy | None = None,
                  use_approximate_function: bool = False,
                  approx_threshold: int = 10_000):
         self.instance_id = instance_id
@@ -239,12 +239,8 @@ class BrokerInstance:
         #: Failure detector (off unless configured, matching real
         #: Pinot's opt-in broker module): scores every sub-request
         #: outcome, ejects sick servers from routing, probes them back.
-        if isinstance(health, FailureDetector):
-            self.health: FailureDetector | None = health
-        elif isinstance(health, HealthPolicy):
-            self.health = FailureDetector(health)
-        else:
-            self.health = None
+        self.health = (FailureDetector(health) if health is not None
+                       else None)
         #: Smoothed inbound-queue utilization across contacted servers;
         #: drives adaptive admission (tenant-priority load shedding).
         self.pressure = QueuePressure()

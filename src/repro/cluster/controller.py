@@ -180,11 +180,8 @@ class Controller:
         self._store.put(table, segment)
         self._write_segment_property(table, segment, push_time_ms)
 
-        replicas = self._pick_servers(table, config.replication)
         mapping = self._helix.ideal_state(table)
-        mapping[segment.name] = {
-            server: SegmentState.ONLINE.value for server in replicas
-        }
+        self._place(config, mapping, segment.name, SegmentState.ONLINE.value)
         self._helix.set_ideal_state(table, mapping)
         self._helix.invalidation_bus.publish(
             table, "segment_uploaded", segment=segment.name
@@ -246,24 +243,6 @@ class Controller:
                 f"{projected} bytes, over its {config.quota_bytes} quota"
             )
 
-    def _pick_servers(self, table: str, replication: int) -> list[str]:
-        """Least-loaded assignment over live tagged servers."""
-        servers = [
-            instance for instance in self._helix.live_instances()
-            if SERVER_TAG in self._helix.instance_tags(instance)
-        ]
-        if len(servers) < replication:
-            raise ClusterError(
-                f"need {replication} servers, only {len(servers)} live"
-            )
-        load: dict[str, int] = {server: 0 for server in servers}
-        for __, replica_states in self._helix.ideal_state(table).items():
-            for server in replica_states:
-                if server in load:
-                    load[server] += 1
-        servers.sort(key=lambda s: (load[s], s))
-        return servers[:replication]
-
     def replace_segment(self, table: str, segment: ImmutableSegment) -> None:
         """Atomically replace an existing segment with a new version
         (how updates/corrections work on immutable data, §3.1)."""
@@ -310,10 +289,94 @@ class Controller:
             table, "segment_deleted", segment=segment_name
         )
 
+    # -- placement (§3.2, §3.4) --------------------------------------------------
+    #
+    # A placement unit is the set of segments that must share replicas.
+    # A plain table's unit is one segment. An upsert or dedup table's
+    # unit is a partition's whole chain: every server hosting any of a
+    # partition's segments hosts ALL of them, so its PK index sees every
+    # version of every key and its valid-docId bitmaps are complete (the
+    # complete-replica invariant, docs/UPSERT.md). For the same reason a
+    # chain moves all-or-nothing: if a rebalance cannot bring up every
+    # new replica of it, the chain reverts to its old holders, while a
+    # lone segment keeps its grown replica set (its old replicas still
+    # serve it and the failed ones retry at the next mapping change).
+
+    @staticmethod
+    def _unit_of(config: TableConfig, segment: str) -> str | int:
+        if config.upsert is None:
+            return segment
+        return parse_realtime_segment_name(segment)[1]
+
+    def _live_servers(self, replication: int) -> list[str]:
+        """The live server-tagged instances; at least ``replication``."""
+        servers = [
+            instance for instance in self._helix.live_instances()
+            if SERVER_TAG in self._helix.instance_tags(instance)
+        ]
+        if len(servers) < replication:
+            raise ClusterError(
+                f"need {replication} servers, only {len(servers)} live"
+            )
+        return servers
+
+    @staticmethod
+    def _load(servers: list[str],
+              mapping: dict[str, dict[str, str]]) -> dict[str, int]:
+        """Replicas each of ``servers`` holds in ``mapping``."""
+        load = dict.fromkeys(servers, 0)
+        for replicas in mapping.values():
+            for server in replicas:
+                if server in load:
+                    load[server] += 1
+        return load
+
+    def _place(self, config: TableConfig,
+               mapping: dict[str, dict[str, str]], segment: str,
+               state: str) -> None:
+        """Seat a new segment in ``mapping``: on its unit's holders
+        first (a consuming rollover stays with its chain), then on the
+        least-loaded servers. A server new to a chain receives the
+        whole committed chain in the same ideal-state update, so its PK
+        index is rebuilt before it consumes or serves anything."""
+        servers = self._live_servers(config.replication)
+        load = self._load(servers, mapping)
+        unit = self._unit_of(config, segment)
+        chain = [other for other in mapping if other != segment
+                 and self._unit_of(config, other) == unit]
+        holders = {server for other in chain for server in mapping[other]}
+        chosen = sorted(
+            servers, key=lambda s: (s not in holders, load[s], s)
+        )[:config.replication]
+        for other in chain:
+            # All prior segments of a chain are committed here (the
+            # previous sequence is promoted before rollover).
+            for server in chosen:
+                mapping[other].setdefault(server, SegmentState.ONLINE.value)
+        mapping[segment] = dict.fromkeys(chosen, state)
+
+    def _seat_state(self, config: TableConfig, segment: str,
+                    replicas: dict[str, str]) -> str:
+        """The state a rebalance asks of ``segment``'s replicas: the one
+        its replicas hold. If every replica died before this rebalance
+        (e.g. all CONSUMING holders were killed and re-seating was
+        deferred to the next mapping change), only a committed segment
+        exists in the deep store and can come back ONLINE; an
+        uncommitted one must re-consume from its start offset."""
+        state = next(iter(replicas.values()), None)
+        if state is not None:
+            return state
+        meta = read_realtime_record(self._helix, config.name, segment) or {}
+        committed = (config.table_type is TableType.OFFLINE
+                     or meta.get("status") == "DONE")
+        return (SegmentState.ONLINE.value if committed
+                else SegmentState.CONSUMING.value)
+
     def rebalance_table(self, table: str) -> dict[str, list[str]]:
-        """Recompute a balanced segment assignment over the currently
-        live servers (the operator-triggered mapping change of §3.2 —
-        e.g. after scaling out with blank nodes).
+        """Recompute a balanced assignment of the table's placement units
+        over the currently live servers (the operator-triggered mapping
+        change of §3.2 — e.g. after scaling out with blank nodes, or to
+        re-seat a unit whose every replica died).
 
         Returns the new server -> segments mapping. Replicas move by
         ordinary Helix transitions: added replicas come ONLINE from the
@@ -322,158 +385,69 @@ class Controller:
         """
         self._require_leader()
         config = self.table_config(table)
-        servers = [
-            instance for instance in self._helix.live_instances()
-            if SERVER_TAG in self._helix.instance_tags(instance)
-        ]
-        if len(servers) < config.replication:
-            raise ClusterError(
-                f"need {config.replication} servers, only "
-                f"{len(servers)} live"
-            )
+        servers = self._live_servers(config.replication)
         current = self._helix.ideal_state(table)
-        if config.upsert is not None:
-            return self._rebalance_upsert(config, servers, current)
-        load: dict[str, int] = {server: 0 for server in servers}
-        new_mapping: dict[str, dict[str, str]] = {}
-        for segment in sorted(current):
-            state = next(iter(current[segment].values()), None)
-            if state is None:
-                # Every replica died before this rebalance (e.g. all
-                # CONSUMING holders were killed and re-seating was
-                # deferred to the next mapping change). Recover from
-                # the segment metadata: only committed segments exist
-                # in the deep store and can come back ONLINE; an
-                # uncommitted one must re-consume from its start
-                # offset.
-                meta = read_realtime_record(self._helix, table,
-                                            segment) or {}
-                committed = (config.table_type is TableType.OFFLINE
-                             or meta.get("status") == "DONE")
-                state = (SegmentState.ONLINE.value if committed
-                         else SegmentState.CONSUMING.value)
+        unit_of = {segment: self._unit_of(config, segment)
+                   for segment in sorted(current)}
+        units: dict[str | int, list[str]] = {}
+        for segment, unit in unit_of.items():
+            units.setdefault(unit, []).append(segment)
+        load = dict.fromkeys(servers, 0)
+        chosen: dict[str | int, list[str]] = {}
+        for unit in sorted(units):
+            holders = {server for segment in units[unit]
+                       for server in current[segment]}
             # Least-loaded first for balance; among equally loaded
-            # servers prefer existing replicas (no data movement).
-            existing = set(current[segment])
-            candidates = sorted(
-                servers,
-                key=lambda s: (load[s], s not in existing, s),
-            )
-            chosen = candidates[:config.replication]
-            for server in chosen:
-                load[server] += 1
-            new_mapping[segment] = {server: state for server in chosen}
+            # servers prefer holders (no data movement, no index rebuild).
+            chosen[unit] = sorted(
+                servers, key=lambda s: (load[s], s not in holders, s)
+            )[:config.replication]
+            for server in chosen[unit]:
+                load[server] += len(units[unit])
+        target = {
+            segment: dict.fromkeys(
+                chosen[unit],
+                self._seat_state(config, segment, current[segment]))
+            for segment, unit in unit_of.items()
+        }
 
         # Two-phase apply: grow replicas first, then shrink — but only
-        # shrink a segment once its *new* replicas actually reached the
+        # shrink a unit once its *new* replicas actually reached the
         # target state in the external view. A crashed or slow server
         # leaves its transition in ERROR; dropping the old replicas at
         # that point would leave the segment served by nobody (and a
-        # query would silently skip it). Segments whose new replicas
-        # did not converge keep their old replicas until the next
-        # rebalance.
-        grown = {
-            segment: {**current.get(segment, {}), **replicas}
-            for segment, replicas in new_mapping.items()
-        }
+        # query would silently skip it). A unit whose new replicas did
+        # not converge falls back as the placement note above says,
+        # until the next rebalance.
+        grown = {segment: {**current[segment], **replicas}
+                 for segment, replicas in target.items()}
         self._helix.set_ideal_state(table, grown)
         view = self._helix.external_view(table)
-        final_mapping: dict[str, dict[str, str]] = {}
-        for segment, replicas in new_mapping.items():
-            converged = all(
-                view.get(segment, {}).get(server) == state
-                for server, state in replicas.items()
-            )
-            final_mapping[segment] = (dict(replicas) if converged
-                                      else dict(grown[segment]))
-        self._helix.set_ideal_state(table, final_mapping)
+        converged = {
+            unit for unit, segments in units.items()
+            if all(view.get(segment, {}).get(server) == state
+                   for segment in segments
+                   for server, state in target[segment].items())
+        }
+        fallback = grown if config.upsert is None else current
+        final = {
+            segment: dict(target[segment] if unit in converged
+                          else fallback[segment])
+            for segment, unit in unit_of.items()
+        }
+        self._helix.set_ideal_state(table, final)
         # Replicas moved off a server will never poll the completion
         # protocol again; purge them so an in-flight commit is not
         # orphaned waiting on a committer that left.
         if table in self._completion:
             manager = self._completion[table]
-            for segment, replicas in final_mapping.items():
-                for server, state in current.get(segment, {}).items():
-                    if (server not in replicas
-                            and state == SegmentState.CONSUMING.value):
-                        manager.replica_removed(segment, server)
-        new_mapping = final_mapping
-        out: dict[str, list[str]] = {}
-        for segment, replicas in new_mapping.items():
-            for server in replicas:
-                out.setdefault(server, []).append(segment)
-        return out
-
-    def _rebalance_upsert(self, config: TableConfig, servers: list[str],
-                          current: dict[str, dict[str, str]],
-                          ) -> dict[str, list[str]]:
-        """Rebalance an upsert/dedup table at *partition* granularity.
-
-        Segments of one partition move as a unit so the complete-replica
-        invariant holds: every chosen server receives the partition's
-        whole chain (grow), and the shrink is all-or-nothing per
-        partition — if any segment failed to reach its new replicas, the
-        entire partition rolls back to its old placement rather than
-        leaving a server with a partial chain (whose PK index would miss
-        updates and serve superseded rows)."""
-        table = config.name
-        partitions: dict[int, list[str]] = {}
-        for segment in sorted(current):
-            partition = parse_realtime_segment_name(segment)[1]
-            partitions.setdefault(partition, []).append(segment)
-        load: dict[str, int] = {server: 0 for server in servers}
-        targets: dict[int, list[str]] = {}
-        for partition in sorted(partitions):
-            holders = {
-                server for segment in partitions[partition]
-                for server in current[segment]
-            }
-            # Least-loaded for balance; among equals keep existing
-            # holders (no data movement, no index rebuild).
-            candidates = sorted(
-                servers, key=lambda s: (load[s], s not in holders, s)
-            )
-            chosen = candidates[:config.replication]
-            for server in chosen:
-                load[server] += len(partitions[partition])
-            targets[partition] = chosen
-
-        new_mapping: dict[str, dict[str, str]] = {}
-        for partition, segments in partitions.items():
-            for segment in segments:
-                state = next(iter(current[segment].values()),
-                             SegmentState.ONLINE.value)
-                new_mapping[segment] = {
-                    server: state for server in targets[partition]
-                }
-        grown = {
-            segment: {**current.get(segment, {}), **replicas}
-            for segment, replicas in new_mapping.items()
-        }
-        self._helix.set_ideal_state(table, grown)
-        view = self._helix.external_view(table)
-        final_mapping: dict[str, dict[str, str]] = {}
-        for partition, segments in partitions.items():
-            converged = all(
-                view.get(segment, {}).get(server) == state
-                for segment in segments
-                for server, state in new_mapping[segment].items()
-            )
-            for segment in segments:
-                final_mapping[segment] = (
-                    dict(new_mapping[segment]) if converged
-                    else dict(current[segment])
-                )
-        self._helix.set_ideal_state(table, final_mapping)
-        if table in self._completion:
-            manager = self._completion[table]
-            for segment, replicas in final_mapping.items():
-                for server, state in current.get(segment, {}).items():
+            for segment, replicas in final.items():
+                for server, state in current[segment].items():
                     if (server not in replicas
                             and state == SegmentState.CONSUMING.value):
                         manager.replica_removed(segment, server)
         out: dict[str, list[str]] = {}
-        for segment, replicas in final_mapping.items():
+        for segment, replicas in final.items():
             for server in replicas:
                 out.setdefault(server, []).append(segment)
         return out
@@ -574,64 +548,9 @@ class Controller:
             },
         )
         mapping = self._helix.ideal_state(table)
-        if config.upsert is not None:
-            replicas = self._assign_upsert_partition(config, partition,
-                                                     mapping)
-        else:
-            replicas = self._pick_servers(table, config.replication)
-        mapping[name] = {
-            server: SegmentState.CONSUMING.value for server in replicas
-        }
+        self._place(config, mapping, name, SegmentState.CONSUMING.value)
         self._helix.set_ideal_state(table, mapping)
         return name
-
-    def _assign_upsert_partition(self, config: TableConfig, partition: int,
-                                 mapping: dict[str, dict[str, str]],
-                                 ) -> list[str]:
-        """Replica placement for an upsert/dedup table's next consuming
-        segment — and the *complete-replica invariant* that makes
-        per-segment routing safe under upsert: every server hosting any
-        of a partition's segments hosts ALL of them, so its PK index
-        sees every version of every key and its valid-docId bitmaps are
-        complete. Existing holders of the partition are preferred; a
-        fill-in server (healing after a death) receives the partition's
-        whole committed chain in the same ideal-state update, so its
-        index is rebuilt before it consumes or serves anything."""
-        table = config.name
-        servers = [
-            instance for instance in self._helix.live_instances()
-            if SERVER_TAG in self._helix.instance_tags(instance)
-        ]
-        if len(servers) < config.replication:
-            raise ClusterError(
-                f"need {config.replication} servers, only "
-                f"{len(servers)} live"
-            )
-        partition_segments = [
-            segment for segment in mapping
-            if parse_realtime_segment_name(segment)[1] == partition
-        ]
-        holders = {
-            server for segment in partition_segments
-            for server in mapping[segment]
-        }
-        load = {server: 0 for server in servers}
-        for replica_states in mapping.values():
-            for server in replica_states:
-                if server in load:
-                    load[server] += 1
-        candidates = sorted(
-            servers, key=lambda s: (s not in holders, load[s], s)
-        )
-        chosen = candidates[:config.replication]
-        for segment in partition_segments:
-            # All prior segments of the partition are committed here
-            # (the previous sequence is promoted before rollover).
-            states = mapping[segment]
-            for server in chosen:
-                if server not in states:
-                    states[server] = SegmentState.ONLINE.value
-        return chosen
 
     def _completion_manager(self, table: str) -> SegmentCompletionManager:
         if table not in self._completion:
@@ -693,37 +612,29 @@ class Controller:
         hosting one committed segment without the rest of its partition
         would serve rows its PK index never masked (the complete-replica
         invariant). The partition runs at reduced replication and heals
-        wholesale at the next rollover, where
-        :meth:`_assign_upsert_partition` hands a fill-in server the
-        entire chain."""
+        wholesale at the next rollover, whose placement unit is the
+        whole chain, or at a rebalance."""
         for table in self.list_tables():
             mapping = self._helix.ideal_state(table)
             if not any(instance_id in replicas
                        for replicas in mapping.values()):
                 continue
             upsert = self.table_config(table).upsert is not None
-            servers = [
-                server for server in self._helix.live_instances()
-                if SERVER_TAG in self._helix.instance_tags(server)
-            ]
-            load = {server: 0 for server in servers}
-            for replicas in mapping.values():
-                for server in replicas:
-                    if server in load:
-                        load[server] += 1
+            servers = self._live_servers(0)  # re-seat on whatever is left
+            load = self._load(servers, mapping)
             new_mapping: dict[str, dict[str, str]] = {}
             for segment, replicas in mapping.items():
                 replicas = dict(replicas)
                 state = replicas.pop(instance_id, None)
                 if (state is not None and not upsert
                         and state != SegmentState.CONSUMING.value):
-                    candidates = sorted(
+                    replacement = min(
                         (server for server in servers
                          if server not in replicas),
                         key=lambda server: (load[server], server),
+                        default=None,
                     )
-                    if candidates:
-                        replacement = candidates[0]
+                    if replacement is not None:
                         replicas[replacement] = state
                         load[replacement] += 1
                 new_mapping[segment] = replicas

@@ -104,16 +104,12 @@ class PinotCluster:
         for controller in self.controllers:
             controller.start()
 
-        self.servers = [
-            ServerInstance(f"server-{i}", self.helix, self.object_store,
-                           self.kafka, self.leader_controller,
-                           default_vectorized=default_vectorized,
-                           store_budget_bytes=store_budget_bytes,
-                           store_policy=store_policy)
-            for i in range(num_servers)
-        ]
-        for server in self.servers:
-            self.helix.register_participant(server, tags=[SERVER_TAG])
+        #: One labeled registry over every component's counters (plus
+        #: the process-wide runtime sink for codec/config fallbacks);
+        #: export with ``metrics_registry.export_text()/export_json()``.
+        self.metrics_registry = MetricsRegistry()
+        self.servers = [self._new_server(f"server-{i}")
+                        for i in range(num_servers)]
 
         self.brokers = [
             BrokerInstance(f"broker-{i}", self.helix, self.quotas,
@@ -133,16 +129,9 @@ class PinotCluster:
                            self.object_store)
             for i in range(num_minions)
         ]
-        #: One labeled registry over every component's counters (plus
-        #: the process-wide runtime sink for codec/config fallbacks);
-        #: export with ``metrics_registry.export_text()/export_json()``.
-        self.metrics_registry = MetricsRegistry()
         for broker in self.brokers:
             self.metrics_registry.register("broker", broker.instance_id,
                                            broker.metrics)
-        for server in self.servers:
-            self.metrics_registry.register("server", server.instance_id,
-                                           server.metrics)
         self.metrics_registry.register("runtime", "process",
                                        runtime_metrics)
         self._broker_cursor = 0
@@ -350,13 +339,19 @@ class PinotCluster:
             while f"server-{candidate}" in taken:
                 candidate += 1
             instance_id = f"server-{candidate}"
+        server = self._new_server(instance_id)
+        self.servers.append(server)
+        return server
+
+    def _new_server(self, instance_id: str) -> ServerInstance:
+        """Construct a server, join it to Helix under the server tag and
+        expose its counters in the metrics registry."""
         server = ServerInstance(instance_id, self.helix, self.object_store,
                                 self.kafka, self.leader_controller,
                                 default_vectorized=self.default_vectorized,
                                 store_budget_bytes=self.store_budget_bytes,
                                 store_policy=self.store_policy)
         self.helix.register_participant(server, tags=[SERVER_TAG])
-        self.servers.append(server)
         self.metrics_registry.register("server", instance_id,
                                        server.metrics)
         return server

@@ -15,8 +15,6 @@ fallbacks); clusters register it alongside their components.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -63,15 +61,6 @@ class Metrics:
         if stage not in self.stages:
             self.stages[stage] = StageTiming()
         self.stages[stage].record(elapsed_ms)
-
-    @contextmanager
-    def stage(self, name: str):
-        """Time a ``with``-block as one occurrence of a stage."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_stage(name, (time.perf_counter() - started) * 1e3)
 
     def snapshot(self) -> dict:
         """A plain-dict view (what an HTTP /metrics endpoint would serve)."""

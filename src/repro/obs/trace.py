@@ -145,10 +145,6 @@ class Trace:
     def duration_ms(self) -> float:
         return self.root.duration_ms
 
-    def find(self, name: str) -> list[Span]:
-        """All spans with the given name (test/debug helper)."""
-        return [s for s in self.spans if s.name == name]
-
     def children_of(self, span: Span) -> list[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 

@@ -121,13 +121,14 @@ OP_WEIGHTS: list[tuple[str, float]] = [
     ("evict_residency", 2.0),
 ]
 
-#: Ops that have no meaning for the realtime-only upsert/dedup
-#: scenarios: there is no offline table to upload/replace/delete from,
-#: and dead upsert replicas deliberately heal at the next segment
-#: rollover rather than by re-seating (see
-#: ``Controller._reassign_dead_replicas``), so a permanent kill of the
-#: last live replica of a partition before a rollover would wedge the
-#: chain — restart/failover coverage comes from crash/recover plus the
+#: Ops left out of the realtime-only upsert/dedup scenarios. There is
+#: no offline table to upload/replace/delete from. ``kill_server`` is
+#: left out because dead upsert replicas are not re-seated (see
+#: ``Controller._reassign_dead_replicas``): a chain that lost every
+#: replica comes back only at the next rebalance, and queries between
+#: the kill and that rebalance miss the partition without being flagged
+#: partial, because the broker skips replica-less segments (ROADMAP
+#: F(4)). Restart/failover coverage comes from crash/recover plus the
 #: dedicated regression tests instead.
 _NON_UPSERT_OPS = frozenset({
     "upload_segment", "replace_segment", "delete_segment", "kill_server",

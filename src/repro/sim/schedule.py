@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,3 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    def __iter__(self) -> Iterator[Op]:
-        return iter(self.ops)

@@ -277,11 +277,6 @@ class TableUpsertManager:
         if self.metrics is not None:
             self.metrics.incr("upsert_index_rebuilds")
 
-    def forget(self, segment_name: str) -> None:
-        """Drop the bitmap of a segment no longer hosted (callers must
-        follow with :meth:`rebuild`; exposed separately for tests)."""
-        self._valid.pop(segment_name, None)
-
     # -- query-path lookup --------------------------------------------------
 
     def selection_for(self, segment_name: str,

@@ -335,6 +335,44 @@ class TestFailoverAndRebuild:
         assert_replicas_identical(cluster)
         assert latest_views(cluster) == before
 
+    def test_rebalance_reseats_a_partition_that_lost_every_replica(self):
+        # Both holders of the only partition die while __0__0 is
+        # committed and __0__1 still consuming. A rebalance onto the two
+        # blank servers re-seats the whole chain: the committed segment
+        # ONLINE from the deep store, the consuming one CONSUMING from
+        # its start offset (asking it for ONLINE would fail the whole
+        # chain back to its dead holders and wedge the partition).
+        cluster = make_cluster(num_servers=4, flush_rows=5)
+        ledger = {}
+
+        def produce(rows):
+            cluster.ingest(TOPIC, rows, key_column="memberId")
+            ledger.update({r["memberId"]: float(r["views"]) for r in rows})
+            cluster.drain_realtime()
+
+        for generation in range(3):
+            produce([row(m, generation * 10 + m) for m in (1, 2, 3)])
+        ideal = cluster.helix.ideal_state(TABLE)
+        assert committed_segments(cluster) == [f"{TABLE}__0__0"]
+        holders = set().union(*ideal.values())
+        assert len(holders) == 2
+        for instance in sorted(holders):
+            cluster.kill_server(instance)
+        cluster.leader_controller().rebalance_table(TABLE)
+        cluster.helix.converge(TABLE)
+
+        view = cluster.helix.external_view(TABLE)
+        live = {server.instance_id for server in cluster.servers}
+        for segment in ideal:
+            state = ("ONLINE" if segment in committed_segments(cluster)
+                     else "CONSUMING")
+            replicas = view.get(segment, {})
+            assert set(replicas) <= live, segment
+            assert list(replicas.values()) == [state] * 2, segment
+        produce([row(m, 100 + m) for m in (3, 4)])
+        assert latest_views(cluster) == ledger
+        assert_replicas_identical(cluster)
+
     def test_explicit_rebuild_is_idempotent(self):
         cluster = make_cluster(flush_rows=5)
         for generation in range(2):
