@@ -29,8 +29,11 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = ("point_lookup", "scan_groupby", "wide_state", "ingest_query_mix")
 #: Layers no query can avoid: a 0 here means the patch point went dead.
+#: ``cluster.table`` (``TableConfig.from_dict``) is not one of them: a
+#: table's config is parsed once per change of its znode and every
+#: query after that reads the parsed copy, so it rightly reads 0.
 LIVE_LAYERS = (
-    "pql.parser", "cluster.table", "net.codec.encode", "net.codec.decode",
+    "pql.parser", "net.codec.encode", "net.codec.decode",
     "net.transport", "cluster.server", "cache.pruner", "engine.planner",
     "engine.executor", "engine.merge.combine", "engine.merge.reduce",
 )

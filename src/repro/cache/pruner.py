@@ -16,10 +16,13 @@ provably matches nothing there:
   segment's ``partition_id``.
 
 Every caller shares it: the broker before the scatter (over
-:func:`record_summary`, what a segment's ZK record publishes), each
-server per resolved segment and in ``explain`` (over the segment's own
-metadata), and partition-aware routing (through
-:func:`equality_constraints`).
+:func:`record_summary`, what a segment's ZK record publishes, read once
+per routing change), each server per resolved segment and in
+``explain`` (over the segment's own metadata, through the
+:func:`prune_check` its compiled query carries), and partition-aware
+routing (through :func:`equality_constraints`). A bloom filter is
+parsed once either way: into the summary, or memoised on the column's
+metadata.
 
 Everything here is *conservative*: a leaf that cannot be reasoned about
 (OR trees, negations, LIKE, type mismatches) simply never prunes.
@@ -30,7 +33,7 @@ proves no element can match.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from repro.kafka.partitioner import kafka_partition
 from repro.pql.ast_nodes import (
@@ -42,8 +45,10 @@ from repro.pql.ast_nodes import (
     Predicate,
     Query,
 )
-from repro.segment.bloom import BloomFilter
-from repro.segment.metadata import SegmentMetadata
+
+if TYPE_CHECKING:  # pragma: no cover - the engine imports this module
+    from repro.segment.bloom import BloomFilter
+    from repro.segment.metadata import SegmentMetadata
 
 
 class CompiledPruner(NamedTuple):
@@ -60,7 +65,7 @@ class ColumnSummary(NamedTuple):
 
     min_value: Any
     max_value: Any
-    bloom: dict | None
+    bloom_filter: BloomFilter | None
 
 
 class SegmentSummary(NamedTuple):
@@ -77,9 +82,12 @@ def record_summary(record: Mapping[str, Any],
     """The broker's view of a segment — the time range and blooms its
     ZK record publishes — in the shape :func:`prune_reason` reads.
     Narrowing by partition stays the routing strategy's call (§4.4)."""
-    blooms = record.get("blooms") or {}
-    columns = {name: ColumnSummary(None, None, payload)
-               for name, payload in blooms.items()}
+    from repro.segment.bloom import BloomFilter
+
+    blooms = {name: BloomFilter.from_payload(payload)
+              for name, payload in (record.get("blooms") or {}).items()}
+    columns = {name: ColumnSummary(None, None, bloom)
+               for name, bloom in blooms.items()}
     if time_column is not None:
         columns[time_column] = ColumnSummary(
             record.get("min_time"), record.get("max_time"),
@@ -94,11 +102,21 @@ NEVER_PRUNES = CompiledPruner((), {})
 def compile_pruner(query: Query) -> CompiledPruner:
     if query.where is None:
         return NEVER_PRUNES
+    leaves = _top_level_leaves(query.where)
     return CompiledPruner(
-        tuple(leaf for leaf in _top_level_leaves(query.where)
-              if isinstance(leaf, (Comparison, Between, In))),
-        equality_constraints(query.where),
+        tuple([leaf for leaf in leaves
+               if isinstance(leaf, (Comparison, Between, In))]),
+        _equality_constraints(leaves),
     )
+
+
+def prune_check(query: Query) -> CompiledPruner:
+    """A server's prune check for ``query``; under ``skipPrune`` (which
+    ``skipCache`` implies) one that skips nothing, so every segment is
+    executed."""
+    if query.options.get("skipCache") or query.options.get("skipPrune"):
+        return NEVER_PRUNES
+    return compile_pruner(query)
 
 
 def equality_constraints(predicate: Predicate) -> dict[str, list]:
@@ -111,7 +129,10 @@ def equality_constraints(predicate: Predicate) -> dict[str, list]:
     server-side evaluation. An IN list that loses members this way is
     dropped entirely — partial coverage cannot prove absence.
     """
-    leaves = _top_level_leaves(predicate)
+    return _equality_constraints(_top_level_leaves(predicate))
+
+
+def _equality_constraints(leaves: tuple[Predicate, ...]) -> dict[str, list]:
     out: dict[str, list] = {}
 
     def clean(values):
@@ -208,9 +229,9 @@ def _lte(a: Any, b: Any) -> bool:
 
 def _bloom_excludes(metadata, column: str, values: list) -> bool:
     meta = metadata.columns.get(column)
-    if meta is None or meta.bloom is None:
+    bloom = None if meta is None else meta.bloom_filter
+    if bloom is None:
         return False
-    bloom = BloomFilter.from_payload(meta.bloom)
     # A STRING column compares a numeric literal by its text, and the
     # payload does not say which kind it summarises: probe both forms.
     return not any(

@@ -12,7 +12,7 @@ table config so future segment builds index the column up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.cluster.broker import BrokerInstance
@@ -98,10 +98,13 @@ class AutoIndexAnalyzer:
         built with the index."""
         task_ids = []
         for rec in self.recommend(brokers):
+            # Configs read are shared by every reader: publish a new one.
             config = self._controller.table_config(rec.table)
-            config.segment_config.inverted_columns = (
-                *config.segment_config.inverted_columns, rec.column
-            )
+            config = replace(config, segment_config=replace(
+                config.segment_config,
+                inverted_columns=(*config.segment_config.inverted_columns,
+                                  rec.column),
+            ))
             self._controller._helix.set_property(  # noqa: SLF001
                 f"tableconfigs/{rec.table}", config.to_dict()
             )

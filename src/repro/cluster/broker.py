@@ -16,7 +16,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from repro.cache.bus import TableEpochs
-from repro.cache.pruner import compile_pruner, prune_reason, record_summary
+from repro.cache.pruner import (
+    SegmentSummary,
+    compile_pruner,
+    prune_reason,
+    record_summary,
+)
 from repro.cache.result_cache import BrokerResultCache, CachedResult
 from repro.cluster.health import (
     EVENT_EJECTED,
@@ -263,6 +268,10 @@ class BrokerInstance:
         self.result_cache = BrokerResultCache(clock=self._clock)
         self._epochs = TableEpochs(bus=helix.invalidation_bus)
         self._routing_versions: dict[str, int] = {}
+        #: table -> ((routing version, epoch), segment -> summary): what
+        #: ``_prune`` holds a query against (``_summaries_for``).
+        self._summaries: dict[str, tuple[tuple[int, int],
+                                         dict[str, SegmentSummary]]] = {}
         helix.watch_external_view(self._on_view_change)
 
     # -- routing-table maintenance (§3.3.2) -----------------------------------
@@ -1129,32 +1138,48 @@ class BrokerInstance:
     def _prune(self, query: Query, routing_table,
                time_column: str | None):
         """Drop segments that provably cannot match the filter before
-        contacting any server, in one pass with one metadata read per
-        segment: the query's compiled prune check held against what the
-        segment's record publishes — its time range and distinct-value
-        bloom filters (never a false negative, so pruning is always
-        safe). Servers left with no segments are not contacted at all.
-        Returns the pruned routing table and the number of segments
-        dropped."""
+        contacting any server: the query's compiled prune check held
+        against each segment's summary — the time range and
+        distinct-value bloom filters its record publishes (never a false
+        negative, so pruning is always safe). Servers left with no
+        segments are not contacted at all. Returns the pruned routing
+        table and the number of segments dropped."""
         check = compile_pruner(query)
         if not check.constraints and all(leaf.column != time_column
                                          for leaf in check.leaves):
             return routing_table, 0  # nothing a record could rule out
+        summaries = self._summaries_for(query.table, time_column,
+                                        routing_table)
         pruned = 0
         out: dict[str, list[str]] = {}
         for instance, segments in routing_table.items():
-            # Every segment is routed to exactly one server, so its
-            # record is read, and each bloom parsed, once per query.
-            kept = [
-                segment for segment in segments
-                if prune_reason(record_summary(
-                    read_segment_record(self._helix, query.table, segment),
-                    time_column), check) is None
-            ]
+            kept = [segment for segment in segments
+                    if prune_reason(summaries[segment], check) is None]
             pruned += len(segments) - len(kept)
             if kept:
                 out[instance] = kept
         return out, pruned
+
+    def _summaries_for(self, table: str, time_column: str | None,
+                       routing_table) -> dict[str, SegmentSummary]:
+        """The summary of every routed segment of ``table``. A segment's
+        record is read, and its blooms parsed, once per routing rebuild
+        or invalidation epoch of the table — the events that come with
+        every write of a segment record (push, replace, completion,
+        delete) — not once per query."""
+        version = (self._routing_versions.get(table, 0),
+                   self._epochs.epoch(table))
+        held = self._summaries.get(table)
+        if held is None or held[0] != version:
+            held = self._summaries[table] = (version, {})
+        summaries = held[1]
+        for segments in routing_table.values():
+            for segment in segments:
+                if segment not in summaries:
+                    summaries[segment] = record_summary(
+                        read_segment_record(self._helix, table, segment),
+                        time_column)
+        return summaries
 
     def _record_query_log(self, query: Query,
                           results: list[ServerResult]

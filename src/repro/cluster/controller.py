@@ -10,6 +10,7 @@ controllers answer completion polls with NOTLEADER.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Any
 
 from repro.cluster.completion import (
@@ -155,8 +156,8 @@ class Controller:
         segments expose it as a default-valued virtual column."""
         self._require_leader()
         config = self.table_config(table)
-        new_schema = config.schema.with_column(spec)
-        config.schema = new_schema
+        # Configs read are shared by every reader: publish a new one.
+        config = replace(config, schema=config.schema.with_column(spec))
         self._helix.set_property(f"tableconfigs/{table}", config.to_dict())
         for instance in self._helix.live_instances():
             participant = self._helix.participant(instance)

@@ -16,12 +16,7 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.cache.pruner import (
-    NEVER_PRUNES,
-    CompiledPruner,
-    compile_pruner,
-    prune_reason,
-)
+from repro.cache.pruner import prune_reason
 from repro.cluster.completion import Instruction
 from repro.cluster.objectstore import ObjectStore
 from repro.cluster.table import (
@@ -33,6 +28,7 @@ from repro.cluster.table import (
 )
 from repro.engine.executor import execute_segment, prune_result
 from repro.engine.merge import combine_segment_results
+from repro.engine.planner import CompiledQuery, compile_query, plan_segment
 from repro.engine.results import SegmentResult, ServerResult
 from repro.errors import ClusterError, PinotError
 from repro.faults import FaultInjector, run_with_faults
@@ -283,7 +279,9 @@ class ServerInstance:
         """Re-apply schema evolution to a freshly downloaded segment:
         columns added after the segment was built (§5.2) exist only as
         virtual columns on loaded copies, so a cold reload must recreate
-        them or queries on the new column would fail after an evict."""
+        them or queries on the new column would fail after an evict.
+        A segment whose schema then equals the table's shares its
+        object."""
         config = find_table_config(self._helix, table)
         if config is None:
             return
@@ -291,6 +289,10 @@ class ServerInstance:
         for name in schema.column_names:
             if not segment.has_column(name):
                 self._add_virtual_column(segment, schema.field(name))
+        if segment.schema == schema:
+            # One schema object per table: a query compiled for it binds
+            # to every loaded segment without comparing schemas.
+            segment.schema = schema
 
     def _promote_consuming(self, table: str, segment: str) -> None:
         """CONSUMING → ONLINE: keep local sealed data when it matches the
@@ -627,7 +629,9 @@ class ServerInstance:
     def _execute_segments(self, query: Query, table: str,
                           segment_names: list[str],
                           deadline: float | None) -> ServerResult:
-        check = _pruner_for(query)
+        #: The query compiled once, against the first resolved segment's
+        #: schema; each segment only binds it (docs/ENGINE.md).
+        compiled: CompiledQuery | None = None
         vectorized = bool(
             query.options.get("vectorized", self.default_vectorized)
         )
@@ -656,7 +660,9 @@ class ServerInstance:
                         recorder.end(span)
                         span = None
                     continue
-                reason = prune_reason(segment.metadata, check)
+                if compiled is None:
+                    compiled = compile_query(query, segment.schema)
+                reason = prune_reason(segment.metadata, compiled.pruner)
                 if reason is not None:
                     self.metrics.incr("segments_pruned")
                     results.append(prune_result(segment, query))
@@ -673,7 +679,7 @@ class ServerInstance:
                 )
                 if span is not None and valid_docs is not None:
                     span.attributes["valid_docs"] = valid_docs.count
-                segment_result = execute_segment(segment, query,
+                segment_result = execute_segment(segment, compiled,
                                                  vectorized=vectorized,
                                                  valid_docs=valid_docs)
                 results.append(segment_result)
@@ -700,18 +706,18 @@ class ServerInstance:
                 segment_names: list[str]) -> dict[str, str]:
         """Describe the physical plan per segment (plans differ segment
         to segment by index availability, §3.3.4)."""
-        from repro.engine.planner import plan_segment
-
-        check = _pruner_for(query)
+        compiled: CompiledQuery | None = None
         plans = {}
         for name in segment_names:
             segment = self._resolve_for_query(table, name)
             if segment is None:
                 plans[name] = "EMPTY (no rows consumed yet)"
                 continue
-            reason = prune_reason(segment.metadata, check)
+            if compiled is None:
+                compiled = compile_query(query, segment.schema)
+            reason = prune_reason(segment.metadata, compiled.pruner)
             plans[name] = (f"PRUNED ({reason})" if reason is not None
-                           else plan_segment(segment, query).describe())
+                           else plan_segment(segment, compiled).describe())
         return plans
 
     def _resolve_for_query(
@@ -737,14 +743,6 @@ class ServerInstance:
             f"server {self.instance_id!r} asked for unknown segment "
             f"{table}/{name}"
         )
-
-
-def _pruner_for(query: Query) -> CompiledPruner:
-    """The query's prune check; under ``skipPrune`` (which ``skipCache``
-    implies) one that skips nothing, so every segment is executed."""
-    if query.options.get("skipCache") or query.options.get("skipPrune"):
-        return NEVER_PRUNES
-    return compile_pruner(query)
 
 
 def realtime_segment_name(table: str, partition: int, sequence: int) -> str:

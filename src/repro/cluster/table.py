@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
+from weakref import WeakKeyDictionary
 
 from repro.common.schema import Schema
 from repro.common.timeutils import TimeGranularity, TimeUnit
@@ -263,21 +264,61 @@ class TableConfig:
 # else: ``tableconfigs/<table>`` holds a table's config,
 # ``segments/<table>/<segment>`` the record the controller publishes for
 # a pushed segment, ``realtime/<table>/<segment>`` the completion
-# protocol's record for a consumed one. Every read is one ZK round trip
-# and every parsed config one ``from_dict`` — a parsed-config cache
-# (ROADMAP B(3)) is a change to ``find_table_config`` alone.
+# protocol's record for a consumed one. Every record read is one ZK
+# round trip. A table's config is parsed once per change of its znode:
+# :class:`_TableConfigs` keeps one parsed :class:`TableConfig` (or the
+# fact that there is none) per table behind a data watch on
+# ``tableconfigs/<table>``, so every reader — brokers on each query,
+# servers, the controller — shares it. A shared config is read-only:
+# a writer builds a new one (``dataclasses.replace``) and publishes it
+# with ``set_property``, which fires the watch.
+
+
+class _TableConfigs:
+    """The parsed configs of one cluster's tables, dropped when their
+    znode is created, changed or deleted and parsed again on the next
+    read. It holds no reference to the cluster, so it lives exactly as
+    long as the Helix manager it is keyed by."""
+
+    def __init__(self) -> None:
+        self._configs: dict[str, TableConfig | None] = {}
+        self._watched: set[str] = set()
+
+    def get(self, helix: "HelixManager", table: str) -> TableConfig | None:
+        try:
+            return self._configs[table]
+        except KeyError:
+            pass
+        if table not in self._watched:
+            self._watched.add(table)
+            helix.zk.watch_data(helix.property_path(f"tableconfigs/{table}"),
+                                self._on_change)
+        payload = helix.get_property(f"tableconfigs/{table}")
+        config = None if payload is None else TableConfig.from_dict(payload)
+        self._configs[table] = config
+        return config
+
+    def _on_change(self, event: str, path: str) -> None:
+        self._configs.pop(path.rsplit("/", 1)[-1], None)
+
+
+_CONFIGS: "WeakKeyDictionary[HelixManager, _TableConfigs]" = (
+    WeakKeyDictionary())
 
 
 def table_exists(helix: "HelixManager", table: str) -> bool:
-    """Whether a physical table is registered — without paying for a
-    config parse (the broker asks this three times per query)."""
-    return helix.get_property(f"tableconfigs/{table}") is not None
+    """Whether a physical table is registered."""
+    return find_table_config(helix, table) is not None
 
 
 def find_table_config(helix: "HelixManager",
                       table: str) -> TableConfig | None:
-    payload = helix.get_property(f"tableconfigs/{table}")
-    return None if payload is None else TableConfig.from_dict(payload)
+    """The table's config, or None when there is no such table. The
+    object is shared by every reader: never mutate it."""
+    configs = _CONFIGS.get(helix)
+    if configs is None:
+        configs = _CONFIGS[helix] = _TableConfigs()
+    return configs.get(helix, table)
 
 
 def read_table_config(helix: "HelixManager", table: str) -> TableConfig:

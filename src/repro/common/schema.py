@@ -7,6 +7,7 @@ and support on-the-fly evolution by column addition (§5.2).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Iterable, Iterator, Mapping
 
 from repro.common.types import DataType, FieldRole, FieldSpec
@@ -38,6 +39,12 @@ class Schema:
                 f"schema {name!r} has multiple time columns: {time_columns}"
             )
         self._time_column = time_columns[0] if time_columns else None
+        #: What equality compares, in plain values: every loaded segment
+        #: carries its own copy of its table's schema, and the planner
+        #: compares a segment's against the one a query was compiled for.
+        self._key = (name, tuple(
+            tuple(getattr(spec, f.name) for f in dataclasses.fields(spec))
+            for spec in self._fields.values()))
 
     # -- introspection ---------------------------------------------------
 
@@ -74,7 +81,7 @@ class Schema:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schema):
             return NotImplemented
-        return self.name == other.name and self.fields == other.fields
+        return self._key == other._key
 
     def __repr__(self) -> str:
         cols = ", ".join(

@@ -24,6 +24,7 @@ from repro.engine.aggregates import function_for
 from repro.engine.groupby import execute_group_by, selected_values
 from repro.engine.operators import DocSelection
 from repro.engine.planner import (
+    CompiledQuery,
     PlanKind,
     SegmentPlan,
     bucket_rollup,
@@ -43,12 +44,15 @@ from repro.pql.ast_nodes import Query
 from repro.segment.segment import Column, ImmutableSegment
 
 
-def execute_segment(segment: ImmutableSegment, query: Query,
+def execute_segment(segment: ImmutableSegment,
+                    query: Query | CompiledQuery,
                     use_cost_ordering: bool = True,
                     allow_star_tree: bool = True,
                     vectorized: bool = True,
                     valid_docs: DocSelection | None = None) -> SegmentResult:
-    """Plan and execute ``query`` on one segment.
+    """Plan and execute ``query`` on one segment. A server passes the
+    :class:`CompiledQuery` it compiled once for all its segments, so
+    planning here is only the per-segment bind.
 
     ``vectorized=False`` bypasses the planner and batch kernels entirely
     and runs the row-at-a-time scalar oracle (:mod:`repro.engine.scalar`)
@@ -64,6 +68,8 @@ def execute_segment(segment: ImmutableSegment, query: Query,
     if not vectorized:
         from repro.engine.scalar import execute_segment_scalar
 
+        if isinstance(query, CompiledQuery):
+            query = query.query
         return execute_segment_scalar(segment, query, valid_docs=valid_docs)
     plan = plan_segment(segment, query, use_cost_ordering,
                         allow_star_tree and valid_docs is None,

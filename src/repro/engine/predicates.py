@@ -13,14 +13,22 @@ disjoint, contiguous *dictionary-id ranges*:
 The same :class:`IdMatch` feeds all three physical filter operators
 (sorted-range, inverted-index, scan), which is what lets the planner
 pick operators per segment by index availability (§3.3.4).
+
+Only the id look-ups depend on the segment: a leaf is compiled once per
+query (:func:`compile_predicate_leaf` — literals coerced to the column's
+type, the match function chosen) and bound to each segment's dictionary
+by its ``bind``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.common.types import DataType
 from repro.errors import PlanningError
 from repro.pql.ast_nodes import (
     Between,
@@ -34,9 +42,9 @@ from repro.segment.dictionary import Dictionary
 from repro.segment.segment import Column
 
 
-@dataclass(frozen=True)
-class IdMatch:
-    """Disjoint sorted half-open dictionary-id ranges matching a leaf."""
+class IdMatch(NamedTuple):
+    """Disjoint sorted half-open dictionary-id ranges matching a leaf
+    (a tuple: every segment's plan makes one per leaf)."""
 
     ranges: tuple[tuple[int, int], ...]
     cardinality: int
@@ -138,105 +146,136 @@ def _complement(match: IdMatch) -> IdMatch:
     return IdMatch(tuple(out), match.cardinality)
 
 
+class CompiledLeaf(NamedTuple):
+    """A leaf predicate compiled once per query: literals coerced to its
+    column's type, the operator and its range sides decided. What is
+    left is one segment's dictionary look-ups, which :meth:`bind` does.
+    """
+
+    predicate: Predicate
+    column: str
+    #: ``dictionary -> IdMatch`` for one segment; a leaf no segment can
+    #: evaluate (a string literal against a numeric column, LIKE on a
+    #: number) raises its :class:`PlanningError` here, when bound, so a
+    #: leaf no plan reaches never fails a query.
+    bind: Callable[[Dictionary], IdMatch]
+
+
+def compile_predicate_leaf(predicate: Predicate,
+                           dtype: DataType) -> CompiledLeaf:
+    """Compile one leaf for a column of type ``dtype``."""
+    try:
+        bind = _binder(predicate, dtype)
+    except PlanningError as error:
+        def bind(dictionary: Dictionary, error=error) -> IdMatch:
+            raise PlanningError(str(error))
+    return CompiledLeaf(predicate, predicate.column, bind)
+
+
 def compile_leaf(predicate: Predicate, column: Column) -> IdMatch:
     """Compile one leaf predicate against a column's dictionary."""
     dictionary = column.dictionary
+    return compile_predicate_leaf(predicate, dictionary.dtype).bind(
+        dictionary)
+
+
+#: A comparison as a one-sided range: (is the literal the low bound,
+#: is the bound inclusive).
+_RANGE_SIDES = {
+    CompareOp.LT: (False, False),
+    CompareOp.LTE: (False, True),
+    CompareOp.GT: (True, False),
+    CompareOp.GTE: (True, True),
+}
+
+
+def _binder(predicate: Predicate,
+            dtype: DataType) -> Callable[[Dictionary], IdMatch]:
+    """The leaf's literals coerced and its match function chosen; what
+    is left takes one segment's dictionary."""
     if isinstance(predicate, Comparison):
-        return _compile_comparison(predicate, dictionary)
-    if isinstance(predicate, In):
-        return _compile_in(predicate, dictionary)
+        value = _coerce(dtype, predicate.value)
+        if predicate.op is CompareOp.EQ:
+            return partial(_eq_match, value)
+        if predicate.op is CompareOp.NEQ:
+            return partial(_neq_match, value)
+        is_low, inclusive = _RANGE_SIDES[predicate.op]
+        if is_low:
+            return partial(_range_match, value, None, inclusive, True)
+        return partial(_range_match, None, value, True, inclusive)
     if isinstance(predicate, Between):
-        value_lo = _coerce(dictionary, predicate.low)
-        value_hi = _coerce(dictionary, predicate.high)
-        lo, hi = dictionary.id_range_for(value_lo, value_hi)
-        return _coalesce([(lo, hi)], dictionary.cardinality)
+        return partial(_range_match, _coerce(dtype, predicate.low),
+                       _coerce(dtype, predicate.high), True, True)
+    if isinstance(predicate, In):
+        return partial(_in_match,
+                       [_coerce(dtype, value) for value in predicate.values],
+                       predicate.negated)
     if isinstance(predicate, Like):
-        return _compile_like(predicate, dictionary)
+        if dtype is not DataType.STRING:
+            raise PlanningError(
+                f"LIKE requires a string column, {predicate.column!r} is "
+                f"{dtype.value}"
+            )
+        return partial(_like_match, re.compile(predicate.to_regex()),
+                       predicate.negated)
     raise PlanningError(f"not a leaf predicate: {predicate!r}")
 
 
-def _compile_like(predicate: Like, dictionary: Dictionary) -> IdMatch:
-    """LIKE evaluates the pattern over the dictionary, not the rows:
-    cardinality-many regex matches regardless of segment size."""
-    import re
-
-    from repro.common.types import DataType
-
-    if dictionary.dtype is not DataType.STRING:
-        raise PlanningError(
-            f"LIKE requires a string column, {predicate.column!r} is "
-            f"{dictionary.dtype.value}"
-        )
-    regex = re.compile(predicate.to_regex())
-    ranges = [
-        (dict_id, dict_id + 1)
-        for dict_id in range(dictionary.cardinality)
-        if regex.fullmatch(dictionary.value_of(dict_id)) is not None
-    ]
-    match = _coalesce(ranges, dictionary.cardinality)
-    if predicate.negated:
-        return _complement(match)
-    return match
+def _eq_match(value, dictionary: Dictionary) -> IdMatch:
+    dict_id = dictionary.id_of(value)
+    return IdMatch(() if dict_id is None else ((dict_id, dict_id + 1),),
+                   dictionary.cardinality)
 
 
-def _compile_comparison(predicate: Comparison,
-                        dictionary: Dictionary) -> IdMatch:
-    card = dictionary.cardinality
-    value = _coerce(dictionary, predicate.value)
-    op = predicate.op
-    if op is CompareOp.EQ:
-        dict_id = dictionary.id_of(value)
-        ranges = [] if dict_id is None else [(dict_id, dict_id + 1)]
-        return _coalesce(ranges, card)
-    if op is CompareOp.NEQ:
-        dict_id = dictionary.id_of(value)
-        if dict_id is None:
-            return IdMatch(((0, card),), card)
-        return _complement(_coalesce([(dict_id, dict_id + 1)], card))
-    if op is CompareOp.LT:
-        lo, hi = dictionary.id_range_for(None, value, high_inclusive=False)
-    elif op is CompareOp.LTE:
-        lo, hi = dictionary.id_range_for(None, value, high_inclusive=True)
-    elif op is CompareOp.GT:
-        lo, hi = dictionary.id_range_for(value, None, low_inclusive=False)
-    elif op is CompareOp.GTE:
-        lo, hi = dictionary.id_range_for(value, None, low_inclusive=True)
-    else:  # pragma: no cover - exhaustive enum
-        raise PlanningError(f"unknown comparison op {op}")
-    return _coalesce([(lo, hi)], card)
+def _neq_match(value, dictionary: Dictionary) -> IdMatch:
+    return _complement(_eq_match(value, dictionary))
 
 
-def _compile_in(predicate: In, dictionary: Dictionary) -> IdMatch:
-    card = dictionary.cardinality
+def _range_match(low, high, low_inclusive: bool, high_inclusive: bool,
+                 dictionary: Dictionary) -> IdMatch:
+    """A value range (None: unbounded) is one contiguous id range in a
+    sorted dictionary."""
+    lo, hi = dictionary.id_range_for(low, high, low_inclusive,
+                                     high_inclusive)
+    return IdMatch(((lo, hi),) if hi > lo else (), dictionary.cardinality)
+
+
+def _in_match(values: list, negated: bool,
+              dictionary: Dictionary) -> IdMatch:
     ranges = []
-    for value in predicate.values:
-        dict_id = dictionary.id_of(_coerce(dictionary, value))
+    for value in values:
+        dict_id = dictionary.id_of(value)
         if dict_id is not None:
             ranges.append((dict_id, dict_id + 1))
-    match = _coalesce(ranges, card)
-    if predicate.negated:
-        return _complement(match)
-    return match
+    match = _coalesce(ranges, dictionary.cardinality)
+    return _complement(match) if negated else match
 
 
-def _coerce(dictionary: Dictionary, value):
+def _like_match(regex: re.Pattern, negated: bool,
+                dictionary: Dictionary) -> IdMatch:
+    """LIKE evaluates the pattern over the dictionary, not the rows:
+    cardinality-many regex matches regardless of segment size."""
+    card = dictionary.cardinality
+    match = _coalesce([
+        (dict_id, dict_id + 1) for dict_id in range(card)
+        if regex.fullmatch(dictionary.value_of(dict_id)) is not None
+    ], card)
+    return _complement(match) if negated else match
+
+
+def _coerce(dtype: DataType, value):
     """Coerce a literal to the column type for dictionary comparison.
 
     PQL queries routinely write numeric literals for LONG columns and
     vice versa; comparing an ``int`` against a float dictionary (or the
-    reverse) is fine, but strings must stay strings.
+    reverse) is fine — numpy compares them correctly — but strings must
+    stay strings.
     """
-    from repro.common.types import DataType
-
-    if dictionary.dtype is DataType.STRING and not isinstance(value, str):
-        return str(value)
-    if dictionary.dtype is not DataType.STRING and isinstance(value, str):
+    if dtype is DataType.STRING:
+        return value if isinstance(value, str) else str(value)
+    if isinstance(value, str):
         raise PlanningError(
             f"cannot compare string literal {value!r} against numeric "
             "column"
         )
-    if dictionary.dtype in (DataType.INT, DataType.LONG) and isinstance(
-        value, float
-    ):
-        return value  # numpy handles float-vs-int comparison correctly
     return value

@@ -89,7 +89,7 @@ class Dictionary:
 
     def id_of(self, value: Any) -> int | None:
         """The id for ``value``, or None if the value is absent."""
-        idx = int(np.searchsorted(self._sorted_key, value))
+        idx = int(self._sorted_key.searchsorted(value))
         if idx < len(self._values) and self._values[idx] == value:
             return idx
         return None
@@ -122,12 +122,12 @@ class Dictionary:
             lo = 0
         else:
             side = "left" if low_inclusive else "right"
-            lo = int(np.searchsorted(self._sorted_key, low, side=side))
+            lo = int(self._sorted_key.searchsorted(low, side=side))
         if high is None:
             hi = len(self._values)
         else:
             side = "right" if high_inclusive else "left"
-            hi = int(np.searchsorted(self._sorted_key, high, side=side))
+            hi = int(self._sorted_key.searchsorted(high, side=side))
         return lo, max(lo, hi)
 
     def to_list(self) -> list[Any]:

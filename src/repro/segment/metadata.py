@@ -9,10 +9,13 @@ cost-based operator ordering — §3.3.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.common.types import DataType, FieldRole
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.segment.bloom import BloomFilter
 
 
 @dataclass
@@ -43,8 +46,22 @@ class ColumnMetadata:
     def total_bytes(self) -> int:
         return self.dictionary_bytes + self.forward_bytes + self.inverted_bytes
 
+    @property
+    def bloom_filter(self) -> "BloomFilter | None":
+        """:attr:`bloom` parsed, once per payload: a loaded segment's
+        pruner probes the same filter on every query."""
+        if self.bloom is None:
+            return None
+        memo = self.__dict__.get("_parsed_bloom")
+        if memo is None or memo[0] is not self.bloom:
+            from repro.segment.bloom import BloomFilter
+
+            memo = (self.bloom, BloomFilter.from_payload(self.bloom))
+            self._parsed_bloom = memo
+        return memo[1]
+
     def to_dict(self) -> dict[str, Any]:
-        out = dict(self.__dict__)
+        out = {spec.name: getattr(self, spec.name) for spec in fields(self)}
         out["dtype"] = self.dtype.value
         out["role"] = self.role.value
         return out

@@ -22,8 +22,8 @@ grouped dimension it descends into every value child; for an
 unconstrained, ungrouped dimension it takes the star child, which is
 where the pre-aggregation pays off.
 
-This module only picks records and keys their groups. Filters compile
-through the scan path's ``compile_leaf``, group keys pack through its
+This module only picks records and keys their groups. Filters bind
+through the scan path's compiled leaves, group keys pack through its
 ``combine_codes`` and every state comes from the aggregation
 function's ``aggregate_rollup`` — the star-tree has no predicate,
 key-packing or state logic of its own.
@@ -35,70 +35,51 @@ import numpy as np
 
 from repro.engine.aggregates import Rollup, function_for, served_by_rollup
 from repro.engine.groupby import combine_codes
-from repro.engine.predicates import IdMatch, compile_leaf
+from repro.engine.predicates import CompiledLeaf, IdMatch
 from repro.engine.results import AggregationPartial, GroupByPartial
-from repro.pql.ast_nodes import (
-    And,
-    Between,
-    CompareOp,
-    Comparison,
-    In,
-    Predicate,
-    Query,
-)
+from repro.pql.ast_nodes import Query
 from repro.segment.segment import ImmutableSegment
 from repro.startree.node import StarTree, StarTreeNode
 
 
 def supports_query(segment: ImmutableSegment, query: Query) -> bool:
     """Whether ``segment``'s star-tree can answer ``query`` exactly."""
-    return star_tree_constraints(segment, query) is not None
+    from repro.engine.planner import compile_query
+
+    leaves = compile_query(query, segment.schema).star_leaves
+    return leaves is not None and star_tree_constraints(
+        segment, query, leaves) is not None
 
 
 def star_tree_constraints(
-    segment: ImmutableSegment, query: Query
+    segment: ImmutableSegment, query: Query,
+    leaves: tuple[CompiledLeaf, ...],
 ) -> list[tuple[int, IdMatch]] | None:
     """One ``(dim_index, allowed dictionary ids)`` per filter leaf of a
     query the star-tree can answer (none without a filter), or None
-    when it cannot — unsupported aggregation, non-dimension column, OR
-    across dimensions, negation — and raw execution must.
+    when it cannot — unsupported aggregation, non-dimension column —
+    and raw execution must.
 
-    Leaves compile through the scan path's ``compile_leaf`` against the
-    segment's own columns: a tree dimension is a column of its segment
-    with the same sorted dictionary, so the ids are the tree's ids and
-    literals are coerced (or rejected) exactly as a scan would.
+    ``leaves`` are the query's top-level AND leaves, compiled by the
+    planner, which has already turned away OR, negations and LIKE. They
+    bind as the scan path's leaves do, against the segment's
+    own columns: a tree dimension is a column of its segment with the
+    same sorted dictionary, so the ids are the tree's ids and literals
+    are coerced (or rejected) exactly as a scan would.
     """
     tree = segment.star_tree
     assert tree is not None
-    if not query.is_aggregation:
-        return None
     if not all(served_by_rollup(a, _records(tree, a.column))
                for a in query.aggregations):
         return None
-    if any(column not in tree.dimensions for column in query.group_by):
+    dimensions = tree.dimensions
+    if any(column not in dimensions for column in query.group_by):
         return None
-    constraints: list[tuple[int, IdMatch]] = []
-    if query.where is None:
-        return constraints
-    where = query.where
-    for leaf in where.children if isinstance(where, And) else (where,):
-        if not _is_tree_leaf(tree, leaf):
-            return None
-        constraints.append((tree.dimension_index(leaf.column),
-                            compile_leaf(leaf, segment.column(leaf.column))))
-    return constraints
-
-
-def _is_tree_leaf(tree: StarTree, leaf: Predicate) -> bool:
-    """EQ / range / IN / BETWEEN on a tree dimension; the negated forms
-    (and LIKE, OR, NOT) fall back to raw execution."""
-    if isinstance(leaf, Comparison):
-        positive = leaf.op is not CompareOp.NEQ
-    elif isinstance(leaf, In):
-        positive = not leaf.negated
-    else:
-        positive = isinstance(leaf, Between)
-    return positive and leaf.column in tree.dimensions
+    if any(leaf.column not in dimensions for leaf in leaves):
+        return None
+    return [(tree.dimension_index(leaf.column),
+             leaf.bind(segment.column(leaf.column).dictionary))
+            for leaf in leaves]
 
 
 def execute_on_star_tree(

@@ -8,6 +8,7 @@ from repro.cache.pruner import compile_pruner, prune_reason
 from repro.cluster.pinot import PinotCluster
 from repro.cluster.table import TableConfig
 from repro.pql.parser import parse
+from repro.segment.bloom import BloomFilter
 from repro.segment.builder import SegmentBuilder, SegmentConfig
 from repro.workloads import impressions, wvmp
 
@@ -190,3 +191,70 @@ class TestConservativeCases:
 
     def test_equality_constraints_drop_partial_in_lists(self):
         assert self.q("vieweeId IN (1, 2.5)").constraints == {}
+
+
+@pytest.fixture
+def count_bloom_parses(monkeypatch):
+    """The list every ``BloomFilter.from_payload`` call appends to."""
+    calls = []
+    parse_payload = BloomFilter.from_payload.__func__
+
+    def counted(cls, payload):
+        calls.append(payload)
+        return parse_payload(cls, payload)
+
+    monkeypatch.setattr(BloomFilter, "from_payload", classmethod(counted))
+    return calls
+
+
+class TestBloomParsedOnce:
+    """A loaded segment's blooms are parsed on first use and kept with
+    its metadata; the broker parses a record's blooms into its summary.
+    Neither parses again per query."""
+
+    def test_metadata_parses_its_bloom_once(self, count_bloom_parses):
+        builder = SegmentBuilder("seg", "t", wvmp.schema(),
+                                 SegmentConfig(bloom_columns=("vieweeId",)))
+        builder.add_all([
+            {"vieweeId": v, "viewerId": 1, "viewerCompany": "c",
+             "viewerRegion": "r", "viewerOccupation": "o",
+             "views": 1, "day": 17200}
+            for v in (10, 20, 30)
+        ])
+        metadata = builder.build().metadata
+        answers = {
+            where: prune_reason(metadata, compile_pruner(
+                parse(f"SELECT count(*) FROM t WHERE {where}")))
+            for where in ("vieweeId = 15", "vieweeId = 20",
+                          "vieweeId IN (11, 12)", "vieweeId IN (12, 30)")
+            for __ in range(3)
+        }
+        assert answers == {"vieweeId = 15": "bloom", "vieweeId = 20": None,
+                           "vieweeId IN (11, 12)": "bloom",
+                           "vieweeId IN (12, 30)": None}
+        assert len(count_bloom_parses) == 1
+
+    def test_repeated_queries_parse_no_bloom_again(self, count_bloom_parses):
+        cluster = PinotCluster(num_servers=2)
+        cluster.create_table(TableConfig.offline(
+            "wvmp", wvmp.schema(),
+            segment_config=SegmentConfig(sorted_column="vieweeId",
+                                         bloom_columns=("viewerCompany",)),
+        ))
+        records = sorted(wvmp.generate_records(4_000, seed=3),
+                         key=lambda r: r["vieweeId"])
+        cluster.upload_records("wvmp", records, rows_per_segment=500)
+        companies = sorted({r["viewerCompany"] for r in records})[:6]
+
+        def round_of_queries(views):
+            for company in companies + ["no-such-company"]:
+                pruned, truth = run_pair(
+                    cluster, f"SELECT count(*) FROM wvmp WHERE "
+                             f"viewerCompany = '{company}' AND views >= {views}")
+                assert pruned.rows == truth.rows
+
+        round_of_queries(0)
+        parsed = len(count_bloom_parses)
+        assert 0 < parsed <= 2 * 8  # broker summary + loaded segment
+        round_of_queries(-1)
+        assert len(count_bloom_parses) == parsed

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.cluster.pinot import PinotCluster
-from repro.cluster.table import TableConfig
+from repro.cluster.table import TableConfig, table_exists
 from repro.common.schema import Schema
 from repro.common.types import DataType, dimension, metric, time_column
-from repro.segment.builder import SegmentConfig
+from repro.errors import ClusterError
+from repro.segment.builder import SegmentBuilder, SegmentConfig
 
 
 @pytest.fixture
@@ -134,6 +135,55 @@ class TestBloomLiteralCoercion:
             "SELECT count(*) FROM events WHERE code = 9")
         assert absent.rows[0][0] == 0
         assert absent.num_segments_pruned_by_broker == 1
+
+
+class TestBrokerStateFollowsChanges:
+    """The broker holds parsed table configs and segment summaries
+    between queries; every change must reach the very next query."""
+
+    def test_replaced_segment_is_pruned_by_its_new_range(self, cluster):
+        warm = cluster.execute(
+            "SELECT count(*) FROM events WHERE day = 17002")
+        assert warm.num_segments_pruned_by_broker == 5
+        controller = cluster.leader_controller()
+        [name] = [
+            segment for segment in controller.list_segments("events_OFFLINE")
+            if cluster.helix.get_property(
+                f"segments/events_OFFLINE/{segment}")["min_time"] == 17002
+        ]
+        config = controller.table_config("events_OFFLINE")
+        builder = SegmentBuilder(name, "events_OFFLINE", config.schema,
+                                 config.segment_config)
+        builder.add_all([{"country": "us", "views": 1, "day": 17010}] * 40)
+        controller.replace_segment("events_OFFLINE", builder.build())
+
+        moved = cluster.execute(
+            "SELECT count(*) FROM events WHERE day = 17010")
+        assert moved.rows[0][0] == 40
+        assert moved.num_segments_pruned_by_broker == 5
+        gone = cluster.execute(
+            "SELECT count(*) FROM events WHERE day BETWEEN 17002 AND 17002")
+        assert gone.rows[0][0] == 0
+        assert gone.num_segments_pruned_by_broker == 6
+
+    def test_dropped_and_recreated_table(self, cluster):
+        helix = cluster.helix
+        controller = cluster.leader_controller()
+        config = controller.table_config("events_OFFLINE")
+        assert cluster.execute("SELECT count(*) FROM events").rows[0][0] == 600
+
+        controller.delete_table("events_OFFLINE")
+        assert not table_exists(helix, "events_OFFLINE")
+        with pytest.raises(ClusterError, match="no such table"):
+            cluster.execute("SELECT count(*) FROM events WHERE day = 17000")
+
+        controller.create_table(config)
+        assert table_exists(helix, "events_OFFLINE")
+        cluster.upload_records(
+            "events", [{"country": "us", "views": 1, "day": 17020}] * 7)
+        response = cluster.execute(
+            "SELECT count(*) FROM events WHERE day >= 17000")
+        assert response.rows[0][0] == 7
 
 
 class TestResponseCounters:

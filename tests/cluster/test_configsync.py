@@ -6,9 +6,11 @@ import pytest
 
 from repro.cluster.configsync import export_configs, sync_configs
 from repro.cluster.pinot import PinotCluster
-from repro.cluster.table import TableConfig
+from repro.cluster.table import StreamConfig, TableConfig
+from repro.cluster.tenant import TenantQuotaManager
 from repro.common.schema import Schema
-from repro.common.types import DataType, dimension, metric
+from repro.common.types import DataType, dimension, metric, time_column
+from repro.errors import ThrottledError
 
 
 @pytest.fixture
@@ -98,3 +100,67 @@ class TestSync:
         [segment_name] = controller.list_segments("events_OFFLINE")
         segment = cluster.object_store.get("events_OFFLINE", segment_name)
         assert segment.column("c").inverted is not None
+
+
+def rewrite(tmp_path, table, **changes):
+    file = tmp_path / f"{table}.json"
+    payload = json.loads(file.read_text())
+    payload.update(changes)
+    file.write_text(json.dumps(payload))
+
+
+class TestSyncReachesTheNextQuery:
+    """Brokers hold the parsed config between queries; a synced change
+    must reach the very next one."""
+
+    def test_tenant_change(self, schema, tmp_path):
+        quotas = TenantQuotaManager(default_capacity=1e12,
+                                    default_refill_rate=1e12)
+        quotas.configure("starved", capacity=0.5, refill_rate=1e-9)
+        cluster = PinotCluster(num_servers=1, quotas=quotas)
+        cluster.create_table(TableConfig.offline("events", schema))
+        cluster.upload_records("events", [{"c": "x", "v": 1}] * 10)
+        controller = cluster.leader_controller()
+        assert cluster.execute("SELECT count(*) FROM events").rows[0][0] == 10
+
+        export_configs(controller, tmp_path)
+        rewrite(tmp_path, "events_OFFLINE", tenant="starved")
+        assert sync_configs(controller, tmp_path).updated == [
+            "events_OFFLINE"]
+        with pytest.raises(ThrottledError, match="starved"):
+            cluster.execute("SELECT sum(v) FROM events")
+
+        rewrite(tmp_path, "events_OFFLINE", tenant="DefaultTenant")
+        sync_configs(controller, tmp_path)
+        assert cluster.execute("SELECT sum(v) FROM events").rows[0][0] == 10
+
+    def test_hybrid_time_boundary_change(self, tmp_path):
+        """The offline leg's granularity places the hybrid split."""
+        schema = Schema("events", [dimension("c"),
+                                   metric("v", DataType.LONG),
+                                   time_column("day", DataType.INT)])
+        cluster = PinotCluster(num_servers=2)
+        cluster.create_kafka_topic("events-topic", 1)
+        cluster.create_table(TableConfig.offline("events", schema))
+        cluster.create_table(TableConfig.realtime(
+            "events", schema, StreamConfig("events-topic")))
+        days = range(17000, 17006)
+        cluster.upload_records(
+            "events", [{"c": "offline", "v": 1, "day": day} for day in days])
+        cluster.ingest("events-topic",
+                       [{"c": "realtime", "v": 1, "day": day} for day in days])
+        cluster.drain_realtime()
+        controller = cluster.leader_controller()
+
+        def realtime_rows(text):
+            return cluster.execute(
+                f"SELECT count(*) FROM events WHERE {text}").rows[0][0]
+
+        # Boundary 17005 - 1: the realtime leg serves day 17005 only.
+        assert realtime_rows("c = 'realtime'") == 1
+        export_configs(controller, tmp_path)
+        rewrite(tmp_path, "events_OFFLINE",
+                retention_granularity={"unit": "DAYS", "size": 3})
+        sync_configs(controller, tmp_path)
+        # Boundary 17005 - 3: days 17003..17005 now come from realtime.
+        assert realtime_rows("c = 'realtime' AND v = 1") == 3

@@ -176,3 +176,18 @@ class TestSchemaEvolution:
             "SELECT count(*) FROM events WHERE platform = 'ios'"
         )
         assert response.rows[0][0] == 0
+
+    def test_add_column_leaves_a_config_already_read_unchanged(
+            self, cluster, schema):
+        """Every reader shares the parsed config: ``add_column`` must
+        publish a new one, not edit the one it read."""
+        controller = cluster.leader_controller()
+        controller.upload_segment("events_OFFLINE",
+                                  make_segment(schema, "s1", [17000]))
+        before = controller.table_config("events_OFFLINE")
+        controller.add_column("events_OFFLINE", dimension("platform"))
+        assert "platform" not in before.schema
+        assert "platform" in controller.table_config("events_OFFLINE").schema
+        response = cluster.execute(
+            "SELECT count(*) FROM events WHERE platform = 'null'")
+        assert response.rows[0][0] == 10

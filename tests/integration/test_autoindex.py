@@ -89,6 +89,19 @@ class TestAutoIndex:
         assert after.entries_scanned_in_filter < \
             before.entries_scanned_in_filter
 
+    def test_apply_leaves_a_config_already_read_unchanged(self, cluster):
+        """Every reader shares the parsed config: ``apply`` must publish
+        a new one, not edit the one it read."""
+        hammer(cluster)
+        controller = cluster.leader_controller()
+        before = controller.table_config("events_OFFLINE")
+        analyzer = AutoIndexAnalyzer(controller, min_queries=20,
+                                     min_entries_scanned=10_000)
+        assert len(analyzer.apply(cluster.brokers)) == 1
+        assert before.segment_config.inverted_columns == ()
+        after = controller.table_config("events_OFFLINE")
+        assert after.segment_config.inverted_columns == ("country",)
+
     def test_apply_is_idempotent(self, cluster):
         hammer(cluster)
         analyzer = AutoIndexAnalyzer(cluster.leader_controller(),
