@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -16,19 +15,9 @@ IMPRESSIONS_ROWS = 300_000
 NUM_QUERIES = 60
 
 
-def write_report(name: str, text: str, data: dict | None = None) -> None:
-    """Print a figure reproduction and persist it to results/.
-
-    ``data`` is an optional machine-readable summary of the same figure;
-    it lands next to the text report as ``results/<name>.json`` so CI
-    (scripts/bench_engine.py) can fold figure metrics into
-    BENCH_engine.json without scraping the prose tables.
-    """
+def write_report(name: str, text: str) -> None:
+    """Print a figure reproduction and persist it to results/."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    if data is not None:
-        payload = json.dumps({"figure": name, **data}, indent=2,
-                             sort_keys=True, default=float)
-        (RESULTS_DIR / f"{name}.json").write_text(payload + "\n")
     print(f"\n===== {name} =====", file=sys.stderr)
     print(text, file=sys.stderr)

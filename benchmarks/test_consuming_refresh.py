@@ -60,10 +60,5 @@ def test_refresh_cost_is_flat_in_rows_consumed(benchmark):
         refresh, first_query = costs[size]
         lines.append(f"{size:>13,} | {refresh:>10.0f} | {refresh / base:>6.2f} "
                      f"| {first_query:>10.0f}")
-    write_report("consuming_refresh", "\n".join(lines), {
-        "step_rows": STEP,
-        "refresh_us": {str(size): costs[size][0] for size in SIZES},
-        "refresh_and_first_query_us": {
-            str(size): costs[size][1] for size in SIZES},
-    })
+    write_report("consuming_refresh", "\n".join(lines))
     assert costs[SIZES[-1]][0] <= 2.0 * base, costs

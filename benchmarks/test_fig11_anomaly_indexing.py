@@ -71,16 +71,7 @@ def test_fig11_report(benchmark, measured):
     lines.append("Max QPS at p99<=100ms: " + ", ".join(
         f"{name}={saturation[name]:.0f}" for name in ENGINES
     ))
-    write_report("fig11_anomaly_indexing", "\n".join(lines), data={
-        "engines": {
-            name: {
-                "mean_ms": workload.mean_ms,
-                "p99_ms": workload.p99_ms,
-                "saturation_qps": saturation[name],
-            }
-            for name, workload in measured.items()
-        },
-    })
+    write_report("fig11_anomaly_indexing", "\n".join(lines))
 
     # Paper's ordering of the four curves.
     assert measured["pinot-startree"].mean_ms < \

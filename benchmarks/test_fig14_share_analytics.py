@@ -79,17 +79,7 @@ def test_fig14_report(benchmark, measured, shares_engines):
         f"(ratio {druid_bytes / pinot_bytes:.2f}x; paper: 1.2TB vs 300GB "
         "= 4x)"
     )
-    write_report("fig14_share_analytics", "\n".join(lines), data={
-        "engines": {
-            name: {
-                "mean_ms": workload.mean_ms,
-                "p99_ms": workload.p99_ms,
-                "saturation_qps": saturation[name],
-            }
-            for name, workload in measured.items()
-        },
-        "storage_bytes": {"druid": druid_bytes, "pinot": pinot_bytes},
-    })
+    write_report("fig14_share_analytics", "\n".join(lines))
 
     # Pinot wins on latency and scales further (the paper's gap is
     # larger; our Python substrate compresses ratios — EXPERIMENTS.md).

@@ -98,14 +98,7 @@ def test_tail_hedging_report(benchmark, measured):
         f"(hedges={hedges:.0f} wins={wins:.0f}, "
         f"hedge budget after the run {budget_ms:.1f}ms)",
     ]
-    write_report("tail_hedging", "\n".join(lines), data={
-        "p50_ms": {"hedging_off": p50_off, "hedging_on": p50_on},
-        "p99_ms": {"hedging_off": p99_off, "hedging_on": p99_on},
-        "p99_cut": p99_off / p99_on,
-        "hedges": hedges,
-        "hedge_wins": wins,
-        "hedge_budget_ms": budget_ms,
-    })
+    write_report("tail_hedging", "\n".join(lines))
 
     assert hedges > 0 and wins > 0
     # Only winners' flight times feed the window, so with warm replicas

@@ -23,16 +23,11 @@ from repro.bench.report import (
     render_table,
     technique_comparison,
 )
-from repro.bench.store import (
-    StoreScenarioResult,
-    run_store_scenario,
-)
 
 __all__ = [
     "LatencyStats",
     "LoadSimConfig",
     "MeasuredWorkload",
-    "StoreScenarioResult",
     "compile_queries",
     "make_druid_executor",
     "make_segment_executor",
@@ -42,7 +37,6 @@ __all__ = [
     "render_histogram",
     "render_sweep",
     "render_table",
-    "run_store_scenario",
     "saturation_qps",
     "simulate_open_loop",
     "technique_comparison",

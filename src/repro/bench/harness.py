@@ -84,20 +84,13 @@ def make_druid_executor(segments: Sequence[ImmutableSegment]) -> ExecuteFn:
 
 def measure(name: str, execute: ExecuteFn, queries: Sequence[Query],
             repeats: int = 1, keep_responses: bool = False,
-            warmup: int = 2, clock=None) -> MeasuredWorkload:
+            warmup: int = 2) -> MeasuredWorkload:
     """Time every query ``repeats`` times; returns the measured workload.
 
     A short warmup absorbs one-time costs (forward-index unpack caches,
     on-demand inverted index builds) that a long-running server would
     have already paid.
-
-    Pass a ``repro.net`` SimClock as ``clock`` to measure on the
-    cluster's virtual timeline instead of the wall clock — simulated
-    link latency, queueing, and hedging then show up in the measured
-    distribution (and with a manual clock the timings are exactly
-    reproducible).
     """
-    read_time = clock.now if clock is not None else time.perf_counter
     for query in queries[:warmup]:
         execute(query)
     times = np.empty(len(queries) * repeats)
@@ -105,9 +98,9 @@ def measure(name: str, execute: ExecuteFn, queries: Sequence[Query],
     index = 0
     for __ in range(repeats):
         for query in queries:
-            started = read_time()
+            started = time.perf_counter()
             response = execute(query)
-            times[index] = read_time() - started
+            times[index] = time.perf_counter() - started
             index += 1
             measured.stats.append(response.stats)
             if keep_responses:
@@ -149,8 +142,9 @@ def verify_engines_agree(queries: Sequence[Query],
                          sample: int = 20) -> None:
     """Cross-check that all engine configurations return identical
     results on a sample of the query log (a guard for the benchmarks:
-    we only compare performance of *correct* engines). Floats are
-    compared to 1e-6 to tolerate summation-order differences."""
+    we only compare performance of *correct* engines). Rows are compared
+    as sorted lists with floats rounded to 9 significant digits, so
+    neither row order nor summation order counts as a difference."""
     names = list(engines)
     for query in queries[:sample]:
         reference = None

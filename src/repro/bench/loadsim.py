@@ -175,8 +175,9 @@ def saturation_qps(stats: list[LatencyStats],
 # broker components run in the loop — ``repro.cluster.health``'s
 # FailureDetector scores every sub-request and ejects/probes servers,
 # and ``repro.cluster.tenant``'s TenantQuotaManager sheds low-priority
-# tenants when worker backlogs build — so the latency-vs-QPS curves in
-# BENCH_loadsim.json exercise the exact production code paths.
+# tenants when worker backlogs build — so the latency-vs-QPS curves of
+# benchmarks/test_production_load.py exercise the exact production code
+# paths.
 
 
 @dataclass(frozen=True)

@@ -240,7 +240,7 @@ class BrokerInstance:
         #: Hedged sub-requests (off unless a policy is supplied): track
         #: per-table sub-request latencies and re-issue stragglers.
         self._latency = (LatencyTracker(hedging) if hedging is not None
-                         and hedging.enabled else None)
+                         else None)
         #: Failure detector (off unless configured, matching real
         #: Pinot's opt-in broker module): scores every sub-request
         #: outcome, ejects sick servers from routing, probes them back.

@@ -17,7 +17,7 @@ row lists and converts on its last line (``from_groups`` /
 
 Selected per query with ``OPTION(vectorized=false)`` or per cluster via
 ``ServerInstance.default_vectorized`` — see docs/ENGINE.md. It is the
-denominator of the ``BENCH_engine.json`` speedup gate and the system
+reference of ``tests/engine/test_query_log_parity.py`` and the system
 under test of the scalar leg of the CI simulation sweep.
 """
 

@@ -34,7 +34,6 @@ class HedgePolicy:
     observations exist, ``initial_budget_ms`` applies.
     """
 
-    enabled: bool = True
     percentile: float = 95.0
     multiplier: float = 1.5
     min_samples: int = 8
