@@ -256,7 +256,8 @@ def _execute_selection(segment: ImmutableSegment, query: Query,
     docs = selection.doc_array()
     if query.order_by:
         # Sorted dictionaries: id order is value order, so the docs are
-        # ordered (stably: ties stay in doc order) before any is decoded.
+        # ordered on their ids — one packed key, one stable argsort: ties
+        # stay in doc order — before any is decoded.
         docs = docs[order_rows([
             (_cells(segment.column(o.expression.name), docs, Column.dict_ids),
              o.descending)

@@ -14,11 +14,13 @@ column per query is supported.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.engine.aggregates import function_for
 from repro.engine.operators import DocSelection
-from repro.engine.results import GroupByPartial
+from repro.engine.results import GroupByPartial, pack_codes
 from repro.errors import ExecutionError
 from repro.pql.ast_nodes import Query, TimeBucket, group_by_column
 from repro.segment.segment import ImmutableSegment
@@ -152,12 +154,12 @@ def combine_codes(cards, id_columns):
     (compact codes per row, per-column unique key ids per group), the
     groups in ascending packed-key order.
 
-    The fast path packs ids mixed-radix into a single int64 — one
-    vectorized multiply-add per column after the first — and numbers
+    The fast path packs ids into a single int64 (``pack_codes``, the
+    packing ``order_rows`` sorts on) and numbers
     the distinct keys. Which way it numbers them it reads off its
     inputs: a key space of at most ``DENSE_SLOTS_PER_ROW`` slots per
     row (a few dozen countries x platforms under 20k rows) is numbered
-    *by presence* — mark the slots that occur, ``flatnonzero`` them
+    *by presence* — mark the slots that occur, ``nonzero`` them
     (ascending, which is ``np.unique``'s order), write each one's rank
     into its slot and gather the ranks per row — which sorts nothing;
     a key space wide next to the rows (``GROUP BY viewerId`` on a few
@@ -171,30 +173,27 @@ def combine_codes(cards, id_columns):
     columns), fall back to a row-wise ``np.unique`` over the stacked id
     matrix, which needs no packed representation.
     """
-    key_space = 1
-    for card in cards:
-        key_space *= card  # python int: no silent overflow
-    if key_space < 2 ** 63:
-        combined = id_columns[0].astype(np.int64)  # a copy: ours to update
-        for ids, card in zip(id_columns[1:], cards[1:]):
-            combined *= card
-            combined += ids
+    combined = pack_codes(cards, id_columns)
+    if combined is not None:
+        key_space = math.prod(cards)
         if key_space <= DENSE_SLOTS_PER_ROW * len(combined):
             present = np.zeros(key_space, dtype=bool)
             present[combined] = True
-            unique_codes = np.flatnonzero(present)
+            unique_codes = present.nonzero()[0]
             rank = np.empty(key_space, dtype=np.intp)
             rank[unique_codes] = np.arange(len(unique_codes))
             codes = rank[combined]
         else:
             unique_codes, codes = np.unique(combined, return_inverse=True)
 
-        # Decompose unique codes back into per-column ids.
+        # Decompose unique codes back into per-column ids; what is left
+        # after the other columns are divided out is the first's.
         unique_key_ids: list[np.ndarray] = []
         remainder = unique_codes
-        for card in reversed(cards):
+        for card in reversed(cards[1:]):
             unique_key_ids.append(remainder % card)
             remainder = remainder // card
+        unique_key_ids.append(remainder)
         unique_key_ids.reverse()
         return codes, unique_key_ids
 

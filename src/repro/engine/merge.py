@@ -10,12 +10,18 @@ Two levels of merging mirror the production system:
   the response partial instead of failing it (step 7).
 
 Each level hands *all* its grouped partials to one N-way merge
-(concatenate the key columns, number the groups once, one reduction
-per state column) and all its selection partials to one (concatenate,
-one stable ``lexsort``, keep ``limit + offset``). Entries of a group
+(concatenate the key columns, give each an order-preserving integer
+code — ``value - min`` for integer keys, the rank among distinct
+values otherwise — number the groups once through
+``groupby.combine_codes``, one reduction per state column) and all its
+selection partials to one (concatenate, ``order_rows``: one stable
+sort on a packed key, keep ``limit + offset``). Entries of a group
 fold in input order, so a sum's bits are those of merging the inputs
-one after another. HAVING, ORDER BY / TOP-n and the window run on the
-finalized arrays; only the window's rows become tuples.
+one after another, and the merged groups come out in ascending key
+order, as every grouped partial lists them. HAVING, ORDER BY / TOP-n
+and the window run on the finalized arrays — a stable sort on the
+ordering alone, the key order breaking ties; only the window's rows
+become tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.aggregates import function_for
-from repro.engine.groupby import combine_codes
+from repro.engine.groupby import DENSE_SLOTS_PER_ROW, combine_codes
 from repro.engine.results import (
     AggregationPartial,
     BrokerResponse,
@@ -32,6 +38,7 @@ from repro.engine.results import (
     SegmentResult,
     ServerResult,
     SelectionPartial,
+    integer_codes,
     order_rows,
 )
 from repro.pql.ast_nodes import Aggregation, HavingCondition, Query
@@ -63,19 +70,37 @@ def _merge_group_by(aggregations: tuple[Aggregation, ...],
         return partials[0] if partials else GroupByPartial()
     columns = [np.concatenate(parts)
                for parts in zip(*(p.keys for p in partials))]
-    numbered = [np.unique(c, return_inverse=True) for c in columns]
-    if len(columns) == 1:
-        (uniques, codes), = numbered
+    if len(columns) == 1 and columns[0].dtype.kind not in "biu":
+        # One STRING or float key: its ranks already number the groups.
+        uniques, codes = np.unique(columns[0], return_inverse=True)
         keys = [uniques]
     else:
-        codes, key_ids = combine_codes([len(u) for u, __ in numbered],
-                                       [ids for __, ids in numbered])
-        keys = [u[ids] for (u, __), ids in zip(numbered, key_ids)]
+        numbered = [_key_codes(column) for column in columns]
+        codes, key_ids = combine_codes([span for __, span, __ in numbered],
+                                       [ids for ids, __, __ in numbered])
+        keys = [decode(ids)
+                for (__, __, decode), ids in zip(numbered, key_ids)]
     return GroupByPartial(keys, [
         function_for(a).merge_grouped([p.states[i] for p in partials],
                                       codes, len(keys[0]))
         for i, a in enumerate(aggregations)
     ])
+
+
+def _key_codes(column: np.ndarray):
+    """One concatenated key column as (order-preserving int codes,
+    their span, key ids -> key values). An integer or boolean column
+    codes as ``value - min`` (``integer_codes``), which ``combine_codes``
+    numbers by presence without a sort; any other column, or one wider
+    than presence numbering takes, codes as its rank among its distinct
+    values (``np.unique``) — which keeps the packed key space of many
+    wide columns as small as their distinct counts."""
+    if column.dtype.kind in "biu":
+        codes, low, span = integer_codes(column)
+        if span <= DENSE_SLOTS_PER_ROW * len(column):
+            return codes, span, lambda ids: (ids + low).astype(column.dtype)
+    uniques, ranks = np.unique(column, return_inverse=True)
+    return ranks, len(uniques), uniques.__getitem__
 
 
 def _merge_selections(query: Query,
@@ -169,8 +194,9 @@ def _finalize_group_by(query: Query, partial: GroupByPartial) -> ResultTable:
         keys = [column[keep] for column in keys]
         values = [column[keep] for column in values]
     # PQL's default for TOP-n group-by is descending by the first
-    # aggregation. The group key closes every ordering: deterministic
-    # TOP-n truncation even when the ordered values tie at the cut-off.
+    # aggregation. Groups arrive in ascending key order and the sort is
+    # stable, so the group key breaks every tie — deterministic TOP-n
+    # truncation even when the ordered values tie at the cut-off.
     ordering = [(values[0], True)]
     if query.order_by:
         group_columns = list(query.group_by)
@@ -180,8 +206,7 @@ def _finalize_group_by(query: Query, partial: GroupByPartial) -> ResultTable:
              else keys[group_columns.index(o.expression.name)], o.descending)
             for o in query.order_by
         ]
-    window = order_rows(ordering + [(column, False) for column in keys])[
-        query.offset:query.offset + query.limit]
+    window = order_rows(ordering, query.offset + query.limit)[query.offset:]
     return ResultTable(columns, list(zip(
         *(column[window].tolist() for column in keys + values))))
 

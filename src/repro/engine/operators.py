@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine.predicates import IdMatch
+from repro.segment.bitmap import sorted_unique
 from repro.segment.segment import Column
 
 
@@ -219,7 +220,8 @@ class DocSelection:
             else:
                 out[rest.start:rest.end] = True
             return DocSelection.from_mask(out)
-        docs = np.union1d(self.doc_array(), other.doc_array())
+        docs = sorted_unique(np.concatenate((self.doc_array(),
+                                             other.doc_array())))
         return DocSelection.from_docs(docs)
 
     def _clip(self, start: int, end: int) -> "DocSelection":

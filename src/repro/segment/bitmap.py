@@ -26,6 +26,24 @@ _BITSET_WORDS = 1 << 10  # 65536 bits / 64
 _CHUNK = 1 << 16
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` for an integer array: sort a copy, keep
+    the first entry of each run. numpy 2.4's ``np.unique`` takes about
+    7x as long on a thousand int64s, and ``np.union1d`` (a concatenate
+    plus ``np.unique``) 12x."""
+    out = np.sort(values)
+    return out[_run_starts(out)]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one
+    before: the first of each run of equal values."""
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
+
+
 class _Container:
     """One 16-bit chunk of the bitmap, in one of three representations.
 
@@ -138,7 +156,8 @@ class _Container:
         if self.kind == "bitset" or other.kind == "bitset":
             bits = self._as_bitset() | other._as_bitset()
             return _Container("bitset", bits)
-        values = np.union1d(self.to_array(), other.to_array())
+        values = sorted_unique(np.concatenate((self.to_array(),
+                                               other.to_array())))
         return _Container.from_sorted_array(values.astype(np.uint16))
 
     def andnot(self, other: "_Container") -> "_Container | None":
@@ -212,16 +231,8 @@ class RoaringBitmap:
         arr = np.fromiter(values, dtype=np.uint32, count=-1) if not isinstance(
             values, np.ndarray
         ) else values.astype(np.uint32, copy=False)
-        arr = np.unique(arr)
-        self._containers: dict[int, _Container] = {}
-        if len(arr):
-            highs = (arr >> 16).astype(np.uint32)
-            bounds = np.searchsorted(highs, np.unique(highs))
-            unique_highs = np.unique(highs)
-            bounds = np.append(bounds, len(arr))
-            for i, high in enumerate(unique_highs):
-                chunk = (arr[bounds[i]:bounds[i + 1]] & 0xFFFF).astype(np.uint16)
-                self._containers[int(high)] = _Container.from_sorted_array(chunk)
+        self._containers = RoaringBitmap.from_sorted(
+            sorted_unique(arr))._containers
 
     # -- constructors ------------------------------------------------------
 
@@ -233,7 +244,8 @@ class RoaringBitmap:
         arr = values.astype(np.uint32, copy=False)
         if len(arr):
             highs = (arr >> 16).astype(np.uint32)
-            unique_highs, bounds = np.unique(highs, return_index=True)
+            bounds = np.flatnonzero(_run_starts(highs))
+            unique_highs = highs[bounds]
             bounds = np.append(bounds, len(arr))
             for i, high in enumerate(unique_highs):
                 chunk = (arr[bounds[i]:bounds[i + 1]] & 0xFFFF).astype(np.uint16)

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.segment.bitmap import RoaringBitmap, union_many
+from repro.segment.bitmap import RoaringBitmap, sorted_unique, union_many
 from repro.segment.forward import (
     MultiValueForwardIndex,
     SingleValueForwardIndex,
@@ -71,7 +71,7 @@ class InvertedIndex:
             # Multi-value columns can repeat a doc; bitmaps dedupe, but
             # the slice is already sorted so from_sorted needs uniqueness.
             if len(docs) > 1 and np.any(np.diff(docs.astype(np.int64)) <= 0):
-                docs = np.unique(docs)
+                docs = sorted_unique(docs)
             bitmaps.append(RoaringBitmap.from_sorted(docs).run_optimize())
         return cls(bitmaps, forward.num_docs, overlapping)
 
@@ -124,6 +124,6 @@ class InvertedIndex:
             return parts[0].astype(np.int64)
         merged = np.concatenate(parts).astype(np.int64)
         if self._overlapping:
-            return np.unique(merged)
+            return sorted_unique(merged)
         merged.sort()
         return merged
