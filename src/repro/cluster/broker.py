@@ -50,7 +50,13 @@ from repro.errors import (
 )
 from repro.helix.manager import HelixManager
 from repro.helix.statemachine import SegmentState
-from repro.net import CallResult, HedgePolicy, LatencyTracker, SimClock
+from repro.net import (
+    CallResult,
+    HedgePolicy,
+    LatencyTracker,
+    Shared,
+    SimClock,
+)
 from repro.obs.metrics import Metrics
 from repro.obs.trace import (
     STATUS_CANCELLED,
@@ -169,9 +175,13 @@ class _QueryRun:
     hedges: int = 0
     #: Link + queue time over the leg's sub-requests (the network stage).
     network_ms: float = 0.0
+    #: The leg's query as every sub-request (primary, hedge, retry)
+    #: ships it: encoded once, decoded afresh by each server.
+    request: Shared | None = None
 
     def begin_leg(self, query: Query) -> None:
         self.query = query
+        self.request = Shared(query)
         self.probes = set()
         self.hedges = 0
         self.network_ms = 0.0
@@ -975,7 +985,7 @@ class BrokerInstance:
                               span_id=execute_span_id, sampled=True)
         call = self._transport.request(
             self.instance_id, instance, "execute",
-            query, query.table, segments, depart_at=depart,
+            run.request, query.table, segments, depart_at=depart,
             trace_ctx=ctx,
         )
         self.metrics.incr("network_link_ms", call.link_s * 1e3)

@@ -11,7 +11,7 @@ deadline math, retry backoff, and token-bucket refill consume.
 """
 
 from repro.net.clock import SimClock
-from repro.net.codec import decode, encode, json_roundtrip
+from repro.net.codec import Shared, decode, encode, json_roundtrip
 from repro.net.hedging import HedgePolicy, LatencyTracker
 from repro.net.transport import (
     CallResult,
@@ -28,6 +28,7 @@ __all__ = [
     "LatencyTracker",
     "LinkModel",
     "ServiceModel",
+    "Shared",
     "SimClock",
     "Transport",
     "decode",

@@ -14,12 +14,28 @@ Encoding is *tagged*: anything that is not a JSON primitive becomes a
 handled generically; numpy scalars/arrays and the sketches have
 dedicated tags so aggregation partials ship losslessly.
 
+A dataclass travels as a *positional* frame, ``{"~": "dc", "c": path,
+"v": [its field values in field order]}``: field names never reach the
+wire. Decode checks the value count against the registered class and
+calls the class positionally, so a class is registered only if its
+``__init__`` takes exactly its fields, in order (the generated one: no
+``init=False`` and no ``kw_only`` fields).
+
 Dispatch is by table: ``encode`` keeps one encoder per Python type,
-chosen the first time the type is seen (a dataclass's holds its class
-path and field names), ``decode`` one decoder per tag. A container
-whose items are all JSON primitives — a distinct set, the ``tolist()``
-of a key or state array, the fields of an ``ExecutionStats`` — is
-copied by one C call instead of one recursion per item.
+chosen the first time the type is seen, ``decode`` one decoder per tag.
+A container's items are tested one by one where they are copied — a
+JSON primitive is taken as it is, anything else recursed into — and a
+long container whose items are all primitives (a distinct set, the
+``tolist()`` of a key or state array) is copied by one C call.
+
+A value several messages carry — the broker's ``Query``, sent to every
+server of a scatter and to its hedges and retries — is wrapped in
+:class:`Shared`: the first encode builds its tree and every later
+message reuses that tree object. Each message's tree still holds the
+whole payload, so its size (and any walk of it) counts the shared part
+once per message, and each receiver still decodes its own fresh
+objects; only the encode work is shared. Trees are read-only once
+built, and decode never hands out a container of the tree it reads.
 
 ``decode`` reads what another process wrote, so it constructs only
 what this process has itself encoded: a ``dc`` / ``e`` node names a
@@ -42,7 +58,9 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import inspect
 import json
+import operator
 from typing import Any, Callable
 
 import numpy as np
@@ -54,12 +72,19 @@ from repro.obs.metrics import runtime_metrics
 #: The JSON primitives: they encode and decode as themselves.
 _FLAT = frozenset({int, float, str, bool, type(None)})
 
+#: Containers at least this long are first probed whole: when every
+#: item is a primitive, one C-level copy replaces the per-item loop.
+_PROBE_MIN = 16
+
 #: type -> its encoder ``(obj, blobs) -> tree``; see :func:`_encoder_for`.
 _ENCODERS: dict[type, Callable[[Any, list[Any] | None], Any]] = {}
 
 #: class path -> class, for every ``repro.*`` class an ``encode`` in
 #: this process has named in a tree: all that ``decode`` will construct.
 _CLASSES: dict[str, type] = {}
+
+#: class path -> (class, field count), for the dataclasses in _CLASSES.
+_DATACLASSES: dict[str, tuple[type, int]] = {}
 
 
 @functools.cache
@@ -102,6 +127,27 @@ def blob_size_estimate(obj: Any) -> int:
     return 1024
 
 
+_UNBUILT = object()
+
+
+class Shared:
+    """A value that several messages carry, encoded once.
+
+    The first :func:`encode` that meets the wrapper builds the value's
+    tree; every later one returns that same tree object, so it must not
+    be mutated (nothing in the codec or the transport does). The tree
+    is the value's own — decode yields the value's type, never a
+    ``Shared`` — and it may hold no blob: a side-channel index would
+    point into the first message's blobs only.
+    """
+
+    __slots__ = ("value", "_tree")
+
+    def __init__(self, value: Any):
+        self.value = value
+        self._tree: Any = _UNBUILT
+
+
 def encode(obj: Any, blobs: list[Any] | None = None) -> Any:
     """Encode ``obj`` into a JSON-representable tree.
 
@@ -109,27 +155,31 @@ def encode(obj: Any, blobs: list[Any] | None = None) -> Any:
     same list to :func:`decode`. When omitted, encountering a blob type
     raises — callers that never ship segments need no side channel.
     """
-    kind = type(obj)
-    if kind in _FLAT:
-        return obj
     try:
-        return (_ENCODERS.get(kind) or _encoder_for(kind))(obj, blobs)
+        return _encode(obj, blobs)
     except RecursionError:
         raise PinotError("codec payload is nested too deeply") from None
 
 
-def _encode_items(items: list, blobs: list[Any] | None) -> list:
-    """``items`` (a fresh list) encoded: as it is when every item is a
-    JSON primitive, else item by item."""
-    if set(map(type, items)) <= _FLAT:
-        return items
-    return [encode(item, blobs) for item in items]
+def _encode(obj: Any, blobs: list[Any] | None) -> Any:
+    kind = type(obj)
+    if kind in _FLAT:
+        return obj
+    return (_ENCODERS.get(kind) or _encoder_for(kind))(obj, blobs)
+
+
+def _encode_items(items: Any, blobs: list[Any] | None) -> list:
+    """The items of a sized container, encoded into a fresh list."""
+    if len(items) >= _PROBE_MIN and set(map(type, items)) <= _FLAT:
+        return list(items)
+    return [x if type(x) in _FLAT else _encode(x, blobs) for x in items]
 
 
 def _encode_dict(obj: dict, blobs: list[Any] | None) -> Any:
-    if all(isinstance(k, str) for k in obj) and "~" not in obj:
-        return dict(zip(obj, _encode_items(list(obj.values()), blobs)))
-    return {"~": "d", "v": [[encode(k, blobs), encode(v, blobs)]
+    if "~" not in obj and all(isinstance(k, str) for k in obj):
+        return {k: v if type(v) in _FLAT else _encode(v, blobs)
+                for k, v in obj.items()}
+    return {"~": "d", "v": [[_encode(k, blobs), _encode(v, blobs)]
                             for k, v in obj.items()]}
 
 
@@ -150,20 +200,28 @@ def _encode_blob(obj: Any, blobs: list[Any] | None) -> dict:
     return {"~": "b", "i": len(blobs) - 1, "bytes": blob_size_estimate(obj)}
 
 
-#: (base type, encoder of its instances), first match wins.
+def _encode_shared(node: Shared, blobs: list[Any] | None) -> Any:
+    tree = node._tree
+    if tree is _UNBUILT:
+        tree = node._tree = _encode(node.value, None)
+    return tree
+
+
+#: (base type, encoder of its instances), first match wins. numpy
+#: scalars come first: ``np.float64`` and ``np.str_`` subclass the
+#: primitives, and a primitive's encoder would ship them untagged.
 _BUILTIN_ENCODERS: tuple[tuple[Any, Callable], ...] = (
-    ((bool, int, str, float), lambda obj, blobs: obj),
-    (tuple, lambda obj, blobs: {"~": "t",
-                                "v": _encode_items(list(obj), blobs)}),
-    (list, lambda obj, blobs: _encode_items(list(obj), blobs)),
-    (dict, _encode_dict),
-    (frozenset, lambda obj, blobs: {"~": "fs",
-                                    "v": _encode_items(list(obj), blobs)}),
-    (set, lambda obj, blobs: {"~": "s",
-                              "v": _encode_items(list(obj), blobs)}),
     (np.generic, lambda obj, blobs: {"~": "np", "d": obj.dtype.str,
                                      "v": obj.item()}),
+    ((bool, int, str, float), lambda obj, blobs: obj),
+    (tuple, lambda obj, blobs: {"~": "t", "v": _encode_items(obj, blobs)}),
+    (list, _encode_items),
+    (dict, _encode_dict),
+    (frozenset, lambda obj, blobs: {"~": "fs",
+                                    "v": _encode_items(obj, blobs)}),
+    (set, lambda obj, blobs: {"~": "s", "v": _encode_items(obj, blobs)}),
     (np.ndarray, _encode_array),
+    (Shared, _encode_shared),
 )
 
 
@@ -183,7 +241,7 @@ def _class_encoder(kind: type) -> Callable[[Any, list[Any] | None], Any]:
     if issubclass(kind, enum.Enum):
         path = _class_path(kind)
         return lambda obj, blobs: {"~": "e", "c": path,
-                                   "v": encode(obj.value, blobs)}
+                                   "v": _encode(obj._value_, blobs)}
     if issubclass(kind, (ImmutableSegment, MutableSegment)):
         return _encode_blob
     if issubclass(kind, hll):
@@ -194,16 +252,41 @@ def _class_encoder(kind: type) -> Callable[[Any, list[Any] | None], Any]:
             "~": "qsk", "k": obj.k, "n": obj.count,
             "l": obj.canonical_levels(), "o": list(obj.offsets)}
     if dataclasses.is_dataclass(kind):
-        path = _class_path(kind)
-        names = tuple(f.name for f in dataclasses.fields(kind))
-        return lambda obj, blobs: {"~": "dc", "c": path, "v": dict(zip(
-            names,
-            _encode_items([getattr(obj, name) for name in names], blobs)))}
+        return _dataclass_encoder(kind)
     if issubclass(kind, BaseException):
         return lambda obj, blobs: encode_error(obj)
     raise PinotError(
         f"codec cannot encode {kind.__module__}.{kind.__qualname__}"
     )
+
+
+def _dataclass_encoder(kind: type) -> Callable[[Any, list[Any] | None], Any]:
+    """A positional frame: the field values in field order. Decode
+    calls the class with them positionally, so its ``__init__`` must
+    take exactly the fields, in that order."""
+    names = [f.name for f in dataclasses.fields(kind)]
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    if [(p.name, p.kind) for p in inspect.signature(kind).parameters
+            .values()] != [(name, positional) for name in names]:
+        raise PinotError(
+            f"codec cannot encode {kind.__module__}.{kind.__qualname__}: "
+            f"its __init__ does not take its fields positionally in order"
+        )
+    path = _class_path(kind)
+    if path in _CLASSES:
+        _DATACLASSES[path] = (kind, len(names))
+    if len(names) > 1:
+        values = operator.attrgetter(*names)
+    else:
+        def values(obj: Any, names: list[str] = names) -> list:
+            return [getattr(obj, name) for name in names]
+
+    def encoder(obj: Any, blobs: list[Any] | None) -> dict:
+        return {"~": "dc", "c": path,
+                "v": [x if type(x) in _FLAT else _encode(x, blobs)
+                      for x in values(obj)]}
+
+    return encoder
 
 
 def decode(tree: Any, blobs: list[Any] | None = None) -> Any:
@@ -218,29 +301,47 @@ def decode(tree: Any, blobs: list[Any] | None = None) -> Any:
 
 def _decode(tree: Any, blobs: list[Any] | None) -> Any:
     kind = type(tree)
-    if kind in _FLAT:
-        return tree
+    if kind is dict:
+        tag = tree.get("~")
+        if tag is None:
+            return {k: v if type(v) in _FLAT else _decode(v, blobs)
+                    for k, v in tree.items()}
+        decoder = _DECODERS.get(tag)
+        if decoder is None:
+            raise PinotError(f"unknown codec tag {tag!r}")
+        return decoder(tree, blobs)
     if kind is list:
         return _decode_items(tree, blobs)
-    if kind is not dict:
-        raise PinotError(f"unexpected codec node {tree!r}")
-    tag = tree.get("~")
-    if tag is None:
-        return dict(zip(tree, _decode_items(list(tree.values()), blobs)))
-    decoder = _DECODERS.get(tag)
-    if decoder is None:
-        raise PinotError(f"unknown codec tag {tag!r}")
-    return decoder(tree, blobs)
+    if kind in _FLAT:
+        return tree
+    raise PinotError(f"unexpected codec node {tree!r}")
 
 
 def _decode_items(items: Any, blobs: list[Any] | None) -> list:
-    """The decoded items of a container node, as a fresh list: a copy
-    when they are all JSON primitives, else item by item."""
+    """The decoded items of a container node, as a fresh list."""
     if type(items) is not list:
         raise PinotError(f"codec expected a list, got {items!r}")
-    if set(map(type, items)) <= _FLAT:
+    if len(items) >= _PROBE_MIN and set(map(type, items)) <= _FLAT:
         return items[:]
-    return [_decode(item, blobs) for item in items]
+    return [x if type(x) in _FLAT else _decode(x, blobs) for x in items]
+
+
+def _decode_collection(make: type) -> Callable[[dict, list[Any] | None],
+                                               Any]:
+    """The decoder of a ``t`` / ``s`` / ``fs`` node: ``make`` takes its
+    items straight from the node when they are all primitives, else
+    from the one decoded list."""
+    def decoder(tree: dict, blobs: list[Any] | None) -> Any:
+        items = tree["v"]
+        if type(items) is not list:
+            raise PinotError(f"codec expected a list, got {items!r}")
+        if not items or (len(items) >= _PROBE_MIN
+                         and set(map(type, items)) <= _FLAT):
+            return make(items)
+        return make([x if type(x) in _FLAT else _decode(x, blobs)
+                     for x in items])
+
+    return decoder
 
 
 def _decode_array(tree: dict, blobs: list[Any] | None) -> np.ndarray:
@@ -257,24 +358,41 @@ def _decode_blob(tree: dict, blobs: list[Any] | None) -> Any:
     return blobs[tree["i"]]
 
 
+def _decode_enum(tree: dict, blobs: list[Any] | None) -> Any:
+    members = _registered_class(tree["c"])._value2member_map_
+    value = tree["v"]
+    member = members.get(value if type(value) in _FLAT
+                         else _decode(value, blobs))
+    if member is None:
+        raise PinotError(f"codec: no {tree['c']} has the value {value!r}")
+    return member
+
+
 def _decode_dataclass(tree: dict, blobs: list[Any] | None) -> Any:
-    fields = tree["v"]
-    if type(fields) is not dict:
-        raise PinotError(f"codec expected fields, got {fields!r}")
-    values = _decode_items(list(fields.values()), blobs)
-    return _registered_class(tree["c"])(**dict(zip(fields, values)))
+    path = tree["c"]
+    entry = _DATACLASSES.get(path)
+    if entry is None:
+        cls = _registered_class(path)
+        raise PinotError(f"codec frame names {cls.__qualname__}, "
+                         f"which is not a dataclass")
+    cls, arity = entry
+    values = tree["v"]
+    if type(values) is not list or len(values) != arity:
+        raise PinotError(f"codec frame for {path!r} needs a list of "
+                         f"{arity} field values, got {values!r}")
+    return cls(*[x if type(x) in _FLAT else _decode(x, blobs)
+                 for x in values])
 
 
 _DECODERS: dict[str, Callable[[dict, list[Any] | None], Any]] = {
-    "t": lambda tree, blobs: tuple(_decode_items(tree["v"], blobs)),
+    "t": _decode_collection(tuple),
     "d": lambda tree, blobs: {_decode(k, blobs): _decode(v, blobs)
                               for k, v in tree["v"]},
-    "s": lambda tree, blobs: set(_decode_items(tree["v"], blobs)),
-    "fs": lambda tree, blobs: frozenset(_decode_items(tree["v"], blobs)),
+    "s": _decode_collection(set),
+    "fs": _decode_collection(frozenset),
     "np": lambda tree, blobs: np.dtype(tree["d"]).type(tree["v"]),
     "nd": _decode_array,
-    "e": lambda tree, blobs: _registered_class(tree["c"])(
-        _decode(tree["v"], blobs)),
+    "e": _decode_enum,
     "b": _decode_blob,
     "hll": lambda tree, blobs: _sketches()[0](
         tree["p"], np.asarray(tree["r"], dtype=np.uint8)),

@@ -19,7 +19,10 @@ caller can observe, count, and degrade around.
 
 Payloads round-trip through :mod:`repro.net.codec` (serialization
 boundary); ``codec=False`` builds a pass-through transport for parity
-testing against direct method calls.
+testing against direct method calls. A request argument wrapped in
+:class:`~repro.net.codec.Shared` is encoded once for every message that
+carries it; a pass-through transport hands the handler the value
+itself.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.errors import ClusterError, PinotError, ServerBusyError, \
     ServerUnreachableError
 from repro.net.clock import SimClock
-from repro.net.codec import decode, encode, payload_bytes
+from repro.net.codec import Shared, decode, encode, payload_bytes
 from repro.obs import propagation
 from repro.obs.trace import SpanContext
 
@@ -283,6 +286,9 @@ class Transport:
             return result
 
         link = self.link_between(src, dst)
+        if not self.codec:
+            args = tuple(arg.value if type(arg) is Shared else arg
+                         for arg in args)
         request_wire = self._pack((args, kwargs))
         ctx_wire = (self._pack(trace_ctx)
                     if trace_ctx is not None else None)

@@ -11,8 +11,9 @@ from repro.cluster.pinot import PinotCluster
 from repro.cluster.table import TableConfig
 from repro.cluster.tenant import TenantQuotaManager
 from repro.common.schema import Schema
-from repro.common.types import DataType, dimension, metric
-from repro.net import ServiceModel, SimClock, Transport
+from repro.common.types import DataType, dimension, metric, time_column
+from repro.net import HedgePolicy, ServiceModel, Shared, SimClock, Transport, codec
+from repro.pql.ast_nodes import Query
 from repro.workloads import impressions, wvmp
 
 pytestmark = pytest.mark.net
@@ -88,6 +89,98 @@ class TestSerializationBoundary:
         assert first.rows[0][0] == 10
         again = cluster.execute("SELECT count(*) FROM events")
         assert again.rows == first.rows
+
+
+class _PoisoningServer:
+    """Wraps a server: keeps the query each ``execute`` decoded, then
+    writes its own name into that query's options."""
+
+    def __init__(self, server, seen):
+        self._server = server
+        self._seen = seen
+
+    def __getattr__(self, name):
+        return getattr(self._server, name)
+
+    def execute(self, query, *args, **kwargs):
+        result = self._server.execute(query, *args, **kwargs)
+        self._seen.append((self._server.instance_id, query))
+        query.options["poison"] = self._server.instance_id
+        return result
+
+
+class TestSharedRequestTree:
+    """A leg's ``Query`` is encoded once for all its sub-requests, and
+    every server still decodes a copy of its own."""
+
+    @pytest.fixture
+    def cluster(self):
+        schema = Schema("events", [
+            dimension("country"), metric("views", DataType.LONG),
+            time_column("day", DataType.INT),
+        ])
+        cluster = PinotCluster(num_servers=3, hedging=HedgePolicy())
+        cluster.create_table(TableConfig.offline("events", schema,
+                                                 replication=3))
+        cluster.upload_records(
+            "events", [{"country": "us", "views": 1, "day": day}
+                       for day in (17000, 17001, 17002) for __ in range(10)],
+            rows_per_segment=10)
+        cluster.execute("SELECT count(*) FROM events")  # registers Query
+        return cluster
+
+    def test_one_query_encode_per_leg_through_hedges_and_retries(
+            self, cluster, monkeypatch):
+        encodes = []
+        encoder = codec._ENCODERS[Query]
+        monkeypatch.setitem(codec._ENCODERS, Query, lambda query, blobs: (
+            encodes.append(query), encoder(query, blobs))[1])
+        # Two of three replicas fail every sub-request: the failed
+        # primaries are hedged at once, and what the hedges cannot
+        # repair the gather loop retries on the survivor.
+        cluster.server("server-0").faults.error_rate = 1.0
+        cluster.server("server-1").faults.error_rate = 1.0
+        metrics = cluster.brokers[0].metrics
+        before = {name: metrics.count(name) for name in (
+            "scatter_requests", "hedge_requests", "retries")}
+        response = cluster.execute(
+            "SELECT count(*) FROM events OPTION(skipCache=true)")
+        sent = {name: metrics.count(name) - count
+                for name, count in before.items()}
+        assert response.rows == [(30,)] and not response.partial
+        assert sent["hedge_requests"] >= 1 and sent["retries"] >= 1
+        assert sent["scatter_requests"] >= 3
+        assert len(encodes) == 1
+
+    def test_a_server_mutating_its_query_touches_no_other_copy(
+            self, cluster, monkeypatch):
+        seen, shipped = [], []
+        for instance in ("server-0", "server-1", "server-2"):
+            server = cluster.server(instance)
+            cluster.net.deregister(instance)
+            cluster.net.register(instance, _PoisoningServer(server, seen))
+        request = cluster.net.request
+
+        def recording(src, dst, method, *args, **kwargs):
+            if method == "execute":
+                shipped.append(args[0])
+            return request(src, dst, method, *args, **kwargs)
+
+        monkeypatch.setattr(cluster.net, "request", recording)
+        response = cluster.execute(
+            "SELECT count(*) FROM events OPTION(skipCache=true)")
+        assert response.rows == [(30,)] and not response.partial
+        assert len(seen) >= 2
+        assert len({id(query) for __, query in seen}) == len(seen)
+        # Each server saw only its own write: the one it made after
+        # the servers before it had already poisoned theirs.
+        for instance, query in seen:
+            assert query.options == {"skipCache": True,
+                                     "poison": instance}
+        # The broker's copy, which every sub-request shipped, is clean.
+        assert {id(node) for node in shipped} == {id(shipped[0])}
+        assert isinstance(shipped[0], Shared)
+        assert shipped[0].value.options == {"skipCache": True}
 
 
 class TestOverloadRejection:

@@ -12,7 +12,7 @@ from repro.common.types import DataType
 from repro.engine.results import ExecutionStats, ServerResult
 from repro.engine.sketches import HyperLogLog
 from repro.errors import PinotError, SegmentError, ThrottledError
-from repro.net import decode, encode, json_roundtrip
+from repro.net import Shared, decode, encode, json_roundtrip
 from repro.net.codec import decode_error, encode_error, payload_bytes
 from repro.obs.metrics import runtime_metrics
 
@@ -66,6 +66,29 @@ class TestNumpyAndSketches:
         assert out.dtype == np.int32
         np.testing.assert_array_equal(out, arr)
 
+    @pytest.mark.parametrize("scalar", [
+        np.float64(1.5), np.str_("us"), np.int64(7), np.bool_(True),
+    ], ids=["float64", "str_", "int64", "bool_"])
+    @pytest.mark.parametrize("place", [
+        lambda x: x, lambda x: [x], lambda x: (1, x), lambda x: {"k": x},
+        lambda x: ServerResult("server-1", elapsed_ms=x),
+    ], ids=["bare", "list-item", "tuple-item", "dict-value",
+            "dataclass-field"])
+    @pytest.mark.parametrize("through_json", [False, True],
+                             ids=["tree", "json"])
+    def test_numpy_scalars_keep_their_type_everywhere(self, scalar, place,
+                                                      through_json):
+        """Regression: ``np.float64`` and ``np.str_`` subclass ``float``
+        and ``str``, so they used to encode untagged and fail to decode
+        unless the tree went through JSON text first."""
+        tree = encode(place(scalar))
+        out = decode(json_roundtrip(tree) if through_json else tree)
+        assert out == place(scalar)
+        leaf = (out if isinstance(out, np.generic)
+                else out[-1] if isinstance(out, (list, tuple))
+                else out["k"] if isinstance(out, dict) else out.elapsed_ms)
+        assert type(leaf) is type(scalar)
+
     def test_hyperloglog_estimate_survives(self):
         hll = HyperLogLog(precision=10)
         for i in range(5000):
@@ -103,6 +126,24 @@ class TestStructured:
     def test_decode_refuses_non_repro_class_path(self):
         with pytest.raises(PinotError, match="refuses non-repro"):
             decode({"~": "dc", "c": "os:system", "v": {}})
+
+
+class TestShared:
+    def test_one_tree_for_every_encode_and_fresh_objects_from_it(self):
+        value = ServerResult("server-1", stats=ExecutionStats(total_docs=3))
+        shared = Shared(value)
+        first = encode((shared, "a"))
+        second = encode([shared])
+        assert second[0] is first["v"][0]
+        assert first["v"][0] == encode(value)
+        out = decode(first)[0]
+        again = decode(json_roundtrip(second))[0]
+        assert out == again == value
+        assert out is not value and out.stats is not again.stats
+
+    def test_a_shared_value_cannot_carry_a_blob(self, tiny_segment):
+        with pytest.raises(PinotError, match="side channel"):
+            encode(Shared({"seg": tiny_segment}), [])
 
 
 class TestErrors:

@@ -8,6 +8,7 @@ nodes replaced — it either returns something or raises
 """
 
 import copy
+import dataclasses
 import sys
 
 import numpy as np
@@ -168,6 +169,80 @@ def test_named_malformations(tree):
     except PinotError:
         pass
     assert set(sys.modules) == modules
+
+
+QUERY = "repro.pql.ast_nodes:Query"
+#: ``SELECT a FROM t`` as a positional frame: one value per field.
+QUERY_VALUES = [
+    "t",
+    {"~": "t", "v": [{"~": "dc", "c": "repro.pql.ast_nodes:ColumnRef",
+                      "v": ["a"]}]},
+    None, {"~": "t", "v": []}, {"~": "t", "v": []}, {"~": "t", "v": []},
+    10, 0, False, {},
+]
+
+
+@pytest.mark.parametrize("values", [
+    QUERY_VALUES[:-1], QUERY_VALUES[:1], [],
+    QUERY_VALUES + [None], QUERY_VALUES + QUERY_VALUES,
+    dict(enumerate(QUERY_VALUES)), {"table": "t"}, "t", None, 10,
+    {"~": "t", "v": QUERY_VALUES},
+    QUERY_VALUES[:6] + ["ten", 0, False, {}],
+    QUERY_VALUES[:6] + [-1, 0, False, {}],
+    QUERY_VALUES[:6] + [10, None, False, {}],
+    QUERY_VALUES[:6] + [10, 0, False, {"~": "zz"}],
+    [{"~": "e", "c": "repro.common.types:DataType", "v": "DECIMAL"}]
+    + QUERY_VALUES[1:],
+], ids=["one-short", "only-first", "empty", "one-extra", "doubled",
+        "index-dict", "name-dict", "string", "null", "int", "tuple-node",
+        "str-limit", "negative-limit", "null-offset", "bad-option",
+        "bad-enum-value"])
+def test_malformed_positional_frames_raise_pinot_error(values):
+    """A ``dc`` frame carries its fields as a list, in field order:
+    the wrong count, anything but a list, or values the class rejects
+    are all typed errors — never a bare ``TypeError``."""
+    assert decode(encode(optimize(parse("SELECT a FROM t")))).table == "t"
+    encode(DataType.LONG)
+    with pytest.raises(PinotError):
+        decode({"~": "dc", "c": QUERY, "v": values})
+
+
+def test_the_positional_query_frame_above_is_well_formed():
+    query = decode({"~": "dc", "c": QUERY, "v": QUERY_VALUES})
+    assert query == optimize(parse("SELECT a FROM t"))
+
+
+@dataclasses.dataclass
+class _KeywordOnly:
+    a: int
+    b: int = dataclasses.field(default=0, kw_only=True)
+
+
+@dataclasses.dataclass
+class _Uninitialised:
+    a: int
+    b: int = dataclasses.field(default=0, init=False)
+
+
+@dataclasses.dataclass
+class _OwnInit:
+    a: int
+    b: int
+
+    def __init__(self, b, a):
+        self.a, self.b = a, b
+
+
+@pytest.mark.parametrize("obj", [
+    _KeywordOnly(1, b=2), _Uninitialised(1), _OwnInit(2, 1),
+], ids=["kw-only", "init-false", "own-init"])
+def test_classes_positional_construction_would_misfill_are_refused(obj):
+    """Decode calls a class with its field values in field order, so
+    encode refuses a class whose ``__init__`` does not take exactly
+    those, in that order, rather than ship a frame that would assign
+    values to the wrong fields."""
+    with pytest.raises(PinotError, match="positionally"):
+        encode(obj)
 
 
 def _nested(depth, leaf, wrap):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import (ClusterError, PinotError, ServerBusyError,
                           ServerUnreachableError)
-from repro.net import LinkModel, ServiceModel, SimClock, Transport
+from repro.net import LinkModel, ServiceModel, Shared, SimClock, Transport
 
 pytestmark = pytest.mark.net
 
@@ -125,6 +125,29 @@ class TestLinkModels:
                                 depart_at=0.0)
         assert big.request_bytes > small.request_bytes
         assert big.link_s > small.link_s
+
+    @pytest.mark.parametrize("codec", [True, False])
+    def test_a_shared_argument_arrives_as_its_value(self, clock, codec):
+        """Every message carrying a ``Shared`` hands the handler the
+        wrapped value: a fresh copy through the codec, the object itself
+        through a pass-through transport. Sizes count it every time."""
+        transport = Transport(clock, codec=codec)
+        transport.register("svc", Echo())
+        transport.set_link("a", "svc",
+                           LinkModel(bandwidth_bytes_per_s=1000.0))
+        value = {"rows": list(range(50))}
+        shared = Shared(value)
+        first, second = (transport.request("a", "svc", "ping", shared,
+                                           depart_at=0.0)
+                         for __ in range(2))
+        for result in (first, second):
+            assert result.value == {"pong": value}
+            assert (result.value["pong"] is value) is not codec
+        assert first.request_bytes == second.request_bytes
+        if codec:
+            plain = transport.request("a", "svc", "ping", value,
+                                      depart_at=0.0)
+            assert first.request_bytes == plain.request_bytes > 0
 
     def test_lossy_link_drops_as_unreachable(self, clock):
         transport = Transport(clock, seed=3)
