@@ -13,6 +13,11 @@ cluster with the same table (6 000 WVMP rows in 6 segments):
   per viewer at each server and at the broker. An integer key column is
   numbered by presence (``value - min`` codes through
   ``combine_codes``): zero ``numpy.unique`` calls inside the merges.
+* ``SELECT distinctcount(viewerId) ...`` ships each partial as a sorted
+  int64 array — a typed ``i8`` frame, zero ``fs`` (frozenset) frames
+  through the transport per query — and merges each level's partials
+  N-way: ``merge_many`` runs once per merge level, 4 times a query on
+  3 servers (3 combines, 1 reduce).
 
 Counts are exact for the data, so these are hard gates; the report
 also prints them per shape.
@@ -25,6 +30,8 @@ from benchmarks._common import write_report
 from repro.cluster import broker, server
 from repro.cluster.pinot import PinotCluster
 from repro.cluster.table import TableConfig
+from repro.engine.aggregates import DistinctCountFunction
+from repro.net import transport
 from repro.workloads import wvmp
 
 NUM_ROWS = 6_000
@@ -120,3 +127,49 @@ def test_integer_sort_and_group_merge_counts(cluster, monkeypatch):
                   f"in combine + reduce")
     write_report("merge_sort_counts", "\n".join(report))
     assert uniques.calls == 0
+
+
+def test_distinct_ships_arrays_and_merges_once_per_level(cluster,
+                                                         monkeypatch):
+    cluster, records = cluster
+    frames = {"fs": 0, "i8": 0}
+    encode = transport.encode
+
+    def counting_encode(*args, **kwargs):
+        tree = encode(*args, **kwargs)
+        count_tags(tree, frames)
+        return tree
+
+    monkeypatch.setattr(transport, "encode", counting_encode)
+    merges = []
+    merge_many = DistinctCountFunction.merge_many
+    monkeypatch.setattr(DistinctCountFunction, "merge_many",
+                        lambda self, states: merges.append(len(states))
+                        or merge_many(self, states))
+    for start, length, viewee in WINDOWS:
+        text = (f"SELECT distinctcount(viewerId) "
+                f"{where(start, length, viewee)}")
+        rows = run(cluster, text).rows
+        assert rows == [(len({r["viewerId"] for r in records
+                              if start <= r["day"] < start + length
+                              and r["vieweeId"] != viewee}),)]
+    write_report("distinct_merge_counts", (
+        f"distinctcount(viewerId): {frames['fs'] / len(WINDOWS):g} fs "
+        f"frames and {frames['i8'] / len(WINDOWS):g} i8 frames per query "
+        f"through the transport, {len(merges) / len(WINDOWS):g} "
+        f"merge_many per query"))
+    assert frames["fs"] == 0 and frames["i8"] > 0
+    assert len(merges) == 4 * len(WINDOWS)
+
+
+def count_tags(tree, counts):
+    """Add the frames of each tag in ``counts`` inside ``tree``."""
+    if isinstance(tree, dict):
+        tag = tree.get("~")
+        if tag in counts:
+            counts[tag] += 1
+        for value in tree.values():
+            count_tags(value, counts)
+    elif isinstance(tree, list):
+        for item in tree:
+            count_tags(item, counts)

@@ -81,22 +81,44 @@ class BrokerResultCache:
         self._lru.clear()
 
 
+#: Responses of up to this many rows — a TOP 20 — are sized cell by
+#: cell, longer ones column by column: one C-level type probe per
+#: column, and one ``len`` pass over a column of strings. The cell loop
+#: is the cheaper one on a few rows (a one-cell response costs 0.3 us
+#: by cells and 1.2 us by columns; 20 rows cost 3.5 us either way), the
+#: column walk beyond: 500 rows of three integers cost 126 us by cells
+#: and 70 us by columns, 500 rows of a string and an integer 79 / 63 us.
+CELLWISE_MAX_ROWS = 20
+
+#: Cell types that are certainly not strings.
+_NOT_TEXT = frozenset({int, float, bool, type(None)})
+
+
 def estimate_response_bytes(response: BrokerResponse) -> int:
     """A rough, deterministic byte estimate for budget accounting.
 
     Row counts are bounded by LIMIT so this walks real cells; strings
-    dominate real response sizes, so they are counted by length.
+    dominate real response sizes, so they are counted by length: 48
+    bytes plus the length for a string cell, 16 bytes for any other.
     """
     total = 256  # fixed response envelope
     table = response.table
     total += 16 * len(table.columns)
-    for row in table.rows:
-        total += 24  # tuple overhead
-        for cell in row:
-            if isinstance(cell, str):
-                total += 48 + len(cell)
-            else:
-                total += 16
+    rows = table.rows
+    if len(rows) <= CELLWISE_MAX_ROWS or len(set(map(len, rows))) > 1:
+        for row in rows:
+            total += 24  # tuple overhead
+            for cell in row:
+                total += 48 + len(cell) if isinstance(cell, str) else 16
+    else:
+        total += 24 * len(rows)
+        for column in zip(*rows):
+            total += 16 * len(column)
+            kinds = set(map(type, column))
+            if not kinds <= _NOT_TEXT:
+                strings = (column if kinds == {str} else
+                           [cell for cell in column if isinstance(cell, str)])
+                total += 32 * len(strings) + sum(map(len, strings))
     for exc in (*response.exceptions, *response.recovered_exceptions):
         total += len(exc)
     return total

@@ -9,7 +9,8 @@ steps 6-7). Each function here therefore defines:
 * ``aggregate(values)`` — state from a numpy array of column values,
 * ``aggregate_rollup(rollup, rows)`` — the same state from rows that a
   segment structure pre-aggregated (:class:`Rollup`),
-* ``merge(a, b)`` — combine two states,
+* ``merge(a, b)`` — combine two states, and ``merge_many(states)``
+  any number at once (one merge level's inputs),
 * ``finalize(state)`` — final result value.
 
 A group-by keeps the states of one aggregation for all its groups as a
@@ -17,26 +18,28 @@ A group-by keeps the states of one aggregation for all its groups as a
 ``finalize_grouped``): a function whose state is made of
 :class:`Rollup` arrays keeps those arrays — COUNT one int64 array,
 SUM / MIN / MAX one float64 array, AVG ``(sums, counts)``, MINMAXRANGE
-``(mins, maxs)`` — and any other state (value sets, samples, sketches)
-is an object, its column a plain list of them. Only this module knows
-which is which.
+``(mins, maxs)`` — and any other state (distinct value arrays,
+samples, sketches) is an object, its column a plain list of them. Only
+this module knows which is which.
 
-``DISTINCTCOUNT`` and the percentiles keep exact intermediate sets /
-samples; production Pinot uses sketches (HLL, quantile digests) for
-these, which trade accuracy for bounded size — exactness is the better
-default for a reproduction because the tests can assert equality.
+``DISTINCTCOUNT`` and the percentiles keep exact intermediate values —
+a sorted array of the distinct values, a sample tuple; production
+Pinot uses sketches (HLL, quantile digests) for these, which trade
+accuracy for bounded size — exactness is the better default for a
+reproduction because the tests can assert equality.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.pql.ast_nodes import AggFunc, Aggregation
+from repro.segment.bitmap import run_starts, sorted_unique
 
 
 def _group_slices(values: np.ndarray, codes: np.ndarray,
@@ -46,7 +49,7 @@ def _group_slices(values: np.ndarray, codes: np.ndarray,
     group ``g`` occupies ``sorted_values[bounds[g]:bounds[g + 1]]``.
 
     One argsort replaces a per-row Python dispatch loop for every
-    set/sample-state aggregation (DISTINCTCOUNT, HLL, percentiles).
+    sample- or sketch-state aggregation (HLL, percentiles).
     """
     order = np.argsort(codes, kind="stable")
     bounds = np.searchsorted(codes[order], np.arange(num_groups + 1))
@@ -123,6 +126,15 @@ class AggregateFunction:
 
     def merge(self, a: Any, b: Any) -> Any:
         raise NotImplementedError
+
+    def merge_many(self, states: list[Any]) -> Any:
+        """Merge any number of states at once — one merge level's
+        inputs. By default the left fold ``merge(...merge(init_empty(),
+        s1)..., sn)``, whose bits the incremental merge had."""
+        merged = self.init_empty()
+        for state in states:
+            merged = self.merge(merged, state)
+        return merged
 
     def finalize(self, state: Any) -> Any:
         raise NotImplementedError
@@ -336,29 +348,118 @@ class MinMaxRangeFunction(AggregateFunction):
         return np.where(np.isinf(lows), 0.0, highs - lows)
 
 
+#: A DISTINCTCOUNT state's dtype for each kind of column values, and
+#: for any other kind: a column's dtype fixes it, so every state of one
+#: column shares it.
+_DISTINCT_DTYPES = {"i": np.dtype(np.int64), "u": np.dtype(np.int64),
+                    "f": np.dtype(np.float64), "b": np.dtype(np.bool_)}
+_OBJECT = np.dtype(object)
+_INT64 = np.dtype(np.int64)
+
+#: Up to this many values, a DISTINCTCOUNT state is built or merged
+#: through a Python set, beyond it by one numpy sort: on a few values
+#: numpy's per-call cost is most of the work. Measured on int64s (one
+#: core of a shared 2-core box), building from 5 values costs 2.5 us
+#: through the set and 5.4 us sorted, from 24 values 5.4 / 5.5 us, from
+#: 64 values 9.7 / 5.7 us; a 3-way merge of 24 values in all 7.1 / 6.8
+#: us, of 63 values 12.0 / 7.3 us.
+DISTINCT_SET_MAX = 24
+
+
+def distinct_dtype(dtype: np.dtype) -> np.dtype:
+    """The dtype of the DISTINCTCOUNT states of values of ``dtype``:
+    int64 for integers, float64 for floats, bool, else object."""
+    return _DISTINCT_DTYPES.get(dtype.kind, _OBJECT)
+
+
+def distinct_state(values: Iterable[Any], dtype: np.dtype) -> np.ndarray:
+    """The DISTINCTCOUNT state of the Python ``values`` (repeats
+    allowed): their distinct values, ascending, as a ``dtype`` array —
+    or the empty state when there are none."""
+    distinct = set(values)
+    if not distinct:
+        return np.empty(0, _INT64)
+    return np.array(sorted(distinct), dtype)  # dtype positional: cheaper
+
+
 class DistinctCountFunction(AggregateFunction):
-    """Exact distinct count; the partial state is the value set."""
+    """Exact distinct count. The partial state is the distinct values,
+    ascending, as a 1-D array of :func:`distinct_dtype` — the empty
+    state a zero-length int64 array, which merges skip, so it never
+    changes a dtype; ``finalize`` is its length.
+
+    A state is built by sorting and keeping the first value of each run
+    and states merge N-way — concatenate, sort, keep run starts once —
+    except on a few values, where a Python set does the same work
+    cheaper (``DISTINCT_SET_MAX``). A group-by's state column is a list
+    of such arrays, built and merged by one sort over (group, value)
+    for all groups.
+    """
 
     numeric_only = False
 
-    def init_empty(self) -> frozenset:
-        return frozenset()
+    def init_empty(self) -> np.ndarray:
+        return np.empty(0, _INT64)
 
-    def aggregate(self, values: np.ndarray) -> frozenset:
-        return frozenset(values.tolist())
+    def aggregate(self, values: np.ndarray) -> np.ndarray:
+        dtype = distinct_dtype(values.dtype)
+        if len(values) <= DISTINCT_SET_MAX:
+            return distinct_state(values.tolist(), dtype)
+        return sorted_unique(values.astype(dtype, copy=False))
 
     def aggregate_grouped(self, values, codes, num_groups):
-        sorted_values, bounds = _group_slices(values, codes, num_groups)
-        return [
-            frozenset(sorted_values[bounds[g]:bounds[g + 1]].tolist())
-            for g in range(num_groups)
-        ]
+        return _distinct_grouped(values.astype(distinct_dtype(values.dtype),
+                                               copy=False),
+                                 codes, num_groups)
 
-    def merge(self, a: frozenset, b: frozenset) -> frozenset:
-        return a | b
+    def merge(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.merge_many([a, b])
 
-    def finalize(self, state: frozenset) -> int:
+    def merge_many(self, states: list[np.ndarray]) -> np.ndarray:
+        live = [state for state in states if len(state)]
+        if len(live) < 2:
+            return live[0] if live else self.init_empty()
+        if sum(map(len, live)) <= DISTINCT_SET_MAX:
+            return distinct_state(
+                chain.from_iterable(map(np.ndarray.tolist, live)),
+                live[0].dtype)
+        merged = np.concatenate(live)
+        # Stable: the sort merges the sorted runs, and of equal values
+        # (0.0 and -0.0) the first in input order stays, as a set keeps.
+        merged.sort(kind="stable")
+        return merged[run_starts(merged)]
+
+    def merge_grouped(self, columns, codes, num_groups):
+        states = list(chain.from_iterable(columns))
+        lengths = np.fromiter(map(len, states), dtype=np.int64,
+                              count=len(states))
+        live = [state for state in states if len(state)]
+        values = np.concatenate(live) if live else self.init_empty()
+        return _distinct_grouped(values, np.repeat(codes, lengths),
+                                 num_groups)
+
+    def finalize(self, state: np.ndarray) -> int:
         return len(state)
+
+    def finalize_grouped(self, column: list[np.ndarray]) -> np.ndarray:
+        return np.fromiter(map(len, column), dtype=np.int64,
+                           count=len(column))
+
+
+def _distinct_grouped(values: np.ndarray, codes: np.ndarray,
+                      num_groups: int) -> list[np.ndarray]:
+    """The DISTINCTCOUNT state of each of ``num_groups`` groups, where
+    ``codes[i]`` is the group of ``values[i]``: one sort over (group
+    code, value) — a stable sort of the codes after one of the values
+    — one run-start mask over both, one split by group."""
+    order = np.argsort(values, kind="stable")
+    order = order[np.argsort(codes[order], kind="stable")]
+    values, codes = values[order], codes[order]
+    keep = run_starts(values)
+    keep[1:] |= codes[1:] != codes[:-1]
+    values = values[keep]
+    bounds = np.searchsorted(codes[keep], np.arange(num_groups + 1)).tolist()
+    return [values[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 class DistinctCountHllFunction(AggregateFunction):

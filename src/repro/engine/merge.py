@@ -9,10 +9,11 @@ Two levels of merging mirror the production system:
   produces the :class:`BrokerResponse`. Server errors or timeouts mark
   the response partial instead of failing it (step 7).
 
-Each level hands *all* its grouped partials to one N-way merge
-(concatenate the key columns, give each an order-preserving integer
-code — ``value - min`` for integer keys, the rank among distinct
-values otherwise — number the groups once through
+Each level hands *all* its ungrouped states to one ``merge_many`` per
+aggregation (``AggregationPartial.merged``), all its grouped partials
+to one N-way merge (concatenate the key columns, give each an
+order-preserving integer code — ``value - min`` for integer keys, the
+rank among distinct values otherwise — number the groups once through
 ``groupby.combine_codes``, one reduction per state column) and all its
 selection partials to one (concatenate, ``order_rows``: one stable
 sort on a packed key, keep ``limit + offset``). Entries of a group
@@ -51,10 +52,10 @@ def _merge_all(query: Query, target: SegmentResult | ServerResult,
     aggregations = query.aggregations
     for result in results:
         target.stats.merge(result.stats)
-        if result.aggregation is not None:
-            if target.aggregation is None:
-                target.aggregation = AggregationPartial.empty(aggregations)
-            target.aggregation.merge(result.aggregation, aggregations)
+    aggregated = [r.aggregation for r in results if r.aggregation is not None]
+    if aggregated:
+        target.aggregation = AggregationPartial.merged(aggregated,
+                                                       aggregations)
     grouped = [r.group_by for r in results if r.group_by is not None]
     if grouped:
         target.group_by = _merge_group_by(aggregations, grouped)

@@ -91,11 +91,15 @@ class AggregationPartial:
     def empty(cls, aggregations: tuple[Aggregation, ...]) -> "AggregationPartial":
         return cls([function_for(a).init_empty() for a in aggregations])
 
-    def merge(self, other: "AggregationPartial",
-              aggregations: tuple[Aggregation, ...]) -> None:
-        for i, aggregation in enumerate(aggregations):
-            func = function_for(aggregation)
-            self.states[i] = func.merge(self.states[i], other.states[i])
+    @classmethod
+    def merged(cls, partials: list["AggregationPartial"],
+               aggregations: tuple[Aggregation, ...]) -> "AggregationPartial":
+        """All of ``partials`` merged: one ``merge_many`` per
+        aggregation."""
+        return cls([
+            function_for(a).merge_many([p.states[i] for p in partials])
+            for i, a in enumerate(aggregations)
+        ])
 
 
 def block_column(values: list[Any]) -> np.ndarray:

@@ -29,6 +29,7 @@ from operator import itemgetter
 from typing import Any, Callable
 
 from repro.common.types import DataType
+from repro.engine.aggregates import distinct_dtype, distinct_state
 from repro.engine.planner import validate_columns
 from repro.engine.results import (
     AggregationPartial,
@@ -289,7 +290,8 @@ class _Accumulator:
         if func is AggFunc.MINMAXRANGE:
             return (float(self.low), float(self.high))
         if func is AggFunc.DISTINCTCOUNT:
-            return frozenset(self.distinct)
+            return distinct_state(self.distinct, distinct_dtype(
+                self.column.dictionary.dtype.numpy_dtype))
         if func is AggFunc.DISTINCTCOUNTHLL:
             return self.hll
         if func in _PERCENTILE_EST_FUNCS:

@@ -6,8 +6,8 @@ production Pinot subsequently shipped sketch-backed aggregations. This
 module implements a dense HyperLogLog from scratch, backing the
 ``DISTINCTCOUNTHLL`` aggregation: a bounded-size, mergeable distinct
 count whose partial states ship well between servers and broker —
-unlike the exact ``DISTINCTCOUNT``, whose state is the value set
-itself.
+unlike the exact ``DISTINCTCOUNT``, whose state holds every distinct
+value (a sorted array of them).
 
 Hashing is *typed*: every cell value is first rendered to a canonical
 byte string whose leading tag byte separates the type domains (the same
@@ -15,8 +15,10 @@ tag-prefixed encoding discipline as ``upsert.primary_key_bytes``), so
 ``1`` and ``"1"`` land in different registers. The encoding is
 equality-consistent with Python: numerics that compare equal across
 types (``1 == 1.0 == True``) encode identically, because the exact
-``DISTINCTCOUNT`` state is a set under Python equality and the sketch
-must agree with it on small cardinalities.
+``DISTINCTCOUNT`` state counts values equal under numeric comparison
+as one — an INT column's values and a LONG column's, or a FLOAT's and
+a DOUBLE's, meet in one int64 / float64 state — and the sketch must
+agree with it on small cardinalities.
 """
 
 from __future__ import annotations

@@ -12,7 +12,19 @@ cached) response, exactly as if the bytes had left the process.
 Encoding is *tagged*: anything that is not a JSON primitive becomes a
 ``{"~": tag, ...}`` dict. Dataclasses under ``repro.*`` and enums are
 handled generically; numpy scalars/arrays and the sketches have
-dedicated tags so aggregation partials ship losslessly.
+dedicated tags so aggregation partials ship losslessly (a HyperLogLog's
+registers as one hex string, a byte per register: one C call each
+way).
+
+A 1-D int64 or float64 array — a key or state column, a selection
+column, a DISTINCTCOUNT state — is a *typed* frame, ``{"~": "i8", "v":
+[items]}`` or ``{"~": "f8", ...}``, empty ones included: the tag names
+the dtype, so the frame carries no dtype string. Decode converts the
+items to that dtype with no inference and accepts nothing else: a
+string (numeric or not), ``None``, a nested list or an integer beyond
+int64 is a malformed frame, and the array is always 1-D. Any other
+array is an ``nd`` frame, ``{"~": "nd", "d": dtype.str, "v":
+tolist()}``.
 
 A dataclass travels as a *positional* frame, ``{"~": "dc", "c": path,
 "v": [its field values in field order]}``: field names never reach the
@@ -25,8 +37,8 @@ Dispatch is by table: ``encode`` keeps one encoder per Python type,
 chosen the first time the type is seen, ``decode`` one decoder per tag.
 A container's items are tested one by one where they are copied — a
 JSON primitive is taken as it is, anything else recursed into — and a
-long container whose items are all primitives (a distinct set, the
-``tolist()`` of a key or state array) is copied by one C call.
+long container whose items are all primitives (the ``tolist()`` of an
+object array, a sample tuple) is copied by one C call.
 
 A value several messages carry — the broker's ``Query``, sent to every
 server of a scatter and to its hedges and retries — is wrapped in
@@ -55,6 +67,7 @@ copy-on-transfer guarantee — they are immutable by construction.
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import enum
 import functools
@@ -71,6 +84,10 @@ from repro.obs.metrics import runtime_metrics
 
 #: The JSON primitives: they encode and decode as themselves.
 _FLAT = frozenset({int, float, str, bool, type(None)})
+
+#: 1-D arrays of these dtypes travel as ``{"~": tag, "v": items}``: the
+#: tag names the dtype, decode converts to it with no inference.
+_TYPED_TAGS = {np.dtype(np.int64): "i8", np.dtype(np.float64): "f8"}
 
 #: Containers at least this long are first probed whole: when every
 #: item is a primitive, one C-level copy replaces the per-item loop.
@@ -184,6 +201,10 @@ def _encode_dict(obj: dict, blobs: list[Any] | None) -> Any:
 
 
 def _encode_array(obj: np.ndarray, blobs: list[Any] | None) -> dict:
+    if obj.ndim == 1:
+        tag = _TYPED_TAGS.get(obj.dtype)
+        if tag is not None:
+            return {"~": tag, "v": obj.tolist()}
     items = obj.tolist()
     if obj.dtype.kind == "O":  # e.g. multi-value cells: tuples need tags
         items = _encode_items(items, blobs)
@@ -244,9 +265,9 @@ def _class_encoder(kind: type) -> Callable[[Any, list[Any] | None], Any]:
                                    "v": _encode(obj._value_, blobs)}
     if issubclass(kind, (ImmutableSegment, MutableSegment)):
         return _encode_blob
-    if issubclass(kind, hll):
+    if issubclass(kind, hll):  # one byte per register, as hex text
         return lambda obj, blobs: {"~": "hll", "p": obj.precision,
-                                   "r": obj.registers.tolist()}
+                                   "r": obj.registers.tobytes().hex()}
     if issubclass(kind, qsk):
         return lambda obj, blobs: {
             "~": "qsk", "k": obj.k, "n": obj.count,
@@ -352,6 +373,24 @@ def _decode_array(tree: dict, blobs: list[Any] | None) -> np.ndarray:
     return np.fromiter(items, dtype=object, count=len(items))
 
 
+def _typed_decoder(dtype: np.dtype) -> Callable[[dict, list[Any] | None],
+                                                 np.ndarray]:
+    """The decoder of a typed array frame: ``array.array`` converts the
+    items with no inference and takes nothing but numbers of its
+    typecode — a string, ``None``, a nested list or an int beyond int64
+    raises — and ``np.frombuffer`` wraps its buffer, so the array is
+    1-D, writable and the frame's own."""
+    typecode = {"i": "q", "f": "d"}[dtype.kind]
+
+    def decoder(tree: dict, blobs: list[Any] | None) -> np.ndarray:
+        items = tree["v"]
+        if type(items) is not list:
+            raise PinotError(f"codec expected a list, got {items!r}")
+        return np.frombuffer(array.array(typecode, items), dtype=dtype)
+
+    return decoder
+
+
 def _decode_blob(tree: dict, blobs: list[Any] | None) -> Any:
     if blobs is None:
         raise PinotError("blob reference without a side channel")
@@ -392,10 +431,11 @@ _DECODERS: dict[str, Callable[[dict, list[Any] | None], Any]] = {
     "fs": _decode_collection(frozenset),
     "np": lambda tree, blobs: np.dtype(tree["d"]).type(tree["v"]),
     "nd": _decode_array,
+    **{tag: _typed_decoder(dtype) for dtype, tag in _TYPED_TAGS.items()},
     "e": _decode_enum,
     "b": _decode_blob,
     "hll": lambda tree, blobs: _sketches()[0](
-        tree["p"], np.asarray(tree["r"], dtype=np.uint8)),
+        tree["p"], np.frombuffer(bytes.fromhex(tree["r"]), dtype=np.uint8)),
     "qsk": lambda tree, blobs: _sketches()[1](
         tree["k"], tree["n"],
         [[float(v) for v in level] for level in tree["l"]],

@@ -27,15 +27,15 @@ _CHUNK = 1 << 16
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique(values)`` for an integer array: sort a copy, keep
-    the first entry of each run. numpy 2.4's ``np.unique`` takes about
+    """``np.unique(values)`` for a 1-D array: sort a copy, keep the
+    first entry of each run. numpy 2.4's ``np.unique`` takes about
     7x as long on a thousand int64s, and ``np.union1d`` (a concatenate
     plus ``np.unique``) 12x."""
     out = np.sort(values)
-    return out[_run_starts(out)]
+    return out[run_starts(out)]
 
 
-def _run_starts(values: np.ndarray) -> np.ndarray:
+def run_starts(values: np.ndarray) -> np.ndarray:
     """Mask of the entries of a sorted array that differ from the one
     before: the first of each run of equal values."""
     starts = np.empty(len(values), dtype=bool)
@@ -244,7 +244,7 @@ class RoaringBitmap:
         arr = values.astype(np.uint32, copy=False)
         if len(arr):
             highs = (arr >> 16).astype(np.uint32)
-            bounds = np.flatnonzero(_run_starts(highs))
+            bounds = np.flatnonzero(run_starts(highs))
             unique_highs = highs[bounds]
             bounds = np.append(bounds, len(arr))
             for i, high in enumerate(unique_highs):

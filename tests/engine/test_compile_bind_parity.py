@@ -60,6 +60,7 @@ from repro.pql.rewriter import normalize_predicate, optimize
 from repro.segment.builder import SegmentBuilder, SegmentConfig
 from repro.startree.builder import StarTreeConfig
 from repro.startree.query import _records
+from tests.states import exact_states
 
 # -- the reference: every step against the segment's own dictionaries -------
 
@@ -458,12 +459,12 @@ def check(segments, text, raw):
             assert not isinstance(got, tuple), (context, got)
             assert got.describe() == want.describe(), context
             got_result = outcome(lambda: execute_plan(got))
-            assert (result_view(query, got_result)
-                    == result_view(query, want_result)), context
+            assert (exact_states(result_view(query, got_result))
+                    == exact_states(result_view(query, want_result))), context
             # The server's way in: the compiled form through the executor.
-            assert (result_view(query, outcome(
-                lambda: execute_segment(segment, form)))
-                == result_view(query, want_result)), context
+            assert (exact_states(result_view(query, outcome(
+                lambda: execute_segment(segment, form))))
+                == exact_states(result_view(query, want_result))), context
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,12 +1,15 @@
 """A scan filter gives one answer whatever form its context arrives in.
 
-A scan leaf has three physical forms — a slice comparison for a
-contiguous context, a whole-column comparison ANDed into the mask of a
-mask context, a gather for an id-array context — and which one runs
-depends on what the operators before it produced. Hypothesis builds
-random AND / OR / NOT trees of scan leaves over single- and multi-value
-columns and runs each from five starting contexts (full, contiguous
-sub-range, mask, id array, an upsert ``valid_docs`` base); every run
+A scan leaf has four physical forms — a slice comparison into a
+segment-wide mask for a contiguous context, the same slice compressed
+to doc ids for a contiguous context of at most ``1 /
+NARROW_RANGE_DIVISOR`` of the segment, a whole-column comparison ANDed
+into the mask of a mask context, a gather for an id-array context — and
+which one runs depends on what the operators before it produced.
+Hypothesis builds random AND / OR / NOT trees of scan leaves over
+single- and multi-value columns and runs each from six starting
+contexts (full, contiguous sub-range, narrow sub-range, mask, id array,
+an upsert ``valid_docs`` base); every run
 must return the doc set, and charge the ``entries_scanned``, of the
 reference below, which evaluates leaf by leaf on doc-id arrays the way
 the engine did before its scans stayed in mask space.
@@ -23,6 +26,7 @@ from repro.common.schema import Schema
 from repro.common.types import DataType, dimension, metric, time_column
 from repro.engine.executor import execute_segment
 from repro.engine.operators import (
+    NARROW_RANGE_DIVISOR,
     AndFilter,
     DocSelection,
     FilterStats,
@@ -150,6 +154,8 @@ def test_every_context_form_matches_the_reference(
         "full": DocSelection.full(NUM_DOCS),
         "range": DocSelection.from_range(start,
                                          min(NUM_DOCS, start + length)),
+        "narrow": DocSelection.from_range(start, min(
+            NUM_DOCS, start + 1 + length % (NUM_DOCS // NARROW_RANGE_DIVISOR))),
         "mask": DocSelection(mask=mask),
         "ids": DocSelection.from_docs(ids),
     }

@@ -28,7 +28,7 @@ from repro.engine.results import (
 )
 from repro.engine.sketches import HyperLogLog
 from repro.errors import PinotError, SegmentError
-from repro.net import decode, encode
+from repro.net import decode, encode, json_roundtrip
 from repro.pql.parser import parse
 from repro.pql.rewriter import optimize
 from repro.segment.builder import SegmentBuilder
@@ -59,9 +59,9 @@ def seed_frames():
         query,
         execute_segment(segment, query).group_by,
         execute_segment(segment, selection).selection,
-        AggregationPartial([frozenset({1, 2, 3}), (1.5, 2), sketch,
+        AggregationPartial([np.arange(1, 4), (1.5, 2), sketch,
                             function_for(query.aggregations[2]).aggregate(
-                                np.arange(5.0))]),
+                                np.arange(5.0)), np.asarray([-0.0, np.inf])]),
         ServerResult("server-1", error="segment t_0 missing",
                      aggregation=AggregationPartial([sketch]),
                      stats=ExecutionStats(num_docs_scanned=7)),
@@ -78,8 +78,8 @@ def seed_frames():
 
 
 FRAMES = seed_frames()
-TAGS = ["t", "d", "s", "fs", "np", "nd", "e", "b", "hll", "qsk", "dc", "exc",
-        "zz", 7, None]
+TAGS = ["t", "d", "s", "fs", "np", "nd", "i8", "f8", "e", "b", "hll", "qsk",
+        "dc", "exc", "zz", 7, None]
 #: Real but (in a codec-only process) unimported modules, a missing
 #: one, a non-repro one, a non-class.
 CLASS_PATHS = [
@@ -169,6 +169,60 @@ def test_named_malformations(tree):
     except PinotError:
         pass
     assert set(sys.modules) == modules
+
+
+@pytest.mark.parametrize("tag, items", [
+    ("i8", [[1, 2]]), ("f8", [[1.0], [2.0]]),          # nested lists
+    ("i8", [1, "2"]), ("f8", ["1.5"]), ("f8", ["inf"]),  # strings
+    ("i8", [None]), ("f8", [0.5, None]),                 # None
+    ("i8", [2 ** 63]), ("i8", [-2 ** 63 - 1]),           # int overflow
+    ("f8", [2 ** 1024]),
+    ("i8", [1.5]), ("f8", [{"~": "np", "d": "<f8", "v": 1.0}]),
+    ("i8", {"0": 1}), ("f8", "1.5"), ("i8", None), ("f8", 2.0),
+])
+def test_typed_array_frames_take_only_their_numbers(tag, items):
+    """A typed frame converts its items to the dtype its tag names with
+    no inference: anything but a flat list of numbers of that dtype —
+    numeric strings and ``None`` (which numpy would parse, or read as
+    NaN) included — is a typed error."""
+    with pytest.raises(PinotError):
+        decode({"~": tag, "v": items})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["i8", "f8"]), st.lists(st.one_of(
+    st.integers(-2 ** 64, 2 ** 64), st.floats(), st.booleans(), st.none(),
+    st.text(max_size=3), st.lists(st.integers(), max_size=2)), max_size=6))
+def test_typed_array_frames_decode_flat_or_raise(tag, items):
+    try:
+        array = decode({"~": tag, "v": items})
+    except PinotError:
+        return
+    assert array.ndim == 1 and len(array) == len(items)
+    assert array.dtype == {"i8": np.int64, "f8": np.float64}[tag]
+
+
+def test_typed_array_frames_round_trip_exactly():
+    for array in (np.arange(-3, 4), np.asarray([-0.0, 0.0, np.inf, -np.inf]),
+                  np.empty(0, dtype=np.int64), np.empty(0)):
+        tree = encode(array)
+        assert set(tree) == {"~", "v"}
+        back = decode(tree)
+        assert back.ndim == 1 and back.dtype == array.dtype
+        assert back.tobytes() == array.tobytes()
+
+
+@pytest.mark.parametrize("registers", [
+    "zz" * 16, "00" * 15, "00" * 17, "0" * 31, [0] * 16, None, 16,
+])
+def test_hll_frames_take_only_their_register_bytes(registers):
+    """A HyperLogLog's registers travel as hex text, one byte each: text
+    that is not hex, or not one byte per register, is a typed error."""
+    with pytest.raises(PinotError):
+        decode({"~": "hll", "p": 4, "r": registers})
+    sketch = HyperLogLog(precision=4)
+    sketch.add("x")
+    assert decode(json_roundtrip(encode(sketch))) == sketch
 
 
 QUERY = "repro.pql.ast_nodes:Query"
