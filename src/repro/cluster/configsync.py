@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.cluster.controller import Controller
 from repro.cluster.table import TableConfig
-from repro.errors import ClusterError
+from repro.errors import PinotError
 
 
 @dataclass
@@ -61,7 +61,11 @@ def sync_configs(controller: Controller, directory: str | Path,
     * a file differing from the live config updates it (config only —
       existing segments are untouched; new settings apply to future
       segment builds, like the paper's on-the-fly changes);
-    * with ``delete_missing``, live tables without a file are dropped.
+    * with ``delete_missing``, live tables without a file are dropped;
+    * a file that does not parse as a config (bad JSON, an unknown key,
+      a bad value) is reported in ``errors`` and its table left as it
+      is, never dropped by ``delete_missing``; the rest of the
+      directory still syncs.
     """
     path = Path(directory)
     report = SyncReport()
@@ -70,8 +74,7 @@ def sync_configs(controller: Controller, directory: str | Path,
         try:
             payload = json.loads(file.read_text())
             config = TableConfig.from_dict(payload)
-        except (json.JSONDecodeError, KeyError, TypeError,
-                ClusterError) as exc:
+        except (json.JSONDecodeError, PinotError) as exc:
             report.errors[file.name] = str(exc)
             continue
         if config.name != file.stem:
@@ -87,8 +90,7 @@ def sync_configs(controller: Controller, directory: str | Path,
             controller.create_table(config)
             report.created.append(name)
             continue
-        current = controller.table_config(name).to_dict()
-        if current == config.to_dict():
+        if controller.table_config(name) == config:
             report.unchanged.append(name)
             continue
         controller._helix.set_property(  # noqa: SLF001 - config write
@@ -97,7 +99,8 @@ def sync_configs(controller: Controller, directory: str | Path,
         report.updated.append(name)
 
     if delete_missing:
-        for name in sorted(live - set(desired)):
+        failed = {Path(name).stem for name in report.errors}
+        for name in sorted(live - set(desired) - failed):
             controller.delete_table(name)
             report.deleted.append(name)
     return report

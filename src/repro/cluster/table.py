@@ -11,15 +11,15 @@ and time column; the broker rewrites queries across the time boundary
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 from weakref import WeakKeyDictionary
 
+from repro.common.records import from_plain, to_plain
 from repro.common.schema import Schema
 from repro.common.timeutils import TimeGranularity, TimeUnit
 from repro.errors import ClusterError
 from repro.segment.builder import SegmentConfig
-from repro.startree.builder import StarTreeConfig
 from repro.upsert.config import UpsertConfig
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,11 +100,11 @@ class TableConfig:
             spec = self.schema.field(self.partition.column)
             if spec.multi_value:
                 raise ClusterError("partition column cannot be multi-value")
-            # Segment builds must agree with the table's partitioning.
-            self.segment_config.partition_column = self.partition.column
-            self.segment_config.num_partitions = (
-                self.partition.num_partitions
-            )
+            # Segment builds must agree with the table's partitioning;
+            # the caller's SegmentConfig may be shared, so copy it.
+            self.segment_config = replace(
+                self.segment_config, partition_column=self.partition.column,
+                num_partitions=self.partition.num_partitions)
         if self.upsert is not None:
             self._validate_upsert()
 
@@ -165,97 +165,11 @@ class TableConfig:
     # -- serialization (for the source-controlled config story of §5.2) ------
 
     def to_dict(self) -> dict[str, Any]:
-        star_tree = self.segment_config.star_tree
-        return {
-            "logical_name": self.logical_name,
-            "table_type": self.table_type.value,
-            "schema": self.schema.to_dict(),
-            "replication": self.replication,
-            "retention": self.retention,
-            "retention_granularity": {
-                "unit": self.retention_granularity.unit.name,
-                "size": self.retention_granularity.size,
-            },
-            "quota_bytes": self.quota_bytes,
-            "tier_to_remote_after": self.tier_to_remote_after,
-            "routing_strategy": self.routing_strategy,
-            "routing_options": dict(self.routing_options),
-            "tenant": self.tenant,
-            "sorted_column": self.segment_config.sorted_column,
-            "inverted_columns": list(self.segment_config.inverted_columns),
-            "bloom_columns": list(self.segment_config.bloom_columns),
-            "timestamp_index": list(self.segment_config.timestamp_index),
-            "star_tree": (
-                {"dimensions": star_tree.dimensions,
-                 "max_leaf_records": star_tree.max_leaf_records,
-                 "metrics": star_tree.metrics}
-                if star_tree else None
-            ),
-            "partition": (
-                {"column": self.partition.column,
-                 "num_partitions": self.partition.num_partitions}
-                if self.partition else None
-            ),
-            "stream": (
-                {"topic": self.stream.topic,
-                 "flush_threshold_rows": self.stream.flush_threshold_rows,
-                 "flush_threshold_ticks": self.stream.flush_threshold_ticks,
-                 "records_per_poll": self.stream.records_per_poll}
-                if self.stream else None
-            ),
-            "upsert": self.upsert.to_dict() if self.upsert else None,
-        }
+        return to_plain(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "TableConfig":
-        partition = None
-        if payload.get("partition"):
-            partition = PartitionConfig(**payload["partition"])
-        stream = None
-        if payload.get("stream"):
-            stream = StreamConfig(**payload["stream"])
-        star_tree = None
-        if payload.get("star_tree"):
-            raw = payload["star_tree"]
-            # None means "the builder chooses"; keep it apart from ().
-            dimensions, metrics = (
-                None if raw[key] is None else tuple(raw[key])
-                for key in ("dimensions", "metrics")
-            )
-            star_tree = StarTreeConfig(dimensions, raw["max_leaf_records"],
-                                       metrics)
-        # Older persisted configs predate the granularity field; they
-        # were all written with the (DAYS, 1) default.
-        granularity = payload.get("retention_granularity")
-        retention_granularity = (
-            TimeGranularity(TimeUnit[granularity["unit"]],
-                            granularity["size"])
-            if granularity else TimeGranularity(TimeUnit.DAYS)
-        )
-        return cls(
-            logical_name=payload["logical_name"],
-            table_type=TableType(payload["table_type"]),
-            schema=Schema.from_dict(payload["schema"]),
-            replication=payload.get("replication", 1),
-            retention=payload.get("retention"),
-            retention_granularity=retention_granularity,
-            quota_bytes=payload.get("quota_bytes"),
-            tier_to_remote_after=payload.get("tier_to_remote_after"),
-            routing_strategy=payload.get("routing_strategy", "balanced"),
-            routing_options=dict(payload.get("routing_options", {})),
-            tenant=payload.get("tenant", "DefaultTenant"),
-            segment_config=SegmentConfig(
-                sorted_column=payload.get("sorted_column"),
-                inverted_columns=tuple(payload.get("inverted_columns", ())),
-                bloom_columns=tuple(payload.get("bloom_columns", ())),
-                timestamp_index=tuple(payload.get("timestamp_index", ())),
-                star_tree=star_tree,
-            ),
-            partition=partition,
-            stream=stream,
-            upsert=(UpsertConfig.from_dict(payload["upsert"])
-                    if payload.get("upsert") else None),
-        )
+        return from_plain(cls, payload)
 
 
 # -- property-store readers ---------------------------------------------------

@@ -10,7 +10,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.common.types import DataType, FieldRole, FieldSpec
+from repro.common.records import from_plain, to_plain
+from repro.common.types import FieldSpec
 from repro.errors import SchemaError
 
 
@@ -134,30 +135,9 @@ class Schema:
     # -- (de)serialization -----------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "fields": [
-                {
-                    "name": f.name,
-                    "dtype": f.dtype.value,
-                    "role": f.role.value,
-                    "multi_value": f.multi_value,
-                    "default": f.default,
-                }
-                for f in self.fields
-            ],
-        }
+        return {"name": self.name, "fields": to_plain(self.fields)}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Schema":
-        fields = [
-            FieldSpec(
-                name=f["name"],
-                dtype=DataType(f["dtype"]),
-                role=FieldRole(f["role"]),
-                multi_value=f.get("multi_value", False),
-                default=f.get("default"),
-            )
-            for f in payload["fields"]
-        ]
-        return cls(payload["name"], fields)
+        return cls(payload["name"], [from_plain(FieldSpec, spec)
+                                     for spec in payload["fields"]])

@@ -18,7 +18,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -36,8 +36,26 @@ from repro.segment.inverted import InvertedIndex
 from repro.segment.metadata import ColumnMetadata, SegmentMetadata
 from repro.segment.segment import Column, ImmutableSegment
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.startree.builder import StarTreeConfig
+
+@dataclass(frozen=True)
+class StarTreeConfig:
+    """Build options for a segment's star-tree (§4.3).
+
+    Attributes:
+        dimensions: Split order; None selects all dimension columns
+            ordered by descending cardinality (the conventional order —
+            high-cardinality first maximizes pruning).
+        max_leaf_records: Stop splitting below this record count.
+        metrics: Metric columns to pre-aggregate; None = all metrics.
+    """
+
+    dimensions: tuple[str, ...] | None = None
+    max_leaf_records: int = 100
+    metrics: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_leaf_records < 1:
+            raise SegmentError("max_leaf_records must be >= 1")
 
 
 @dataclass
@@ -63,7 +81,7 @@ class SegmentConfig:
     #: Columns to build distinct-value bloom filters for; the broker
     #: uses them to prune whole segments for EQ/IN queries.
     bloom_columns: tuple[str, ...] = ()
-    star_tree: "StarTreeConfig | None" = None
+    star_tree: StarTreeConfig | None = None
     partition_column: str | None = None
     num_partitions: int | None = None
     timestamp_index: tuple[int, ...] = ()

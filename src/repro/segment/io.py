@@ -25,9 +25,10 @@ from typing import Any
 
 import numpy as np
 
+from repro.common.records import from_plain, to_plain
 from repro.common.schema import Schema
 from repro.common.types import DataType
-from repro.errors import SegmentFormatError
+from repro.errors import PinotError, SegmentFormatError
 from repro.segment.bitmap import RoaringBitmap
 from repro.segment.bitpack import PackedIntArray
 from repro.segment.dictionary import Dictionary
@@ -239,7 +240,7 @@ def _write_metadata(path: Path, metadata: SegmentMetadata, schema: Schema,
                     block_dir: dict[str, Any]) -> None:
     doc = {
         "version": FORMAT_VERSION,
-        "metadata": metadata.to_dict(),
+        "metadata": to_plain(metadata),
         "schema": schema.to_dict(),
         "blocks": block_dir,
     }
@@ -265,9 +266,13 @@ def load_segment(directory: str | Path) -> ImmutableSegment:
         raise SegmentFormatError(
             f"unsupported segment format version {doc.get('version')}"
         )
-    metadata = SegmentMetadata.from_dict(doc["metadata"])
-    schema = Schema.from_dict(doc["schema"])
-    reader = _BlockReader(path / INDEX_FILE, doc["blocks"])
+    try:
+        metadata = from_plain(SegmentMetadata, doc["metadata"])
+        schema = Schema.from_dict(doc["schema"])
+        blocks = doc["blocks"]
+    except (PinotError, KeyError, TypeError) as exc:
+        raise SegmentFormatError(f"malformed {METADATA_FILE}: {exc}") from exc
+    reader = _BlockReader(path / INDEX_FILE, blocks)
 
     columns: dict[str, Column] = {}
     for spec in schema:
@@ -308,7 +313,7 @@ def append_inverted_index(directory: str | Path, column_name: str) -> None:
     inverted = segment.ensure_inverted_index(column_name)
     writer = _BlockWriter(path / INDEX_FILE, doc["blocks"])
     _write_inverted(writer, block_name, inverted)
-    doc["metadata"] = segment.metadata.to_dict()
+    doc["metadata"] = to_plain(segment.metadata)
     tmp = path / (METADATA_FILE + ".tmp")
     tmp.write_text(json.dumps(doc, indent=1, default=_json_default))
     tmp.replace(path / METADATA_FILE)

@@ -9,8 +9,8 @@ cost-based operator ordering — §3.3.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.common.types import DataType, FieldRole
 
@@ -60,19 +60,6 @@ class ColumnMetadata:
             self._parsed_bloom = memo
         return memo[1]
 
-    def to_dict(self) -> dict[str, Any]:
-        out = {spec.name: getattr(self, spec.name) for spec in fields(self)}
-        out["dtype"] = self.dtype.value
-        out["role"] = self.role.value
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ColumnMetadata":
-        data = dict(payload)
-        data["dtype"] = DataType(data["dtype"])
-        data["role"] = FieldRole(data["role"])
-        return cls(**data)
-
 
 @dataclass
 class SegmentMetadata:
@@ -103,19 +90,3 @@ class SegmentMetadata:
 
     def column(self, name: str) -> ColumnMetadata:
         return self.columns[name]
-
-    def to_dict(self) -> dict[str, Any]:
-        out = dict(self.__dict__)
-        out["columns"] = {
-            name: meta.to_dict() for name, meta in self.columns.items()
-        }
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SegmentMetadata":
-        data = dict(payload)
-        data["columns"] = {
-            name: ColumnMetadata.from_dict(meta)
-            for name, meta in payload["columns"].items()
-        }
-        return cls(**data)

@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.common.records import from_plain, to_plain
 from repro.sim.harness import SimResult
 from repro.sim.invariants import Violation
 from repro.sim.schedule import Schedule
@@ -23,8 +24,8 @@ ARTIFACT_VERSION = 1
 def artifact_dict(result: SimResult) -> dict[str, Any]:
     return {
         "version": ARTIFACT_VERSION,
-        "schedule": result.schedule.to_dict(),
-        "violations": [v.to_dict() for v in result.violations],
+        "schedule": to_plain(result.schedule),
+        "violations": to_plain(result.violations),
         "digest": result.digest,
         "steps_executed": result.steps_executed,
     }
@@ -48,7 +49,6 @@ def load_artifact(path: str | Path) -> tuple[Schedule, list[Violation]]:
     version = payload.get("version")
     if version != ARTIFACT_VERSION:
         raise ValueError(f"unsupported artifact version {version!r}")
-    schedule = Schedule.from_dict(payload["schedule"])
-    violations = [Violation.from_dict(v)
-                  for v in payload.get("violations", [])]
+    schedule = from_plain(Schedule, payload["schedule"])
+    violations = from_plain(list[Violation], payload.get("violations", []))
     return schedule, violations

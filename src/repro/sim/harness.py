@@ -38,6 +38,7 @@ from repro.cluster.pinot import PinotCluster
 from repro.cluster.server import parse_realtime_segment_name
 from repro.cluster.table import StreamConfig, TableConfig, TableType
 from repro.upsert.config import UpsertConfig
+from repro.common.records import to_plain
 from repro.common.timeutils import time_boundary
 from repro.errors import ClusterError
 from repro.kafka.partitioner import kafka_partition
@@ -340,7 +341,7 @@ class SimulationHarness:
     def _violation(self, invariant: str, detail: str) -> Violation:
         violation = Violation(
             invariant=invariant, detail=detail, step=self._step,
-            op=self._op.to_dict() if self._op is not None else {},
+            op=to_plain(self._op) if self._op is not None else {},
         )
         self.violations.append(violation)
         self._observe(f"VIOLATION {violation}")

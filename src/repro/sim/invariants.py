@@ -45,17 +45,6 @@ class Violation:
     step: int = -1
     op: dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"invariant": self.invariant, "detail": self.detail,
-                "step": self.step, "op": dict(self.op)}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Violation":
-        return cls(invariant=payload["invariant"],
-                   detail=payload["detail"],
-                   step=payload.get("step", -1),
-                   op=dict(payload.get("op") or {}))
-
     def __str__(self) -> str:
         return f"[{self.invariant}] step {self.step}: {self.detail}"
 

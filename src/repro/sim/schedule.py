@@ -21,6 +21,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.common.records import from_plain, to_plain
+
 
 @dataclass(frozen=True)
 class Op:
@@ -28,14 +30,6 @@ class Op:
 
     kind: str
     params: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Op":
-        return cls(kind=payload["kind"],
-                   params=dict(payload.get("params", {})))
 
     def __str__(self) -> str:
         # Sorted so the rendering (and the observation digest built
@@ -55,27 +49,12 @@ class Schedule:
     #: builds the identical cluster.
     config: dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "config": dict(self.config),
-            "ops": [op.to_dict() for op in self.ops],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Schedule":
-        return cls(
-            seed=payload["seed"],
-            config=dict(payload.get("config", {})),
-            ops=[Op.from_dict(op) for op in payload.get("ops", [])],
-        )
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(to_plain(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
-        return cls.from_dict(json.loads(text))
+        return from_plain(cls, json.loads(text))
 
     def truncated(self, length: int) -> "Schedule":
         return Schedule(seed=self.seed, ops=list(self.ops[:length]),

@@ -10,35 +10,14 @@ size and per-query work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.common.schema import Schema
 from repro.errors import SegmentError
+from repro.segment.builder import StarTreeConfig
 from repro.startree.node import STAR_ID, MetricTable, StarTree, StarTreeNode
-
-
-@dataclass(frozen=True)
-class StarTreeConfig:
-    """Build options for a segment's star-tree.
-
-    Attributes:
-        dimensions: Split order; None selects all dimension columns
-            ordered by descending cardinality (the conventional order —
-            high-cardinality first maximizes pruning).
-        max_leaf_records: Stop splitting below this record count.
-        metrics: Metric columns to pre-aggregate; None = all metrics.
-    """
-
-    dimensions: tuple[str, ...] | None = None
-    max_leaf_records: int = 100
-    metrics: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_leaf_records < 1:
-            raise SegmentError("max_leaf_records must be >= 1")
 
 
 # One aggregated record during construction: ids is a mutable list of

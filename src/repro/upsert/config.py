@@ -11,7 +11,6 @@ index in :mod:`repro.upsert.index` sees them all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from repro.errors import ClusterError
 
@@ -59,20 +58,3 @@ class UpsertConfig:
     @property
     def is_dedup(self) -> bool:
         return self.mode == MODE_DEDUP
-
-    # -- serialization (rides inside TableConfig.to_dict) -------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "key_columns": list(self.key_columns),
-            "comparison_column": self.comparison_column,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "UpsertConfig":
-        return cls(
-            mode=payload["mode"],
-            key_columns=tuple(payload["key_columns"]),
-            comparison_column=payload.get("comparison_column"),
-        )

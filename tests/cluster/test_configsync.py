@@ -78,6 +78,40 @@ class TestSync:
         assert "broken_OFFLINE.json" in report.errors
         assert "broken_OFFLINE" not in controller.list_tables()
 
+    @pytest.mark.parametrize("delete_missing", [False, True])
+    @pytest.mark.parametrize("edit", [
+        # A typo'd key used to be ignored and the table reported unchanged.
+        lambda p: p["segment_config"].update(invertd_columns=["c"]),
+        # A bad enum name used to raise ValueError out of the sync.
+        lambda p: p["schema"]["fields"][0].update(dtype="STR"),
+        # An invalid star-tree used to raise SegmentError out of the sync.
+        lambda p: p["segment_config"].update(
+            star_tree={"max_leaf_records": 0}),
+        # A file in the older flat layout, segment options at top level.
+        lambda p: p.update(
+            inverted_columns=p["segment_config"].pop("inverted_columns")),
+    ], ids=["unknown-key", "bad-enum", "bad-star-tree", "flat-layout"])
+    def test_malformed_file_reported_and_table_untouched(
+            self, cluster, schema, tmp_path, edit, delete_missing):
+        controller = cluster.leader_controller()
+        segments = cluster.upload_records(
+            "events", [{"c": "x", "v": 1}], rows_per_segment=1)
+        export_configs(controller, tmp_path)
+        before = controller.table_config("events_OFFLINE")
+        payload = json.loads((tmp_path / "events_OFFLINE.json").read_text())
+        edit(payload)
+        (tmp_path / "events_OFFLINE.json").write_text(json.dumps(payload))
+        (tmp_path / "metrics_OFFLINE.json").write_text(
+            json.dumps(TableConfig.offline("metrics", schema).to_dict()))
+        report = sync_configs(controller, tmp_path,
+                              delete_missing=delete_missing)
+        assert list(report.errors) == ["events_OFFLINE.json"]
+        assert report.created == ["metrics_OFFLINE"]
+        assert not report.updated and not report.unchanged
+        assert not report.deleted
+        assert controller.table_config("events_OFFLINE") == before
+        assert controller.list_segments("events_OFFLINE") == segments
+
     def test_mismatched_file_name_rejected(self, cluster, schema,
                                            tmp_path):
         config = TableConfig.offline("other", schema)
@@ -92,7 +126,7 @@ class TestSync:
         controller = cluster.leader_controller()
         export_configs(controller, tmp_path)
         payload = json.loads((tmp_path / "events_OFFLINE.json").read_text())
-        payload["inverted_columns"] = ["c"]
+        payload["segment_config"]["inverted_columns"] = ["c"]
         (tmp_path / "events_OFFLINE.json").write_text(json.dumps(payload))
         sync_configs(controller, tmp_path)
 

@@ -57,6 +57,18 @@ class TestValidation:
         assert config.segment_config.partition_column == "memberId"
         assert config.segment_config.num_partitions == 8
 
+    def test_partition_does_not_write_into_a_shared_segment_config(
+            self, schema):
+        shared = SegmentConfig(sorted_column="country")
+        partitioned = TableConfig.offline(
+            "events", schema, segment_config=shared,
+            partition=PartitionConfig("memberId", 4))
+        plain = TableConfig.offline("other", schema, segment_config=shared)
+        assert shared.partition_column is None
+        assert shared.num_partitions is None
+        assert partitioned.segment_config.partition_column == "memberId"
+        assert plain.segment_config.partition_column is None
+
     def test_time_column_exposed(self, schema):
         assert TableConfig.offline("events", schema).time_column == "day"
 
@@ -150,8 +162,8 @@ class TestSerialization:
 
     def test_payload_without_the_newer_keys_loads(self, schema):
         payload = TableConfig.offline("events", schema).to_dict()
-        for key in ("star_tree", "routing_options"):
-            payload.pop(key, None)
+        payload["segment_config"].pop("star_tree")
+        payload.pop("routing_options")
         clone = TableConfig.from_dict(payload)
         assert clone.segment_config.star_tree is None
         assert clone.routing_options == {}

@@ -134,6 +134,23 @@ class TestCorruption:
         with pytest.raises(SegmentFormatError, match="version"):
             load_segment(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["metadata"].update(num_docs="many"),
+        lambda doc: doc["metadata"].update(unknown_field=1),
+        lambda doc: doc["schema"].pop("name"),
+        lambda doc: doc["schema"]["fields"][0].update(dtype="STR"),
+        lambda doc: doc.pop("blocks"),
+    ], ids=["wrong-type", "unknown-key", "schema-without-name", "bad-enum",
+            "no-blocks"])
+    def test_malformed_metadata_is_a_format_error(self, tmp_path, segment,
+                                                  edit):
+        path = write_segment(segment, tmp_path / "seg")
+        doc = json.loads((path / METADATA_FILE).read_text())
+        edit(doc)
+        (path / METADATA_FILE).write_text(json.dumps(doc))
+        with pytest.raises(SegmentFormatError, match="malformed"):
+            load_segment(path)
+
     def test_crc_mismatch_detected(self, tmp_path, segment):
         path = write_segment(segment, tmp_path / "seg")
         payload = bytearray((path / INDEX_FILE).read_bytes())

@@ -8,6 +8,7 @@ violation, so equal digests mean observationally identical runs.
 
 import pytest
 
+from repro.common.records import to_plain
 from repro.sim.harness import run_schedule, run_seed
 
 STEPS = 25
@@ -20,8 +21,8 @@ class TestByteIdenticalReplay:
         replayed = run_schedule(generated.schedule)
         assert replayed.digest == generated.digest
         assert replayed.observations == generated.observations
-        assert [v.to_dict() for v in replayed.violations] == [
-            v.to_dict() for v in generated.violations
+        assert [to_plain(v) for v in replayed.violations] == [
+            to_plain(v) for v in generated.violations
         ]
 
     def test_replay_after_json_round_trip(self):

@@ -1,6 +1,7 @@
 """Shrinker behavior, tested against a synthetic run function (fast)
 and once against the real harness (slow path exercised by the sweep)."""
 
+from repro.common.records import to_plain
 from repro.sim.harness import SimResult
 from repro.sim.invariants import Violation
 from repro.sim.schedule import Op, Schedule
@@ -17,7 +18,7 @@ def fake_run(schedule: Schedule) -> SimResult:
             return SimResult(
                 schedule=schedule,
                 violations=[Violation("query_oracle", "boom", step=index,
-                                      op=op.to_dict())],
+                                      op=to_plain(op))],
                 steps_executed=index + 1,
             )
     return SimResult(schedule=schedule,
