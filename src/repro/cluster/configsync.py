@@ -63,9 +63,10 @@ def sync_configs(controller: Controller, directory: str | Path,
       segment builds, like the paper's on-the-fly changes);
     * with ``delete_missing``, live tables without a file are dropped;
     * a file that does not parse as a config (bad JSON, an unknown key,
-      a bad value) is reported in ``errors`` and its table left as it
-      is, never dropped by ``delete_missing``; the rest of the
-      directory still syncs.
+      a bad value), or whose config the cluster refuses (a realtime
+      table naming a missing topic), is reported in ``errors`` and its
+      table left as it is, never dropped by ``delete_missing``; the
+      rest of the directory still syncs.
     """
     path = Path(directory)
     report = SyncReport()
@@ -86,17 +87,19 @@ def sync_configs(controller: Controller, directory: str | Path,
 
     live = set(controller.list_tables())
     for name, config in desired.items():
-        if name not in live:
-            controller.create_table(config)
-            report.created.append(name)
-            continue
-        if controller.table_config(name) == config:
-            report.unchanged.append(name)
-            continue
-        controller._helix.set_property(  # noqa: SLF001 - config write
-            f"tableconfigs/{name}", config.to_dict()
-        )
-        report.updated.append(name)
+        try:
+            if name not in live:
+                controller.create_table(config)
+                report.created.append(name)
+            elif controller.table_config(name) == config:
+                report.unchanged.append(name)
+            else:
+                controller._helix.set_property(  # noqa: SLF001 - config write
+                    f"tableconfigs/{name}", config.to_dict()
+                )
+                report.updated.append(name)
+        except PinotError as exc:
+            report.errors[f"{name}.json"] = str(exc)
 
     if delete_missing:
         failed = {Path(name).stem for name in report.errors}

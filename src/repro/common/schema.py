@@ -8,7 +8,8 @@ and support on-the-fly evolution by column addition (§5.2).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.common.records import from_plain, to_plain
 from repro.common.types import FieldSpec
@@ -40,6 +41,7 @@ class Schema:
                 f"schema {name!r} has multiple time columns: {time_columns}"
             )
         self._time_column = time_columns[0] if time_columns else None
+        self._names = frozenset(self._fields)
         #: What equality compares, in plain values: every loaded segment
         #: carries its own copy of its table's schema, and the planner
         #: compares a segment's against the one a query was compiled for.
@@ -120,6 +122,31 @@ class Schema:
             name: spec.coerce(get(name))
             for name, spec in self._fields.items()
         }
+
+    def normalize_columns(self, records: Sequence[Mapping[str, Any]]
+                          ) -> dict[str, list]:
+        """:meth:`normalize` of every record, as one list of cells per
+        column: each column is probed and coerced whole
+        (:meth:`FieldSpec.coerce_all`) instead of cell by cell.
+
+        Raises :class:`SchemaError` if any record is invalid; which
+        record the message names is not defined — :meth:`normalize`
+        says that of one record.
+        """
+        if not all(map(self._names.issuperset, records)):
+            unknown = set().union(*records) - self._names
+            raise SchemaError(
+                f"records have columns {sorted(unknown)} not in schema "
+                f"{self.name!r}"
+            )
+        columns = {}
+        for name, spec in self._fields.items():
+            try:
+                cells = list(map(itemgetter(name), records))
+            except KeyError:  # a missing column reads its default
+                cells = [record.get(name) for record in records]
+            columns[name] = spec.coerce_all(cells)
+        return columns
 
     # -- evolution -------------------------------------------------------
 

@@ -9,7 +9,9 @@ lengths, floating point numbers, strings and booleans, plus arrays
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from types import NoneType
 from typing import Any
 
 import numpy as np
@@ -51,10 +53,22 @@ class DataType(enum.Enum):
         """
         try:
             return _COERCERS[self._value_](value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(
                 f"cannot coerce {value!r} to {self.value}"
             ) from exc
+
+    @property
+    def python_type(self) -> type:
+        """The type :meth:`coerce` returns."""
+        return _CANONICAL[self._value_][0]
+
+    def holds_all(self, cells: list) -> bool:
+        """Whether :meth:`coerce` would return each of ``cells``, all
+        of :attr:`python_type`, as it is: the coercer's range test made
+        once for the column. False says only that some cell needs the
+        coercer, which may still accept it."""
+        return not cells or _CANONICAL[self._value_][1](cells)
 
 
 _NUMERIC_TYPES = frozenset(
@@ -80,11 +94,15 @@ _DEFAULTS = {
 }
 
 
+_INT_RANGE = (-(2**31), 2**31)
+_LONG_RANGE = (-(2**63), 2**63)
+
+
 def _coerce_int(value: Any) -> int:
     if isinstance(value, bool):
         raise ValueError("booleans are not integers")
     out = int(value)
-    if not -(2**31) <= out < 2**31:
+    if not _INT_RANGE[0] <= out < _INT_RANGE[1]:
         raise ValueError(f"{out} out of range for INT")
     return out
 
@@ -93,8 +111,26 @@ def _coerce_long(value: Any) -> int:
     if isinstance(value, bool):
         raise ValueError("booleans are not longs")
     out = int(value)
-    if not -(2**63) <= out < 2**63:
+    if not _LONG_RANGE[0] <= out < _LONG_RANGE[1]:
         raise ValueError(f"{out} out of range for LONG")
+    return out
+
+
+#: The smallest magnitude float32 rounds to infinity.
+_FLOAT32_OVERFLOW = 2.0**128 - 2.0**103
+
+
+def _coerce_double(value: Any) -> float:
+    out = float(value)
+    if out != out:
+        raise ValueError("NaN is not a value")
+    return out
+
+
+def _coerce_float(value: Any) -> float:
+    out = _coerce_double(value)
+    if _FLOAT32_OVERFLOW <= abs(out) < math.inf:
+        raise ValueError(f"{out} out of range for FLOAT")
     return out
 
 
@@ -117,10 +153,42 @@ def _coerce_bool(value: Any) -> bool:
 _COERCERS = {
     "INT": _coerce_int,
     "LONG": _coerce_long,
-    "FLOAT": float,
-    "DOUBLE": float,
+    "FLOAT": _coerce_float,
+    "DOUBLE": _coerce_double,
     "BOOLEAN": _coerce_bool,
     "STRING": str,
+}
+
+
+def _ints_within(bounds: tuple[int, int]):
+    low, high = bounds
+    return lambda cells: low <= min(cells) and max(cells) < high
+
+
+def _finite(cells: list) -> bool:
+    # A float sum is finite only when no cell is NaN or infinite;
+    # anything else (a sum that overflows too) goes cell by cell.
+    return math.isfinite(sum(cells))
+
+
+def _float32_finite(cells: list) -> bool:
+    return (_finite(cells) and -_FLOAT32_OVERFLOW < min(cells)
+            and max(cells) < _FLOAT32_OVERFLOW)
+
+
+def _anything(cells: list) -> bool:
+    return True
+
+
+#: By member value: the type each coercer returns, and the test a
+#: column of cells already of that type must pass to need no coercer.
+_CANONICAL = {
+    "INT": (int, _ints_within(_INT_RANGE)),
+    "LONG": (int, _ints_within(_LONG_RANGE)),
+    "FLOAT": (float, _float32_finite),
+    "DOUBLE": (float, _finite),
+    "BOOLEAN": (bool, _anything),
+    "STRING": (str, _anything),
 }
 
 
@@ -200,6 +268,22 @@ class FieldSpec:
                 return [self.dtype.coerce(value)]
             return [self.dtype.coerce(v) for v in value]
         return self.dtype.coerce(value)
+
+    def coerce_all(self, cells: list) -> list:
+        """:meth:`coerce` of every cell. A single-value column whose
+        cells all have the type ``coerce`` returns (None aside) is
+        recognised with one type probe and kept as it is, a None read
+        as the default; any other column goes cell by cell."""
+        if not self.multi_value:
+            kinds = set(map(type, cells))
+            if kinds <= {self.dtype.python_type, NoneType}:
+                if NoneType in kinds:
+                    default = self.default
+                    cells = [default if cell is None else cell
+                             for cell in cells]
+                if self.dtype.holds_all(cells):
+                    return cells
+        return list(map(self.coerce, cells))
 
 
 def dimension(name: str, dtype: DataType = DataType.STRING,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.errors import IngestionError
-from repro.kafka.partitioner import kafka_partition
+from repro.kafka.partitioner import kafka_partition, key_bytes
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,28 @@ class SimKafka:
 
     def produce_all(self, topic: str, values: Iterable[dict[str, Any]],
                     key_column: str | None = None) -> int:
-        """Produce many records, keying by ``key_column`` if given."""
-        count = 0
+        """Produce many records, keying by ``key_column`` if given.
+
+        Every record lands where :meth:`produce` would put it, and each
+        distinct key is hashed once per call (by its bytes: ``1``,
+        ``1.0`` and ``True`` are one dict key but three partition keys).
+        """
+        partitions = self._partitions(topic)
+        first = total = sum(p.end_offset for p in partitions)
+        placed: dict[bytes, int] = {}
         for value in values:
             key = value[key_column] if key_column is not None else None
-            self.produce(topic, value, key)
-            count += 1
-        return count
+            if key is None:
+                partition_id = total % len(partitions)
+            else:
+                encoded = key_bytes(key)
+                partition_id = placed.get(encoded)
+                if partition_id is None:
+                    partition_id = placed[encoded] = kafka_partition(
+                        encoded, len(partitions))
+            partitions[partition_id].append(key, value)
+            total += 1
+        return total - first
 
     # -- consuming -----------------------------------------------------------
 

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, chain, islice
 from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from repro.common.schema import Schema
 from repro.common.types import FieldSpec
-from repro.errors import SegmentError
+from repro.errors import SchemaError, SegmentError
 from repro.segment.bitpack import PackedIntArray, bits_required
 from repro.segment.dictionary import Dictionary
 from repro.segment.forward import (
@@ -126,16 +126,25 @@ class _ColumnBuffer:
     def extend(self, cells: list) -> None:
         """Append one normalized cell per new document."""
         if self.offsets is not None:
-            end = len(self.ids)
-            flat: list = []
-            ends = []
-            for cell in cells:
-                flat += cell
-                ends.append(end + len(flat))
-            self.offsets.extend(ends)
-            cells = flat
+            ends = accumulate(map(len, cells), initial=len(self.ids))
+            self.offsets.extend(islice(ends, 1, None))
+            cells = list(chain.from_iterable(cells))
         seen = self.seen
-        self.ids.extend([seen.setdefault(cell, len(seen)) for cell in cells])
+        # First-arrival ids as setdefault would give them, with the new
+        # distinct values found and numbered by C loops.
+        new = [cell for cell in dict.fromkeys(cells) if cell not in seen]
+        seen.update(zip(new, range(len(seen), len(seen) + len(new))))
+        self.ids.extend(map(seen.__getitem__, cells))
+
+    def append(self, cell: Any) -> None:
+        """Append the normalized cell of one new document."""
+        seen = self.seen
+        if self.offsets is None:
+            self.ids.append(seen.setdefault(cell, len(seen)))
+        else:
+            self.ids.extend([seen.setdefault(value, len(seen))
+                             for value in cell])
+            self.offsets.append(len(self.ids))
 
     def cells(self) -> list:
         """The normalized cells back, one per document."""
@@ -223,25 +232,33 @@ class SegmentBuilder:
             self.schema.field(name)  # validates existence
 
     def add(self, record: Mapping[str, Any]) -> None:
-        self.add_all((record,))
+        """Validate one record and append it, or raise and append
+        nothing. Row by row: on one record a probe per column would
+        cost more than it saves."""
+        row = self.schema.normalize(record)
+        for spec in self.schema:
+            self._column(spec).append(row[spec.name])
+        self._num_rows += 1
 
     def add_all(self, records: Iterable[Mapping[str, Any]]) -> None:
-        """Validate each record once, here, and append the batch to
-        every column. Records ahead of an invalid one are kept."""
-        normalize = self.schema.normalize
+        """Validate the batch column by column, a slice at a time, and
+        append it to every column. A slice that fails validation is
+        replayed record by record, so the first invalid record raises
+        what :meth:`Schema.normalize` raises and the records ahead of
+        it are kept."""
         pending = iter(records)
-        more = True
-        while more:
-            rows: list[dict[str, Any]] = []
+        while rows := list(islice(pending, _APPEND_ROWS)):
             try:
-                for record in islice(pending, _APPEND_ROWS):
-                    rows.append(normalize(record))
-                more = len(rows) == _APPEND_ROWS
-            finally:
+                columns = self.schema.normalize_columns(rows)
+            except SchemaError:
+                for record in rows:
+                    self.add(record)
+            else:
                 for spec in self.schema:
-                    name = spec.name
-                    self._column(spec).extend([row[name] for row in rows])
+                    self._column(spec).extend(columns[spec.name])
                 self._num_rows += len(rows)
+            if len(rows) < _APPEND_ROWS:
+                break
 
     def __len__(self) -> int:
         return self._num_rows
@@ -264,7 +281,8 @@ class SegmentBuilder:
             # Also a column the schema gained after rows arrived
             # (§5.2): the rows already here read its default.
             buffer = self._columns[spec.name] = _ColumnBuffer(spec)
-            buffer.extend([spec.coerce(None)] * self._num_rows)
+            if self._num_rows:
+                buffer.extend([spec.coerce(None)] * self._num_rows)
         return buffer
 
     # -- build ----------------------------------------------------------

@@ -272,6 +272,12 @@ def load_segment(directory: str | Path) -> ImmutableSegment:
         blocks = doc["blocks"]
     except (PinotError, KeyError, TypeError) as exc:
         raise SegmentFormatError(f"malformed {METADATA_FILE}: {exc}") from exc
+    missing = [name for name in schema.column_names
+               if name not in metadata.columns]
+    if missing:
+        raise SegmentFormatError(
+            f"malformed {METADATA_FILE}: no metadata for columns {missing}"
+        )
     reader = _BlockReader(path / INDEX_FILE, blocks)
 
     columns: dict[str, Column] = {}

@@ -54,15 +54,18 @@ class MutableSegment:
 
     def index(self, record: Mapping[str, Any]) -> None:
         """Append one event (already decoded from the stream)."""
-        self.index_all((record,))
+        self._open_rows().add(record)
 
     def index_all(self, records: Iterable[Mapping[str, Any]]) -> None:
         """Append a batch of events: each is validated once, here."""
+        self._open_rows().add_all(records)
+
+    def _open_rows(self) -> SegmentBuilder:
         if self._sealed:
             raise SegmentError(
                 f"segment {self.segment_name!r} is sealed; cannot index"
             )
-        self._rows.add_all(records)
+        return self._rows
 
     @property
     def num_docs(self) -> int:

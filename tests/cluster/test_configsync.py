@@ -112,6 +112,27 @@ class TestSync:
         assert controller.table_config("events_OFFLINE") == before
         assert controller.list_segments("events_OFFLINE") == segments
 
+    @pytest.mark.parametrize("delete_missing", [False, True])
+    def test_config_the_cluster_refuses_is_reported(self, schema, tmp_path,
+                                                    delete_missing):
+        """A well-formed realtime file naming a missing topic used to
+        raise IngestionError out of the sync, and the files sorted after
+        it were never applied."""
+        cluster = PinotCluster(num_servers=1)
+        controller = cluster.leader_controller()
+        (tmp_path / "events_REALTIME.json").write_text(json.dumps(
+            TableConfig.realtime("events", schema,
+                                 StreamConfig("missing-topic")).to_dict()))
+        (tmp_path / "metrics_OFFLINE.json").write_text(
+            json.dumps(TableConfig.offline("metrics", schema).to_dict()))
+        report = sync_configs(controller, tmp_path,
+                              delete_missing=delete_missing)
+        assert list(report.errors) == ["events_REALTIME.json"]
+        assert "missing-topic" in report.errors["events_REALTIME.json"]
+        assert report.created == ["metrics_OFFLINE"]
+        assert not report.deleted
+        assert controller.list_tables() == ["metrics_OFFLINE"]
+
     def test_mismatched_file_name_rejected(self, cluster, schema,
                                            tmp_path):
         config = TableConfig.offline("other", schema)

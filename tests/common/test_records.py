@@ -49,7 +49,8 @@ NAMES = ["a", "b", "c", "d", "e", "f"]
 DEFAULTS = {
     DataType.INT: st.integers(-2**31, 2**31 - 1),
     DataType.LONG: st.integers(-2**63, 2**63 - 1),
-    DataType.FLOAT: st.floats(allow_nan=False, allow_infinity=False),
+    DataType.FLOAT: st.floats(allow_nan=False, allow_infinity=False,
+                              width=32),
     DataType.DOUBLE: st.floats(allow_nan=False, allow_infinity=False),
     DataType.BOOLEAN: st.booleans(),
     DataType.STRING: st.text(max_size=8),

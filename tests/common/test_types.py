@@ -51,6 +51,45 @@ class TestDataTypeCoercion:
         with pytest.raises(SchemaError):
             DataType.INT.coerce("not-a-number")
 
+    @pytest.mark.parametrize("dtype", [DataType.FLOAT, DataType.DOUBLE])
+    @pytest.mark.parametrize("value", [float("nan"), "nan", np.float64("nan"),
+                                       np.float32("nan")],
+                             ids=["float", "str", "float64", "float32"])
+    def test_nan_is_rejected(self, dtype, value):
+        with pytest.raises(SchemaError, match="cannot coerce"):
+            dtype.coerce(value)
+
+    @pytest.mark.parametrize("dtype", [DataType.FLOAT, DataType.DOUBLE])
+    def test_infinities_stay_legal(self, dtype):
+        assert dtype.coerce(float("inf")) == float("inf")
+        assert dtype.coerce("-inf") == float("-inf")
+
+    @pytest.mark.parametrize("dtype", [DataType.INT, DataType.LONG])
+    def test_integer_from_an_infinity_is_a_schema_error(self, dtype):
+        with pytest.raises(SchemaError, match="cannot coerce inf"):
+            dtype.coerce(float("inf"))
+
+    def test_float_rejects_what_float32_cannot_hold(self):
+        limit = float(np.finfo(np.float32).max)
+        assert DataType.FLOAT.coerce(limit) == limit
+        assert DataType.FLOAT.coerce(-limit) == -limit
+        for value in (1e39, -1e39, 2.0**128, 1e308):
+            with pytest.raises(SchemaError, match="FLOAT"):
+                DataType.FLOAT.coerce(value)
+        assert DataType.DOUBLE.coerce(1e39) == 1e39
+
+    def test_float_range_is_float32_rounding(self):
+        """The largest magnitude that float32 rounds to a finite value
+        is accepted, the next float64 up is not."""
+        overflow = 2.0**128 - 2.0**103
+        below = float(np.nextafter(overflow, 0.0))
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.float32(below))
+            assert np.isinf(np.float32(overflow))
+        assert DataType.FLOAT.coerce(below) == below
+        with pytest.raises(SchemaError):
+            DataType.FLOAT.coerce(overflow)
+
     def test_numeric_classification(self):
         assert DataType.INT.is_numeric
         assert DataType.DOUBLE.is_numeric

@@ -125,6 +125,53 @@ class TestProduceConsume:
         assert read1 == read2
 
 
+class TestProduceAll:
+    KEYS = [1, 1.0, True, "1", "1.0", "True", None, 0.0, -0.0, b"1", "k",
+            None, 2**70, "é", 1, True, None, -0.0]
+
+    @staticmethod
+    def contents(kafka):
+        return [[(m.offset, type(m.key), m.key, m.value)
+                 for m in kafka.fetch("events", p, kafka.earliest_offset(
+                     "events", p), max_records=1000)]
+                for p in range(kafka.num_partitions("events"))]
+
+    def test_batch_lands_where_a_produce_loop_does(self):
+        """Keys equal as dict keys (``1``, ``1.0``, ``True``; ``0.0``,
+        ``-0.0``) hash by their bytes, so each keeps its own partition;
+        unkeyed records round-robin over the running total."""
+        batch, loop = SimKafka(), SimKafka()
+        for kafka in (batch, loop):
+            kafka.create_topic("events", 5)
+            for i in range(7):  # a head start, part of it expired
+                kafka.produce("events", {"pre": i}, key=f"p{i}")
+            kafka.expire_before("events", 0, 1)
+        values = [{"key": key, "i": i}
+                  for i, key in enumerate(self.KEYS * 3)]
+        assert batch.produce_all("events", values, "key") == len(values)
+        for value in values:
+            loop.produce("events", value, value["key"])
+        assert self.contents(batch) == self.contents(loop)
+        unkeyed = [{"i": i} for i in range(9)]
+        assert batch.produce_all("events", unkeyed) == 9
+        for value in unkeyed:
+            loop.produce("events", value)
+        assert self.contents(batch) == self.contents(loop)
+
+    def test_each_distinct_key_is_hashed_once(self, kafka, monkeypatch):
+        from repro.kafka import partitioner
+
+        hashed = []
+        murmur2 = partitioner.murmur2
+        monkeypatch.setattr(partitioner, "murmur2",
+                            lambda data: hashed.append(data) or murmur2(data))
+        kafka.produce_all("events", [{"key": key} for key in self.KEYS * 4],
+                          "key")
+        distinct = {partitioner.key_bytes(key) for key in self.KEYS
+                    if key is not None}
+        assert sorted(hashed) == sorted(distinct)
+
+
 class TestRetention:
     def test_expired_offsets_unreadable(self, kafka):
         for i in range(10):

@@ -288,3 +288,38 @@ class TestPinnedBuildBytes:
         mutable.index_all(records[20:])
         assert (_segment_sha256(mutable.seal(), tmp_path)
                 == PINNED_SHA256[shape])
+
+    @pytest.mark.parametrize("shape", sorted(_pinned_configs()))
+    def test_row_path_and_coerced_input_give_the_same_bytes(self, shape,
+                                                            tmp_path):
+        """Records added one at a time (the row path), and records whose
+        cells need coercing (numeric strings, numpy scalars, ints in a
+        DOUBLE column, so no column takes the one-probe path), build
+        the pinned bytes."""
+        import numpy as np
+
+        config = _pinned_configs()[shape]
+        records = _pinned_records()
+        if config.partition_column is not None:
+            records = [r for r in records if r["country"] == "us"]
+        one_by_one = SegmentBuilder("seg1", "events", _pinned_schema(),
+                                    config)
+        for record in records:
+            one_by_one.add(record)
+        assert (_segment_sha256(one_by_one.build(), tmp_path / "rows")
+                == PINNED_SHA256[shape])
+
+        def loosen(record):
+            out = dict(record)
+            out["member"] = str(record["member"])
+            out["clicks"] = np.int64(record["clicks"])
+            out["day"] = np.int32(record["day"])
+            out["codes"] = [str(code) for code in record["codes"]]
+            spend = record.get("spend")
+            if spend is not None and spend.is_integer():
+                out["spend"] = int(spend)
+            return out
+
+        coerced = build(_pinned_schema(), config, [loosen(r) for r in records])
+        assert (_segment_sha256(coerced, tmp_path / "coerced")
+                == PINNED_SHA256[shape])

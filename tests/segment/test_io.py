@@ -151,6 +151,16 @@ class TestCorruption:
         with pytest.raises(SegmentFormatError, match="malformed"):
             load_segment(path)
 
+    def test_schema_column_without_metadata_is_a_format_error(
+            self, tmp_path, segment):
+        path = write_segment(segment, tmp_path / "seg")
+        doc = json.loads((path / METADATA_FILE).read_text())
+        doc["metadata"]["columns"].pop(doc["schema"]["fields"][-1]["name"])
+        (path / METADATA_FILE).write_text(json.dumps(doc))
+        with pytest.raises(SegmentFormatError,
+                           match="malformed .*no metadata for columns"):
+            load_segment(path)
+
     def test_crc_mismatch_detected(self, tmp_path, segment):
         path = write_segment(segment, tmp_path / "seg")
         payload = bytearray((path / INDEX_FILE).read_bytes())

@@ -58,6 +58,26 @@ class TestIngestion:
                 == list(batched.snapshot().iter_records()) == rows)
 
 
+    def test_nan_is_rejected_and_the_segment_stays_usable(self):
+        """A NaN used to be accepted and then break every snapshot and
+        the seal ("dictionary values must be strictly ascending")."""
+        from repro.errors import SchemaError
+
+        schema = Schema("rt", [dimension("d"), metric("g", DataType.DOUBLE)])
+        mutable = MutableSegment("rt__0__0", "rt", schema)
+        batch = [{"d": "a", "g": 1.5}, {"d": "b", "g": 2.0},
+                 {"d": "c", "g": float("nan")}, {"d": "e", "g": 3.0}]
+        with pytest.raises(SchemaError, match="nan"):
+            mutable.index_all(batch)
+        assert mutable.records() == batch[:2]
+        with pytest.raises(SchemaError):
+            mutable.index({"d": "c", "g": float("nan")})
+        mutable.index_all(batch[3:])
+        assert mutable.snapshot().num_docs == 3
+        sealed = mutable.seal()
+        assert sealed.column("g").metadata.max_value == 3.0
+
+
 class TestSnapshot:
     def test_empty_snapshot_is_none(self, mutable):
         assert mutable.snapshot() is None
