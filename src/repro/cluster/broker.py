@@ -127,13 +127,18 @@ class QueryLogEntry:
     docs_scanned: int
 
 
-@dataclass
-class _FailedSubRequest:
-    """One failed scatter sub-request awaiting failover."""
+@dataclass(slots=True)
+class _SubRequest:
+    """One sub-request from dispatch to settling: the segments sent to
+    one replica, what came back, and every replica tried for those
+    segments so far (primary, hedge and retries), so that a failover
+    never re-picks one that already failed them."""
 
     instance: str
     segments: list[str]
     result: ServerResult
+    call: CallResult | None
+    span: Span | None
     tried: set[str]
 
 
@@ -360,10 +365,7 @@ class BrokerInstance:
         queues even though this process runs them sequentially.
         """
         started = at if at is not None else self._clock.now()
-        query = parse(pql) if isinstance(pql, str) else pql
-        query = optimize(query)
-
-        physical = self._resolve_physical_queries(query)
+        query, physical = self._plan(pql)
         query, physical, rewrites = self._maybe_rewrite_approx(query,
                                                                physical)
         first_config = read_table_config(self._helix, physical[0].table)
@@ -419,12 +421,14 @@ class BrokerInstance:
                 self.metrics.incr("cache_misses")
 
         log_entries: list[QueryLogEntry] = []
-        for physical_query in physical:
+        for leg in physical:
             first_result = len(run.results)
-            self._scatter_gather(run, physical_query, depart_at=at)
-            at = None  # only the first physical query departs at `at`
-            entry = self._record_query_log(physical_query,
-                                           run.results[first_result:])
+            run.begin_leg(leg)
+            routing_table = self._route(run)
+            if routing_table is not None:
+                self._gather(run, self._scatter(run, routing_table, at))
+            at = None  # only the first leg departs at `at`
+            entry = self._record_query_log(leg, run.results[first_result:])
             if entry is not None:
                 log_entries.append(entry)
 
@@ -566,7 +570,9 @@ class BrokerInstance:
         Runs *before* the cache key is computed, and the rewritten
         select list is part of the physical plan text the key embeds —
         so exact and approximate answers can never collide in the
-        result cache.
+        result cache. Every leg carries the logical query's select
+        list, so the legs are rewritten in place of being resolved (and
+        a hybrid table's time boundary read) again.
         """
         option = query.options.get("useApproximateFunction")
         enabled = (bool(option) if option is not None
@@ -595,9 +601,10 @@ class BrokerInstance:
             rewrites.append(f"{aggregation} -> {rewritten}")
         if not mapping:
             return query, physical, ()
-        query = self._apply_rewrites(query, mapping)
         self.metrics.incr("approx_rewrites")
-        return query, self._resolve_physical_queries(query), tuple(rewrites)
+        return (self._apply_rewrites(query, mapping),
+                [self._apply_rewrites(leg, mapping) for leg in physical],
+                tuple(rewrites))
 
     def _approx_estimates(
         self, physical: list[Query], columns: set[str],
@@ -646,6 +653,13 @@ class BrokerInstance:
         )
         return replace(query, select=select, having=having,
                        order_by=order_by, options=dict(query.options))
+
+    # -- planning (§3.3.3 step 1, Fig 6) ---------------------------------------
+
+    def _plan(self, pql: str | Query) -> tuple[Query, list[Query]]:
+        """Parse and optimize one query, and resolve its physical legs."""
+        query = optimize(parse(pql) if isinstance(pql, str) else pql)
+        return query, self._resolve_physical_queries(query)
 
     def _resolve_physical_queries(self, query: Query) -> list[Query]:
         """Map the logical table to physical queries, splitting hybrid
@@ -700,11 +714,12 @@ class BrokerInstance:
         # the axis with no gap and no overlap.
         return time_boundary(max(max_times), config.retention_granularity)
 
-    def _scatter_gather(self, run: _QueryRun, query: Query,
-                        depart_at: float | None) -> None:
-        """Route, scatter, and gather one physical query with replica
-        failover, hedging, and graceful degradation."""
-        run.begin_leg(query)
+    # -- each physical leg: route, scatter, gather (§3.3.3 steps 2-7) ---------
+
+    def _route(self, run: _QueryRun) -> dict[str, list[str]] | None:
+        """The leg's routing table after broker-side pruning and the
+        health filter; None (with an error result) when it has none."""
+        query = run.query
         with run.stage("route", table=query.table) as span:
             run.strategy = self._strategy_for(query.table)
             try:
@@ -716,7 +731,7 @@ class BrokerInstance:
                     ServerResult(server=self.instance_id, error=str(exc))
                 )
                 run.finished_at = max(run.finished_at, self._clock.now())
-                return
+                return None
             routing_table, pruned = self._prune(
                 query, routing_table, run.strategy.snapshot.time_column)
             run.pruned += pruned
@@ -724,37 +739,31 @@ class BrokerInstance:
             if span is not None:
                 span.attributes.update(servers=len(routing_table),
                                        segments_pruned=pruned)
+        return routing_table
 
-        # Scatter: the primary fan-out over the chosen routing table.
+    def _scatter(self, run: _QueryRun, routing_table: dict[str, list[str]],
+                 depart_at: float | None) -> deque[_SubRequest]:
+        """The primary fan-out over the routing table, hedging
+        stragglers, up to the gather barrier. Returns the sub-requests
+        that failed, for :meth:`_gather` to fail over."""
         # Every sub-request departs at the same virtual instant — the
         # broker sends them concurrently, even though this process
         # executes the handlers one after another.
         t0 = depart_at if depart_at is not None else self._clock.now()
-        failures: deque[_FailedSubRequest] = deque()
-        with run.stage("scatter", span_start=t0, table=query.table,
-                       fanout=len(routing_table)) as scatter_span:
-            in_flight = []
-            for instance, segments in routing_table.items():
-                result, call, span = self._dispatch(
-                    run, instance, segments, depart_at=t0,
-                    parent=scatter_span)
-                in_flight.append((instance, segments, result, call, span))
+        failures: deque[_SubRequest] = deque()
+        with run.stage("scatter", span_start=t0, table=run.query.table,
+                       fanout=len(routing_table)) as parent:
+            in_flight = [
+                self._dispatch(run, instance, segments, {instance},
+                               depart_at=t0, parent=parent)
+                for instance, segments in routing_table.items()
+            ]
             barrier = t0
-            for instance, segments, result, call, span in in_flight:
-                winner_call = call
-                #: Every replica this sub-request touched (primary plus
-                #: any hedge) — a failure is enqueued with ALL of them so
-                #: the gather reselect can never re-pick a replica that
-                #: just failed (hedge losers included).
-                attempted = {instance}
-                if call is not None:
-                    result, winner_call = self._maybe_hedge(
-                        run, instance, segments, result, call, t0,
-                        attempted, parent=scatter_span, primary_span=span,
-                    )
-                if winner_call is not None:
-                    barrier = max(barrier, winner_call.completed)
-                    if self._latency is not None and result.error is None:
+            for sub in in_flight:
+                if sub.call is not None:
+                    sub = self._maybe_hedge(run, sub, t0, parent)
+                    barrier = max(barrier, sub.call.completed)
+                    if self._latency is not None and sub.result.error is None:
                         # Only the winner's own flight time (departure to
                         # completion) feeds the percentile window.
                         # Counting from t0 would fold the budget wait
@@ -762,25 +771,22 @@ class BrokerInstance:
                         # budget by the multiplier each query until
                         # hedging disabled itself; counting stragglers
                         # would do the same.
-                        self._latency.observe(query.table,
-                                              winner_call.duration_s)
-                if result.error is None:
-                    run.results.append(result)
-                    run.responded.add(result.server)
-                else:
-                    failures.append(_FailedSubRequest(
-                        instance, segments, result, tried=attempted
-                    ))
+                        self._latency.observe(run.query.table,
+                                              sub.call.duration_s)
+                self._settle(run, sub, failures)
             # The broker's gather barrier: it has now waited for every
             # primary (and winning hedge) response on the virtual
             # timeline.
             self._clock.advance_to(barrier)
         run.finished_at = max(run.finished_at, barrier)
+        return failures
 
-        # Gather: fail sub-requests over to other replicas, bounded by
-        # MAX_SUBREQUEST_ATTEMPTS and the remaining deadline budget.
-        with run.stage("gather", span=bool(failures), table=query.table,
-                       failed_subrequests=len(failures)) as gather_span:
+    def _gather(self, run: _QueryRun, failures: deque[_SubRequest]) -> None:
+        """Fail sub-requests over to other replicas, bounded by
+        MAX_SUBREQUEST_ATTEMPTS and the remaining deadline budget; then
+        record the leg's ``network`` stage."""
+        with run.stage("gather", span=bool(failures), table=run.query.table,
+                       failed_subrequests=len(failures)) as parent:
             while failures:
                 failed = failures.popleft()
                 attempt = len(failed.tried)
@@ -829,121 +835,110 @@ class BrokerInstance:
                     self.metrics.incr("retries")
                     self.metrics.incr("retry_backoff_ms", backoff_ms)
                     run.retries += 1
-                    result, call, retry_span = self._dispatch(
-                        run, instance, segments, parent=gather_span)
-                    if retry_span is not None:
-                        retry_span.attributes["retry_attempt"] = attempt
-                    if call is not None:
-                        self._clock.advance_to(call.completed)
+                    retry = self._dispatch(run, instance, segments,
+                                           failed.tried | {instance},
+                                           parent=parent)
+                    if retry.span is not None:
+                        retry.span.attributes["retry_attempt"] = attempt
+                    if retry.call is not None:
+                        self._clock.advance_to(retry.call.completed)
                         run.finished_at = max(run.finished_at,
-                                              call.completed)
-                    if result.error is None:
-                        run.results.append(result)
-                        run.responded.add(instance)
-                        run.segments_failed_over += len(segments)
+                                              retry.call.completed)
+                    if self._settle(run, retry, failures):
                         self.metrics.incr("failovers")
-                        self.metrics.incr("segments_failed_over",
-                                          len(segments))
-                        run.recovered_errors.append(
-                            f"{failed.instance}: {failed.result.error} "
-                            f"(recovered on {instance})"
-                        )
-                    else:
-                        failures.append(_FailedSubRequest(
-                            instance, segments, result,
-                            tried=failed.tried | {instance},
-                        ))
+                        self._recovered(run, failed, retry)
         # Not an interval on the broker's clock: the sum of link and
         # queue time over this leg's sub-requests.
         run.record_stage("network", run.network_ms)
 
-    def _maybe_hedge(self, run: _QueryRun, instance: str,
-                     segments: list[str], result: ServerResult,
-                     call: CallResult, t0: float, attempted: set[str],
-                     parent: Span | None = None,
-                     primary_span: Span | None = None,
-                     ) -> tuple[ServerResult, CallResult]:
+    def _settle(self, run: _QueryRun, sub: _SubRequest,
+                failures: deque[_SubRequest]) -> bool:
+        """Record a settled sub-request (a hedge's loser never settles):
+        a reply joins the merge, a failure the failover queue. True for
+        a reply."""
+        if sub.result.error is None:
+            run.results.append(sub.result)
+            run.responded.add(sub.instance)
+            return True
+        failures.append(sub)
+        return False
+
+    def _recovered(self, run: _QueryRun, failed: _SubRequest,
+                   sub: _SubRequest, how: str = "") -> None:
+        """Account ``sub``'s reply as the repair of ``failed``, whether
+        a gather retry or a hedge sent it."""
+        self.metrics.incr("segments_failed_over", len(sub.segments))
+        run.segments_failed_over += len(sub.segments)
+        run.recovered_errors.append(
+            f"{failed.instance}: {failed.result.error} "
+            f"(recovered on {sub.instance}{how})"
+        )
+
+    def _maybe_hedge(self, run: _QueryRun, sub: _SubRequest, t0: float,
+                     parent: Span | None) -> _SubRequest:
         """Re-issue a straggling sub-request to another replica once its
         latency exceeds the percentile budget; first response wins. A
         sub-request that *failed* outright is the ultimate straggler:
         it is hedged immediately (departing when the failure is known)
         instead of waiting for the gather loop's backoff.
 
-        Returns the winning (result, call) pair. The loser is cancelled:
-        its response is discarded and it never reaches the merge. In a
-        trace, the hedge appears as a sibling rpc span of the primary,
-        and the loser's span is marked ``cancelled``.
+        Returns the winner. The loser is cancelled: its response is
+        discarded and it never reaches the merge. In a trace, the hedge
+        appears as a sibling rpc span of the primary, and the loser's
+        span is marked ``hedge_loser`` (and ``cancelled`` unless it
+        failed).
 
-        Every replica contacted here is added to ``attempted`` so that
-        when the sub-request still ends up failing, the gather loop's
-        reselect excludes the losing hedge replica too — without this,
-        reselect could immediately re-pick the very server whose hedge
-        just failed.
+        The hedge's replica joins ``sub.tried``, so that when the
+        sub-request still ends up failing, the gather loop's reselect
+        excludes the losing hedge replica too.
         """
         if self._latency is None:
-            return result, call
-        failed_primary = result.error is not None
+            return sub
+        failed = sub.result.error is not None
         budget = self._latency.budget_s(run.query.table)
-        if not failed_primary and call.completed - t0 <= budget:
-            return result, call
+        if not failed and sub.call.completed - t0 <= budget:
+            return sub
         if run.hedges >= self._latency.policy.max_hedges_per_query:
-            return result, call
-        reroute, unroutable = self._reselect(run, segments, set(attempted))
+            return sub
+        reroute, unroutable = self._reselect(run, sub.segments, sub.tried)
         if unroutable or len(reroute) != 1:
             # No single alternate replica hosts the whole segment set;
             # hedging a split would multiply fan-out, so don't.
-            return result, call
-        (alternate, alt_segments), = reroute.items()
+            return sub
+        (alternate, segments), = reroute.items()
         run.hedges += 1
-        attempted.add(alternate)
+        sub.tried.add(alternate)
         self.metrics.incr("hedges")
-        depart = call.completed if failed_primary else t0 + budget
-        hedge_result, hedge_call, hedge_span = self._dispatch(
-            run, alternate, alt_segments, depart_at=depart, hedge=True,
-            parent=parent,
-        )
-        if failed_primary:
-            if hedge_call is not None and hedge_result.error is None:
-                # The hedge repaired the failure before the gather loop
-                # ever saw it.
-                self.metrics.incr("hedge_wins")
-                self.metrics.incr("segments_failed_over",
-                                  len(alt_segments))
-                run.segments_failed_over += len(alt_segments)
-                run.recovered_errors.append(
-                    f"{instance}: {result.error} "
-                    f"(recovered on {alternate} via hedge)"
-                )
-                if primary_span is not None:
-                    primary_span.attributes["hedge_loser"] = True
-                if hedge_span is not None:
-                    hedge_span.attributes["hedge_winner"] = True
-                return hedge_result, hedge_call
-            # Hedge failed too: keep the primary's error; ``attempted``
-            # now carries both replicas for the gather reselect.
-            return result, call
-        if (hedge_call is not None and hedge_result.error is None
-                and hedge_call.completed < call.completed):
-            # The hedge beat the straggler: first response wins, the
-            # original sub-request is cancelled unread.
+        hedge = self._dispatch(
+            run, alternate, segments, sub.tried, hedge=True, parent=parent,
+            depart_at=sub.call.completed if failed else t0 + budget)
+        wins = (hedge.call is not None and hedge.result.error is None
+                and (failed or hedge.call.completed < sub.call.completed))
+        if failed and not wins:
+            # Hedge failed too: the primary's error goes to the gather
+            # loop, with both replicas in ``sub.tried``.
+            return sub
+        if wins:
             self.metrics.incr("hedge_wins")
+        if failed:
+            # The hedge repaired the failure before the gather loop
+            # ever saw it.
+            self._recovered(run, sub, hedge, " via hedge")
+        else:
             self.metrics.incr("hedges_cancelled")
-            if primary_span is not None:
-                primary_span.status = STATUS_CANCELLED
-                primary_span.attributes["hedge_loser"] = True
-            if hedge_span is not None:
-                hedge_span.attributes["hedge_winner"] = True
-            return hedge_result, hedge_call
-        self.metrics.incr("hedges_cancelled")
-        if hedge_span is not None:
-            hedge_span.status = STATUS_CANCELLED
-            hedge_span.attributes["hedge_loser"] = True
-        return result, call
+        winner, loser = (hedge, sub) if wins else (sub, hedge)
+        if loser.span is not None:
+            if not failed:
+                loser.span.status = STATUS_CANCELLED
+            loser.span.attributes["hedge_loser"] = True
+        if wins and hedge.span is not None:
+            hedge.span.attributes["hedge_winner"] = True
+        return winner
 
     def _dispatch(self, run: _QueryRun, instance: str, segments: list[str],
-                  depart_at: float | None = None, hedge: bool = False,
-                  parent: Span | None = None,
-                  ) -> tuple[ServerResult, CallResult | None, Span | None]:
+                  tried: set[str], depart_at: float | None = None,
+                  hedge: bool = False, parent: Span | None = None,
+                  ) -> _SubRequest:
         """Send one sub-request over the transport, mapping transport
         failures (unreachable, overloaded) and an exhausted deadline
         onto error results the merge can degrade around.
@@ -969,8 +964,9 @@ class BrokerInstance:
                 )
                 span.set_error("broker deadline exceeded",
                                error_type="DeadlineExceeded")
-            return ServerResult(server=instance,
-                                error="broker deadline exceeded"), None, None
+            return _SubRequest(instance, segments, ServerResult(
+                server=instance, error="broker deadline exceeded"),
+                None, None, tried)
         if self.health is not None:
             self.health.record_dispatch(instance, now=depart,
                                         probe=instance in run.probes)
@@ -1039,8 +1035,8 @@ class BrokerInstance:
                 span.set_error(str(call.error),
                                error_type=type(call.error).__name__,
                                rejected=call.rejected)
-            return ServerResult(server=instance,
-                                error=str(call.error)), call, span
+            return _SubRequest(instance, segments, ServerResult(
+                server=instance, error=str(call.error)), call, span, tried)
         result = call.value
         if result.error is not None:
             self.metrics.incr("server_errors")
@@ -1056,7 +1052,7 @@ class BrokerInstance:
                 latency_s=max(call.duration_s, result.elapsed_ms / 1e3),
                 now=call.completed,
             )
-        return result, call, span
+        return _SubRequest(instance, segments, result, call, span, tried)
 
     def _observe_pressure(self, instance: str, call: CallResult) -> None:
         """Feed the admission-control pressure signal from this call's
@@ -1221,9 +1217,8 @@ class BrokerInstance:
     def explain(self, pql: str | Query) -> dict[str, dict[str, str]]:
         """Per-server, per-segment physical plan descriptions for a
         query, without executing it."""
-        query = optimize(parse(pql) if isinstance(pql, str) else pql)
         out: dict[str, dict[str, str]] = {}
-        for physical_query in self._resolve_physical_queries(query):
+        for physical_query in self._plan(pql)[1]:
             strategy = self._strategy_for(physical_query.table)
             try:
                 routing_table = strategy.route(physical_query)
@@ -1252,10 +1247,8 @@ class BrokerInstance:
     def fanout_for(self, pql: str | Query) -> int:
         """Number of servers one execution of this query would contact
         (instrumentation for the Fig 16 routing comparison)."""
-        query = optimize(parse(pql) if isinstance(pql, str) else pql)
-        physical = self._resolve_physical_queries(query)
         servers: set[str] = set()
-        for physical_query in physical:
+        for physical_query in self._plan(pql)[1]:
             strategy = self._strategy_for(physical_query.table)
             servers.update(strategy.route(physical_query))
         return len(servers)

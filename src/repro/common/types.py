@@ -137,7 +137,7 @@ def _coerce_float(value: Any) -> float:
 def _coerce_bool(value: Any) -> bool:
     if isinstance(value, bool):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return bool(value)
     if isinstance(value, str):
         lowered = value.lower()

@@ -129,7 +129,7 @@ OP_WEIGHTS: list[tuple[str, float]] = [
 #: replica comes back only at the next rebalance, and queries between
 #: the kill and that rebalance miss the partition without being flagged
 #: partial, because the broker skips replica-less segments (ROADMAP
-#: F(4)). Restart/failover coverage comes from crash/recover plus the
+#: I). Restart/failover coverage comes from crash/recover plus the
 #: dedicated regression tests instead.
 _NON_UPSERT_OPS = frozenset({
     "upload_segment", "replace_segment", "delete_segment", "kill_server",

@@ -13,8 +13,9 @@ import random
 
 import pytest
 
+import repro.cluster.broker as broker_module
 from repro.cluster.pinot import PinotCluster
-from repro.cluster.table import TableConfig
+from repro.cluster.table import StreamConfig, TableConfig
 from repro.common.schema import Schema
 from repro.common.types import DataType, dimension, metric, time_column
 
@@ -169,3 +170,49 @@ class TestEmptyStates:
             "WHERE views > 1000000 GROUP BY country "
             "HAVING percentileest50(views) > 10 TOP 5")
         assert list(response.rows) == []
+
+
+class TestHybridLegs:
+    """A hybrid query's legs are rewritten where they stand: the same
+    legs as resolving the rewritten query again, with the offline
+    table's time boundary read once per query."""
+
+    def hybrid_cluster(self, schema):
+        cluster = PinotCluster(num_servers=2, use_approximate_function=True,
+                               approx_threshold=0)
+        cluster.create_kafka_topic("events-topic", 1)
+        cluster.create_table(TableConfig.offline("events", schema))
+        cluster.create_table(TableConfig.realtime(
+            "events", schema, StreamConfig("events-topic")))
+        records = make_records(300, 200)
+        cluster.upload_records(
+            "events", [r for r in records if r["day"] < 17004])
+        cluster.ingest("events-topic",
+                       [r for r in records if r["day"] >= 17004])
+        cluster.drain_realtime()
+        return cluster
+
+    def test_rewritten_legs_match_a_fresh_resolve(self, schema):
+        broker = self.hybrid_cluster(schema).brokers[0]
+        query, legs, rewrites = broker._maybe_rewrite_approx(
+            *broker._plan(EXACT_DISTINCT + " WHERE country = 'us'"))
+        assert len(rewrites) == 1 and len(legs) == 2
+        assert legs == broker._resolve_physical_queries(query)
+        assert [str(leg) for leg in legs] == [
+            str(leg) for leg in broker._resolve_physical_queries(query)]
+
+    def test_time_boundary_read_once(self, schema, monkeypatch):
+        cluster = self.hybrid_cluster(schema)
+        reads = []
+        pushed = broker_module.pushed_segment_records
+
+        def counting(helix, table):
+            reads.append(table)
+            return pushed(helix, table)
+
+        monkeypatch.setattr(broker_module, "pushed_segment_records",
+                            counting)
+        response = cluster.execute(
+            EXACT_DISTINCT + " OPTION(skipCache=true)")
+        assert len(response.rewrites) == 1
+        assert reads == ["events_OFFLINE"]

@@ -240,3 +240,23 @@ def test_a_bad_record_at_a_slice_edge(count, bad):
         builder.add_all(records)
     assert len(builder) == bad
     assert builder.records() == [schema.normalize(r) for r in records[:bad]]
+
+
+def test_numpy_bools_build_the_python_bools_segment(tmp_path):
+    """A producer that sends ``np.bool_`` cells gets the segment that
+    Python bools build, byte for byte."""
+    from repro.segment.io import INDEX_FILE, METADATA_FILE, write_segment
+
+    schema = Schema("t", [dimension("k", DataType.LONG),
+                          dimension("flag", DataType.BOOLEAN)])
+    flags = [i % 3 == 0 for i in range(50)]
+
+    def segment_bytes(cells, name):
+        builder = SegmentBuilder("s", "t", schema)
+        builder.add_all([{"k": i, "flag": cell}
+                         for i, cell in enumerate(cells)])
+        path = write_segment(builder.build(), tmp_path / name)
+        return [(path / f).read_bytes() for f in (METADATA_FILE, INDEX_FILE)]
+
+    assert (segment_bytes([np.bool_(f) for f in flags], "numpy")
+            == segment_bytes(flags, "python"))

@@ -43,6 +43,10 @@ class TestDataTypeCoercion:
         assert DataType.BOOLEAN.coerce("true") is True
         assert DataType.BOOLEAN.coerce("FALSE") is False
 
+    def test_boolean_from_numpy_bool(self):
+        assert DataType.BOOLEAN.coerce(np.bool_(True)) is True
+        assert DataType.BOOLEAN.coerce(np.bool_(False)) is False
+
     def test_boolean_rejects_garbage(self):
         with pytest.raises(SchemaError):
             DataType.BOOLEAN.coerce("maybe")
