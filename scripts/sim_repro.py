@@ -23,7 +23,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.sim.artifact import load_artifact, write_artifact  # noqa: E402
-from repro.sim.harness import run_schedule, run_seed  # noqa: E402
+from repro.sim.harness import (SCENARIOS, run_schedule,  # noqa: E402
+                               run_seed)
 from repro.sim.shrink import shrink  # noqa: E402
 
 
@@ -84,18 +85,10 @@ def main() -> int:
     parser.add_argument("--store-policy", choices=("lru", "sieve"),
                         default="lru",
                         help="eviction policy when --memory-budget is set")
-    parser.add_argument("--workload",
-                        choices=("default", "upsert", "dedup", "production",
-                                 "approx"),
+    parser.add_argument("--workload", choices=list(SCENARIOS),
                         default="default",
-                        help="scenario shape for generated runs: the "
-                             "hybrid table (default), a realtime-only "
-                             "upsert/dedup table whose oracle keeps the "
-                             "latest/first row per primary key, the "
-                             "production failure-detector mix, or the "
-                             "approx mix (timestamp index + sketch "
-                             "queries bound-checked against the exact "
-                             "oracle)")
+                        help="scenario for generated runs "
+                             "(docs/SIMULATION.md, \"Scenarios\")")
     args = parser.parse_args()
 
     modes = [m for m in (args.seed is not None, args.sweep, args.schedule)

@@ -33,8 +33,10 @@ proves no element can match.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
+from repro.common.types import round_float32
 from repro.kafka.partitioner import kafka_partition
 from repro.pql.ast_nodes import (
     And,
@@ -47,6 +49,7 @@ from repro.pql.ast_nodes import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - the engine imports this module
+    from repro.common.schema import Schema
     from repro.segment.bloom import BloomFilter
     from repro.segment.metadata import SegmentMetadata
 
@@ -99,10 +102,19 @@ def record_summary(record: Mapping[str, Any],
 NEVER_PRUNES = CompiledPruner((), {})
 
 
-def compile_pruner(query: Query) -> CompiledPruner:
+def compile_pruner(query: Query,
+                   schema: Schema | None = None) -> CompiledPruner:
+    """``query``'s prune check. Given the table's ``schema``, a literal
+    held against a FLOAT column is first rounded to the float32 the
+    column stores, so its zone map and bloom compare like with like."""
     if query.where is None:
         return NEVER_PRUNES
     leaves = _top_level_leaves(query.where)
+    if schema is not None and schema.float_columns:
+        leaves = tuple([
+            _as_stored(leaf) if isinstance(leaf, (Comparison, Between, In))
+            and leaf.column in schema.float_columns else leaf
+            for leaf in leaves])
     return CompiledPruner(
         tuple([leaf for leaf in leaves
                if isinstance(leaf, (Comparison, Between, In))]),
@@ -110,13 +122,33 @@ def compile_pruner(query: Query) -> CompiledPruner:
     )
 
 
-def prune_check(query: Query) -> CompiledPruner:
+def prune_check(query: Query, schema: Schema | None = None
+                ) -> CompiledPruner:
     """A server's prune check for ``query``; under ``skipPrune`` (which
     ``skipCache`` implies) one that skips nothing, so every segment is
     executed."""
     if query.options.get("skipCache") or query.options.get("skipPrune"):
         return NEVER_PRUNES
-    return compile_pruner(query)
+    return compile_pruner(query, schema)
+
+
+def _as_stored(leaf: Comparison | Between | In) -> Predicate:
+    """A leaf on a FLOAT column with each numeric literal rounded to
+    float32 (the rule ``DataType.FLOAT.coerce`` applies to cells). A
+    literal float32 holds exactly stays as written, so an integer one
+    still reaches the bloom filters."""
+
+    def stored(value: Any) -> Any:
+        if not isinstance(value, (int, float)):
+            return value
+        rounded = round_float32(value)
+        return value if rounded == value else rounded
+
+    if isinstance(leaf, Comparison):
+        return replace(leaf, value=stored(leaf.value))
+    if isinstance(leaf, Between):
+        return replace(leaf, low=stored(leaf.low), high=stored(leaf.high))
+    return replace(leaf, values=tuple(map(stored, leaf.values)))
 
 
 def equality_constraints(predicate: Predicate) -> dict[str, list]:

@@ -1150,7 +1150,8 @@ class BrokerInstance:
         negative, so pruning is always safe). Servers left with no
         segments are not contacted at all. Returns the pruned routing
         table and the number of segments dropped."""
-        check = compile_pruner(query)
+        check = compile_pruner(
+            query, read_table_config(self._helix, query.table).schema)
         if not check.constraints and all(leaf.column != time_column
                                          for leaf in check.leaves):
             return routing_table, 0  # nothing a record could rule out

@@ -12,7 +12,7 @@ from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.common.records import from_plain, to_plain
-from repro.common.types import FieldSpec
+from repro.common.types import DataType, FieldSpec
 from repro.errors import SchemaError
 
 
@@ -42,6 +42,11 @@ class Schema:
             )
         self._time_column = time_columns[0] if time_columns else None
         self._names = frozenset(self._fields)
+        #: The FLOAT columns: a query literal held against one compares
+        #: as the float32 it rounds to.
+        self.float_columns = frozenset(
+            spec.name for spec in self._fields.values()
+            if spec.dtype is DataType.FLOAT)
         #: What equality compares, in plain values: every loaded segment
         #: carries its own copy of its table's schema, and the planner
         #: compares a segment's against the one a query was compiled for.

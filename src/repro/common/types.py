@@ -63,12 +63,13 @@ class DataType(enum.Enum):
         """The type :meth:`coerce` returns."""
         return _CANONICAL[self._value_][0]
 
-    def holds_all(self, cells: list) -> bool:
-        """Whether :meth:`coerce` would return each of ``cells``, all
-        of :attr:`python_type`, as it is: the coercer's range test made
-        once for the column. False says only that some cell needs the
-        coercer, which may still accept it."""
-        return not cells or _CANONICAL[self._value_][1](cells)
+    def coerce_typed(self, cells: list) -> list | None:
+        """:meth:`coerce` of each of ``cells``, all of
+        :attr:`python_type`, from the coercer's range test made once for
+        the column (and, for FLOAT, one float32 rounding of the whole
+        column). None says only that some cell needs the coercer, which
+        may still accept it."""
+        return _CANONICAL[self._value_][1](cells) if cells else cells
 
 
 _NUMERIC_TYPES = frozenset(
@@ -127,11 +128,20 @@ def _coerce_double(value: Any) -> float:
     return out
 
 
+def round_float32(value: Any) -> float:
+    """The float32 nearest a number, as a Python float: what a FLOAT
+    column stores for a cell and compares a query literal as. Beyond
+    float32's range it is an infinity."""
+    if abs(value) >= _FLOAT32_OVERFLOW:
+        return math.inf if value > 0 else -math.inf
+    return float(np.float32(value))
+
+
 def _coerce_float(value: Any) -> float:
     out = _coerce_double(value)
     if _FLOAT32_OVERFLOW <= abs(out) < math.inf:
         raise ValueError(f"{out} out of range for FLOAT")
-    return out
+    return round_float32(out)
 
 
 def _coerce_bool(value: Any) -> bool:
@@ -162,30 +172,34 @@ _COERCERS = {
 
 def _ints_within(bounds: tuple[int, int]):
     low, high = bounds
-    return lambda cells: low <= min(cells) and max(cells) < high
+    return lambda cells: (cells if low <= min(cells) and max(cells) < high
+                          else None)
 
 
-def _finite(cells: list) -> bool:
+def _finite(cells: list) -> list | None:
     # A float sum is finite only when no cell is NaN or infinite;
     # anything else (a sum that overflows too) goes cell by cell.
-    return math.isfinite(sum(cells))
+    return cells if math.isfinite(sum(cells)) else None
 
 
-def _float32_finite(cells: list) -> bool:
-    return (_finite(cells) and -_FLOAT32_OVERFLOW < min(cells)
-            and max(cells) < _FLOAT32_OVERFLOW)
+def _rounded_float32(cells: list) -> list | None:
+    if (_finite(cells) is None or min(cells) <= -_FLOAT32_OVERFLOW
+            or max(cells) >= _FLOAT32_OVERFLOW):
+        return None
+    return np.array(cells, dtype=np.float32).tolist()
 
 
-def _anything(cells: list) -> bool:
-    return True
+def _anything(cells: list) -> list:
+    return cells
 
 
-#: By member value: the type each coercer returns, and the test a
-#: column of cells already of that type must pass to need no coercer.
+#: By member value: the type each coercer returns, and what a column of
+#: cells already of that type becomes without a coercer call per cell
+#: (None: some cell needs one).
 _CANONICAL = {
     "INT": (int, _ints_within(_INT_RANGE)),
     "LONG": (int, _ints_within(_LONG_RANGE)),
-    "FLOAT": (float, _float32_finite),
+    "FLOAT": (float, _rounded_float32),
     "DOUBLE": (float, _finite),
     "BOOLEAN": (bool, _anything),
     "STRING": (str, _anything),
@@ -272,8 +286,9 @@ class FieldSpec:
     def coerce_all(self, cells: list) -> list:
         """:meth:`coerce` of every cell. A single-value column whose
         cells all have the type ``coerce`` returns (None aside) is
-        recognised with one type probe and kept as it is, a None read
-        as the default; any other column goes cell by cell."""
+        recognised with one type probe and coerced as a whole
+        (:meth:`DataType.coerce_typed`), a None read as the default; any
+        other column goes cell by cell."""
         if not self.multi_value:
             kinds = set(map(type, cells))
             if kinds <= {self.dtype.python_type, NoneType}:
@@ -281,8 +296,9 @@ class FieldSpec:
                     default = self.default
                     cells = [default if cell is None else cell
                              for cell in cells]
-                if self.dtype.holds_all(cells):
-                    return cells
+                typed = self.dtype.coerce_typed(cells)
+                if typed is not None:
+                    return typed
         return list(map(self.coerce, cells))
 
 

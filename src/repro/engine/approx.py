@@ -14,8 +14,12 @@ Properties the engine relies on:
 * **Bounded state** — ``O(k log(n/k))`` items regardless of input size,
   so partial states ship cheaply through the ``repro.net`` codec.
 * **Mergeable** — ``merge`` concatenates levels and re-compacts;
-  commutative to the byte (sorted unions + summed counters), so
-  scatter/gather order cannot perturb results.
+  commutative to the byte (sorted unions + summed counters), so the
+  order two partials arrive in cannot perturb results. It is *not*
+  associative once a merge compacts: ``(a+b)+c`` and ``a+(b+c)`` may
+  keep different items, so a different grouping of segments into
+  servers (routing) can move an estimate, within
+  :meth:`rank_error_bound`.
 * **Exact when small** — below ``k`` values no compaction happens and
   ``quantile`` reproduces ``np.percentile``'s linear interpolation
   exactly.
@@ -99,7 +103,8 @@ class QuantileSketch:
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Combined sketch; commutative to the byte (sorted level unions
-        plus summed compaction counters)."""
+        plus summed compaction counters), but not associative once it
+        compacts (see the module docstring)."""
         if other.k != self.k:
             raise ValueError("cannot merge sketches of different k")
         height = max(len(self.levels), len(other.levels))

@@ -161,7 +161,7 @@ def compile_query(query: Query, schema: Schema) -> CompiledQuery:
             value_aggregations.append((aggregation, func.numeric_only))
     time_column = schema.time_column
     return CompiledQuery(
-        query, schema, prune_check(query),
+        query, schema, prune_check(query, schema),
         unlisted=tuple([column for column in query.referenced_columns()
                         if column not in schema]),
         value_aggregations=tuple(value_aggregations),

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.common.types import DataType
+from repro.common.types import DataType, round_float32
 from repro.errors import PlanningError
 from repro.pql.ast_nodes import (
     Between,
@@ -278,4 +278,6 @@ def _coerce(dtype: DataType, value):
             f"cannot compare string literal {value!r} against numeric "
             "column"
         )
+    if dtype is DataType.FLOAT:
+        return round_float32(value)  # the value the column would store
     return value

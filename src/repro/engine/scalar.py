@@ -28,7 +28,7 @@ import re
 from operator import itemgetter
 from typing import Any, Callable
 
-from repro.common.types import DataType
+from repro.common.types import DataType, round_float32
 from repro.engine.aggregates import distinct_dtype, distinct_state
 from repro.engine.planner import validate_columns
 from repro.engine.results import (
@@ -142,6 +142,8 @@ def _coerce_literal(column: Column, value: Any) -> Any:
             f"cannot compare string literal {value!r} against numeric "
             "column"
         )
+    if dtype is DataType.FLOAT:
+        return round_float32(value)
     return value
 
 

@@ -31,7 +31,7 @@ import hashlib
 import random
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.cluster.health import HealthPolicy
 from repro.cluster.pinot import PinotCluster
@@ -51,7 +51,7 @@ from repro.sim.invariants import (Violation, check_completion_safety,
                                   check_ejection_discipline,
                                   check_residency)
 from repro.sim.oracle import (approx_check, diff_summary, expected_rows,
-                              rows_match)
+                              reduce_per_key, rows_match)
 from repro.sim.schedule import Op, Schedule
 
 LOGICAL_TABLE = "events"
@@ -79,19 +79,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
     #: every seeded fault schedule double as an engine-equivalence
     #: check, and a scalar run cross-checks the oracle engine itself.
     "engine_vectorized": True,
-    #: Scenario shape: ``default`` is the hybrid offline+realtime table;
-    #: ``upsert`` and ``dedup`` are realtime-only tables keyed on
-    #: memberId, whose oracle reduces the visible stream prefix to the
-    #: latest (upsert) or first (dedup) row per key. ``production``
-    #: keeps the hybrid table but enables the broker failure detector
-    #: and skews the op mix toward query traffic with servers
-    #: degrading and recovering mid-run (docs/RESILIENCE.md); the
-    #: ejection-discipline invariant then runs after every op.
-    #: ``approx`` keeps the hybrid table, builds a timestamp index on
-    #: every segment, arms the broker's smart-approximation rewrite
-    #: (threshold 0, so ``OPTION(useApproximateFunction=true)`` always
-    #: rewrites) and mixes in ``approx_query`` ops whose sketch answers
-    #: are bound-checked against the exact oracle (docs/ENGINE.md).
+    #: A key of :data:`SCENARIOS`.
     "workload": "default",
     #: Per-server segment-cache byte budget (repro.store); None keeps
     #: every hosted segment resident. A finite budget turns every run
@@ -103,7 +91,7 @@ DEFAULT_CONFIG: dict[str, Any] = {
 }
 
 #: (op kind, relative weight) — the schedule generator's op mix.
-OP_WEIGHTS: list[tuple[str, float]] = [
+OP_WEIGHTS: tuple[tuple[str, float], ...] = (
     ("query", 30.0),
     ("ingest", 18.0),
     ("consume", 20.0),
@@ -120,7 +108,7 @@ OP_WEIGHTS: list[tuple[str, float]] = [
     ("add_server", 1.5),
     ("kill_controller", 1.0),
     ("evict_residency", 2.0),
-]
+)
 
 #: Ops left out of the realtime-only upsert/dedup scenarios. There is
 #: no offline table to upload/replace/delete from. ``kill_server`` is
@@ -138,7 +126,7 @@ _NON_UPSERT_OPS = frozenset({
 #: The production workload's op mix: query-heavy traffic with servers
 #: degrading and recovering mid-run — the failure detector's natural
 #: habitat.
-PRODUCTION_OP_WEIGHTS: list[tuple[str, float]] = [
+PRODUCTION_OP_WEIGHTS: tuple[tuple[str, float], ...] = (
     ("query", 42.0),
     ("ingest", 14.0),
     ("consume", 16.0),
@@ -155,7 +143,7 @@ PRODUCTION_OP_WEIGHTS: list[tuple[str, float]] = [
     ("add_server", 1.0),
     ("kill_controller", 0.5),
     ("evict_residency", 1.5),
-]
+)
 
 #: Broker failure-detector tuning for the production workload: small
 #: sample bounds so a 60-op schedule can reach eject -> probe -> heal,
@@ -175,6 +163,48 @@ SIM_HEALTH_POLICY = HealthPolicy(
 #: 5-day buckets, matching the timebucket sizes the query generator
 #: draws.
 SIM_TIME_GRANULARITIES = (1, 5)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One sim workload: everything the harness does differently for it
+    (docs/SIMULATION.md, "Scenarios")."""
+
+    #: (op kind, relative weight): the schedule generator's op mix.
+    op_weights: tuple[tuple[str, float], ...]
+    #: None: the hybrid offline+realtime table, with a founding offline
+    #: segment. ``"upsert"`` / ``"dedup"``: a realtime-only table keyed
+    #: on memberId, whose oracle keeps the latest / first produced row
+    #: per key (:func:`repro.sim.oracle.reduce_per_key`); dedup also
+    #: relaxes completion safety's doc counts.
+    upsert_mode: str | None = None
+    #: The brokers' failure detector. With one, the epilogue also pumps
+    #: probe traffic until every healed server is back in rotation.
+    health: HealthPolicy | None = None
+    #: ``degrade_server``'s (latency_ms, error_rate) choices.
+    degrade: tuple[tuple[int, ...], tuple[float, ...]] = (
+        (5, 20, 80), (0.0, 0.2, 0.5))
+    #: A timestamp index on every segment, the broker's approximation
+    #: rewrite at threshold 0 (so ``OPTION(useApproximateFunction=true)``
+    #: always rewrites), and bound-checked approx queries in the
+    #: epilogue's battery.
+    approx: bool = False
+
+
+_REALTIME_ONLY_WEIGHTS = tuple((kind, weight) for kind, weight in OP_WEIGHTS
+                               if kind not in _NON_UPSERT_OPS)
+
+#: The sim's workloads, by the name the ``workload`` config key holds.
+SCENARIOS: dict[str, Scenario] = {
+    "default": Scenario(OP_WEIGHTS),
+    "upsert": Scenario(_REALTIME_ONLY_WEIGHTS, upsert_mode="upsert"),
+    "dedup": Scenario(_REALTIME_ONLY_WEIGHTS, upsert_mode="dedup"),
+    # Harsh enough to trip the failure detector's EWMA/outlier
+    # thresholds within a few queries.
+    "production": Scenario(PRODUCTION_OP_WEIGHTS, health=SIM_HEALTH_POLICY,
+                           degrade=((100, 250), (0.0, 0.6, 0.9))),
+    "approx": Scenario(OP_WEIGHTS + (("approx_query", 25.0),), approx=True),
+}
 
 
 @dataclass
@@ -235,6 +265,10 @@ class SimulationHarness:
         self.stop_on_violation = stop_on_violation
         self.config = dict(DEFAULT_CONFIG)
         self.config.update(schedule.config)
+        self.scenario = SCENARIOS.get(self.config["workload"])
+        if self.scenario is None:
+            raise ValueError(f"{schedule.config!r} names no scenario; "
+                             f"the scenarios are {list(SCENARIOS)}")
         self.rng = random.Random(schedule.seed)
         self.violations: list[Violation] = []
         self.observations: list[str] = []
@@ -246,14 +280,9 @@ class SimulationHarness:
 
     def _build_cluster(self) -> None:
         cfg = self.config
+        scenario = self.scenario
         clock = SimClock(auto_advance=False)
         transport = Transport(clock, seed=self.schedule.seed)
-        self.workload = cfg["workload"]
-        if self.workload not in ("default", "upsert", "dedup",
-                                 "production", "approx"):
-            raise ValueError(f"unknown workload {self.workload!r}")
-        #: Hybrid offline+realtime scenarios share the visibility model.
-        self._hybrid = self.workload in ("default", "production", "approx")
         self.cluster = PinotCluster(
             num_servers=cfg["num_servers"],
             num_brokers=cfg["num_brokers"],
@@ -264,13 +293,12 @@ class SimulationHarness:
             default_vectorized=bool(cfg["engine_vectorized"]),
             store_budget_bytes=cfg["store_budget_bytes"],
             store_policy=cfg["store_policy"],
-            failure_detector=(SIM_HEALTH_POLICY
-                              if self.workload == "production" else None),
+            failure_detector=scenario.health,
             # Threshold 0 so a per-query OPTION(useApproximateFunction)
             # deterministically rewrites every eligible aggregate — the
             # broker default stays off, so exact `query` ops are
             # untouched.
-            approx_threshold=0 if self.workload == "approx" else 10_000,
+            approx_threshold=0 if scenario.approx else 10_000,
         )
         self.model = _Model(cfg["num_partitions"])
         schema = workload.schema()
@@ -281,14 +309,15 @@ class SimulationHarness:
             flush_threshold_ticks=cfg["flush_threshold_ticks"],
             records_per_poll=cfg["records_per_poll"],
         )
-        if self._hybrid:
-            # The approx workload builds per-segment time rollups so
-            # GROUP BY day / timebucket(day, 5) queries can be answered
-            # from the timestamp index on both table legs.
-            segment_config = (
-                SegmentConfig(timestamp_index=SIM_TIME_GRANULARITIES)
-                if self.workload == "approx" else SegmentConfig()
-            )
+        self.offline_table = f"{LOGICAL_TABLE}_{TableType.OFFLINE.value}"
+        self.realtime_table = f"{LOGICAL_TABLE}_{TableType.REALTIME.value}"
+        if scenario.upsert_mode is None:
+            # With approx, per-segment time rollups let GROUP BY day /
+            # timebucket(day, 5) queries be answered from the timestamp
+            # index on both table legs.
+            segment_config = SegmentConfig(
+                timestamp_index=SIM_TIME_GRANULARITIES if scenario.approx
+                else ())
             self.cluster.create_table(TableConfig.offline(
                 LOGICAL_TABLE, schema, replication=cfg["replication"],
                 segment_config=segment_config,
@@ -298,31 +327,24 @@ class SimulationHarness:
                 replication=cfg["replication"],
                 segment_config=segment_config,
             ))
-        else:
-            # Realtime-only: upsert/dedup are stream-native semantics
-            # (there is no offline leg to upsert into). Arrival order
-            # decides the winner (no comparison column), so the oracle
-            # is "last produced row per memberId wins" for upsert and
-            # "first produced row per memberId wins" for dedup.
-            self.cluster.create_table(TableConfig.realtime(
-                LOGICAL_TABLE, schema, stream,
-                replication=cfg["replication"],
-                upsert=UpsertConfig(mode=self.workload,
-                                    key_columns=("memberId",)),
-            ))
-        self.offline_table = f"{LOGICAL_TABLE}_{TableType.OFFLINE.value}"
-        self.realtime_table = f"{LOGICAL_TABLE}_{TableType.REALTIME.value}"
-
-        if self._hybrid:
             # A founding offline segment so the hybrid time boundary is
             # always defined (days [BASE_DAY, BASE_DAY + 4]).
-            bootstrap = Op("upload_segment", {
+            self._execute(Op("upload_segment", {
                 "seed": self.schedule.seed ^ 0x5EED,
                 "count": 60,
                 "min_day": workload.BASE_DAY,
                 "max_day": workload.BASE_DAY + 4,
-            })
-            self._apply("upload_segment", bootstrap)
+            }))
+        else:
+            # Realtime-only: upsert/dedup are stream-native semantics
+            # (there is no offline leg to upsert into). Arrival order
+            # decides the winner (no comparison column).
+            self.cluster.create_table(TableConfig.realtime(
+                LOGICAL_TABLE, schema, stream,
+                replication=cfg["replication"],
+                upsert=UpsertConfig(mode=scenario.upsert_mode,
+                                    key_columns=("memberId",)),
+            ))
 
         # Mirrors used by *generation* so drawing an op never has to
         # interrogate (and accidentally perturb) the cluster.
@@ -331,7 +353,6 @@ class SimulationHarness:
         self._degraded: set[str] = set()
         self._controllers = [c.instance_id
                              for c in self.cluster.controllers]
-        self._added_servers = 0
 
     # -- observation stream ---------------------------------------------------
 
@@ -347,20 +368,43 @@ class SimulationHarness:
         self._observe(f"VIOLATION {violation}")
         return violation
 
+    def _check(self, invariant: str, detail: str | None) -> None:
+        if detail is not None:
+            self._violation(invariant, detail)
+
+    def _guarded(self, what: str, action: Callable[..., Any],
+                 *args: Any) -> bool:
+        """Run ``action(*args)``; an exception from the system under
+        test is a ``harness_crash`` violation. True if it returned."""
+        try:
+            action(*args)
+        except Exception:
+            self._violation(
+                "harness_crash",
+                f"{what} raised:\n{traceback.format_exc(limit=8)}",
+            )
+            return False
+        return True
+
     # -- run loop -------------------------------------------------------------
 
     def run(self) -> SimResult:
-        ops = list(self.schedule.ops)
-        for index, op in enumerate(ops):
-            self._step = index
-            self._op = op
+        """Replay mode: execute the recorded schedule verbatim."""
+        return self._run(list(self.schedule.ops))
+
+    def generate_and_run(self, num_steps: int) -> SimResult:
+        """Generate mode: draw, record and execute ``num_steps`` ops."""
+        return self._run(self._generate(num_steps))
+
+    def _run(self, ops: Iterable[Op]) -> SimResult:
+        for op in ops:
+            self._step += 1
             self._execute(op)
             if self.violations and self.stop_on_violation:
-                break
-        else:
-            self._step = len(ops)
-            self._op = None
-            self._epilogue()
+                return self._result()
+        self._step = len(self.schedule.ops)
+        self._op = None
+        self._epilogue()
         return self._result()
 
     def _result(self) -> SimResult:
@@ -376,37 +420,24 @@ class SimulationHarness:
         )
 
     def _execute(self, op: Op) -> None:
+        self._op = op
         handler = self._HANDLERS.get(op.kind)
         if handler is None:
             self._violation("harness_crash", f"unknown op kind {op.kind!r}")
             return
         self._observe(f"op {op}")
-        try:
-            handler(self, op)
-        except Exception:  # a crash inside the system under test
-            self._violation(
-                "harness_crash",
-                f"{op} raised:\n{traceback.format_exc(limit=8)}",
-            )
+        if not self._guarded(str(op), handler, self, op):
             return
-        detail = check_completion_safety(
-            self.cluster.helix, self.cluster.object_store,
-            self.realtime_table, dedup=self.workload == "dedup",
-        )
-        if detail is not None:
-            self._violation("completion_safety", detail)
-        detail = check_residency(self.cluster.servers)
-        if detail is not None:
-            self._violation("residency_budget", detail)
-        detail = check_ejection_discipline(self.cluster.brokers)
-        if detail is not None:
-            self._violation("ejection_discipline", detail)
+        self._check_completion_safety()
+        self._check("residency_budget", check_residency(self.cluster.servers))
+        self._check("ejection_discipline",
+                    check_ejection_discipline(self.cluster.brokers))
 
-    def _apply(self, kind: str, op: Op) -> None:
-        """Run one op through the normal execute path (bootstrap use)."""
-        self._op = op
-        self._execute(op)
-        self._op = None
+    def _check_completion_safety(self) -> None:
+        self._check("completion_safety", check_completion_safety(
+            self.cluster.helix, self.cluster.object_store,
+            self.realtime_table, dedup=self.scenario.upsert_mode == "dedup",
+        ))
 
     # -- visibility model (oracle inputs) -------------------------------------
 
@@ -457,13 +488,9 @@ class SimulationHarness:
     def _visible_rows(self) -> tuple[bool, list[dict]]:
         """(determinate?, logically visible rows of the table).
 
-        For the upsert/dedup workloads the visible prefix of each
-        partition is reduced to one row per primary key — the latest
-        produced occurrence for upsert (arrival order wins: priority is
-        ``(sequence, docId)`` with no comparison column) and the first
-        for dedup (later duplicates are dropped at ingestion). Keys are
-        partitioned by memberId, so per-partition reduction equals
-        global reduction.
+        Each partition's visible prefix goes through the scenario's
+        per-key reduction. Keys are partitioned by memberId, so
+        per-partition reduction equals global reduction.
         """
         offline = self.model.offline_rows()
         realtime: list[dict] = []
@@ -471,17 +498,8 @@ class SimulationHarness:
             determinate, offset = self._visible_offset(partition)
             if not determinate:
                 return False, []
-            prefix = produced[:offset]
-            if self._hybrid:
-                realtime.extend(prefix)
-                continue
-            per_key: dict[Any, dict] = {}
-            for row in prefix:
-                if self.workload == "dedup":
-                    per_key.setdefault(row["memberId"], row)
-                else:
-                    per_key[row["memberId"]] = row
-            realtime.extend(per_key.values())
+            realtime.extend(reduce_per_key(
+                produced[:offset], "memberId", self.scenario.upsert_mode))
         max_day = self.model.max_offline_day()
         if max_day is None:
             return True, realtime
@@ -493,15 +511,25 @@ class SimulationHarness:
 
     # -- op handlers ----------------------------------------------------------
 
-    def _op_query(self, op: Op) -> None:
-        pql = workload.random_query(random.Random(op.params["seed"]),
-                                    LOGICAL_TABLE)
+    def _checked_query(self, base: str, options: list[str],
+                       oracle: Callable[[Any, list[dict]],
+                                        tuple[str, str | None]],
+                       approx: bool = False) -> None:
+        """Run ``base`` with ``options``, then again uncached. Unless an
+        answer is partial or the visible rows are indeterminate, the two
+        must agree (cache coherence), and ``oracle(uncached response,
+        visible rows)`` names the invariant it checks and what broke it
+        (None when it holds)."""
+        pql = _with_options(base, *options)
+        label = "approx " if approx else ""
         response = self.cluster.execute(pql)
-        self._observe(f"result partial={response.is_partial} "
+        rewrites = f"rewrites={response.rewrites!r} " if approx else ""
+        self._observe(f"{label}result partial={response.is_partial} "
                       f"cache_hit={response.cache_hit} "
-                      f"rows={response.rows!r}")
-        uncached = self.cluster.execute(pql + " OPTION(skipCache=true)")
-        self._observe(f"uncached partial={uncached.is_partial} "
+                      f"{rewrites}rows={response.rows!r}")
+        uncached = self.cluster.execute(
+            _with_options(base, *options, "skipCache=true"))
+        self._observe(f"{label}uncached partial={uncached.is_partial} "
                       f"rows={uncached.rows!r}")
         if response.is_partial or uncached.is_partial:
             return  # partial answers are labelled, not wrong (§3.3.4)
@@ -517,59 +545,44 @@ class SimulationHarness:
                 f"{uncached.rows!r} (cache_hit={response.cache_hit})",
             )
             return
-        expected = expected_rows(parse(pql), visible)
-        if not rows_match(uncached.rows, expected):
-            self._violation(
-                "query_oracle",
-                f"{pql}: {diff_summary(uncached.rows, expected)}",
-            )
+        invariant, detail = oracle(uncached, visible)
+        if detail is not None:
+            self._violation(invariant, f"{pql}: {detail}")
+
+    def _op_query(self, op: Op) -> None:
+        pql = workload.random_query(random.Random(op.params["seed"]),
+                                    LOGICAL_TABLE)
+
+        def oracle(uncached, visible):
+            expected = expected_rows(parse(pql), visible)
+            if rows_match(uncached.rows, expected):
+                return "query_oracle", None
+            return "query_oracle", diff_summary(uncached.rows, expected)
+
+        self._checked_query(pql, [], oracle)
 
     def _op_approx_query(self, op: Op) -> None:
         """A query over the approximation surface (invariant: bounds).
 
         The sketches are deterministic, so cache coherence stays an
-        exact row-for-row comparison; correctness against the oracle is
-        checked by :func:`repro.sim.oracle.approx_check`, which keys by
-        group and accepts estimates within the declared error bounds.
+        exact row-for-row comparison (but a quantile sketch's merge is
+        not associative, so two routings of one query can differ:
+        ROADMAP F(8)); correctness against the oracle is checked by
+        :func:`repro.sim.oracle.approx_check`, which keys by group and
+        accepts estimates within the declared error bounds.
         """
         base, use_rewrite = workload.random_approx_query(
             random.Random(op.params["seed"]), LOGICAL_TABLE)
         opts = ["useApproximateFunction=true"] if use_rewrite else []
-        pql = _with_options(base, *opts)
-        response = self.cluster.execute(pql)
-        self._observe(f"approx result partial={response.is_partial} "
-                      f"cache_hit={response.cache_hit} "
-                      f"rewrites={response.rewrites!r} "
-                      f"rows={response.rows!r}")
-        uncached = self.cluster.execute(
-            _with_options(base, *opts, "skipCache=true"))
-        self._observe(f"approx uncached partial={uncached.is_partial} "
-                      f"rows={uncached.rows!r}")
-        if response.is_partial or uncached.is_partial:
-            return
-        determinate, visible = self._visible_rows()
-        self._observe(f"visible determinate={determinate} "
-                      f"n={len(visible)}")
-        if not determinate:
-            return
-        if not rows_match(response.rows, uncached.rows):
-            self._violation(
-                "cache_coherence",
-                f"{pql}: cached {response.rows!r} != uncached "
-                f"{uncached.rows!r} (cache_hit={response.cache_hit})",
-            )
-            return
-        if use_rewrite and not uncached.rewrites:
-            self._violation(
-                "approx_rewrite",
-                f"{pql}: useApproximateFunction=true at threshold 0 "
-                f"produced no rewrite",
-            )
-            return
-        detail = approx_check(parse(base), visible, uncached.rows,
-                              rewritten=use_rewrite)
-        if detail is not None:
-            self._violation("approx_oracle", f"{pql}: {detail}")
+
+        def oracle(uncached, visible):
+            if use_rewrite and not uncached.rewrites:
+                return ("approx_rewrite", "useApproximateFunction=true at "
+                        "threshold 0 produced no rewrite")
+            return "approx_oracle", approx_check(
+                parse(base), visible, uncached.rows, rewritten=use_rewrite)
+
+        self._checked_query(base, opts, oracle, approx=True)
 
     def _op_ingest(self, op: Op) -> None:
         records = workload.generate_records(
@@ -672,7 +685,6 @@ class SimulationHarness:
     def _op_add_server(self, op: Op) -> None:
         server = self.cluster.add_server(op.params.get("instance"))
         self._live_servers.append(server.instance_id)
-        self._added_servers += 1
 
     def _op_kill_controller(self, op: Op) -> None:
         instance = op.params["instance"]
@@ -715,25 +727,59 @@ class SimulationHarness:
 
     # -- op generation (generate mode) ----------------------------------------
 
+    def _generate(self, num_steps: int) -> Iterator[Op]:
+        """Draw and record ``num_steps`` ops, each drawn only after the
+        one before it ran (a maker reads the state it left)."""
+        for __ in range(num_steps):
+            op = None
+            while op is None:
+                op = self._draw_op()
+            self.schedule.ops.append(op)
+            yield op
+
     def _draw_op(self) -> Op | None:
-        mix = OP_WEIGHTS
-        if self.workload == "production":
-            mix = PRODUCTION_OP_WEIGHTS
-        elif self.workload == "approx":
-            mix = OP_WEIGHTS + [("approx_query", 25.0)]
-        elif self.workload != "default":
-            mix = [(kind, weight) for kind, weight in OP_WEIGHTS
-                   if kind not in _NON_UPSERT_OPS]
-        kinds = [kind for kind, __ in mix]
-        weights = [weight for __, weight in mix]
+        kinds = [kind for kind, __ in self.scenario.op_weights]
+        weights = [weight for __, weight in self.scenario.op_weights]
         kind = self.rng.choices(kinds, weights=weights, k=1)[0]
-        maker = getattr(self, f"_make_{kind}", None)
-        if maker is None:
-            return Op(kind)
-        return maker()
+        return getattr(self, f"_make_{kind}")()
 
     def _sub_seed(self) -> int:
         return self.rng.randrange(2 ** 32)
+
+    def _pick(self, items: Sequence[str], at_least: int = 1) -> str | None:
+        """One of ``items`` (None when there are fewer than
+        ``at_least``)."""
+        if len(items) < at_least:
+            return None
+        return items[self.rng.randrange(len(items))]
+
+    def _instance_op(self, kind: str, candidates: Sequence[str],
+                     at_least: int = 1) -> Op | None:
+        instance = self._pick(candidates, at_least)
+        if instance is None:
+            return None
+        return Op(kind, {"instance": instance})
+
+    def _segment_window(self) -> dict[str, int]:
+        """Rows for an offline segment: a seed, a count and a day range
+        in the first half of the time axis."""
+        start = workload.BASE_DAY + self.rng.randrange(workload.DAY_SPAN // 2)
+        return {
+            "seed": self._sub_seed(),
+            "count": self.rng.randrange(20, 80),
+            "min_day": start,
+            "max_day": start + self.rng.randrange(1, 4),
+        }
+
+    def _pick_table(self, offline_share: float) -> str:
+        if self.scenario.upsert_mode is not None:
+            return self.realtime_table  # the only table
+        return (self.offline_table if self.rng.random() < offline_share
+                else self.realtime_table)
+
+    def _healthy_servers(self) -> list[str]:
+        return [instance for instance in self._live_servers
+                if instance not in self._crashed]
 
     def _make_query(self) -> Op:
         return Op("query", {"seed": self._sub_seed()})
@@ -753,130 +799,61 @@ class SimulationHarness:
                   {"seconds": round(self.rng.uniform(0.05, 2.0), 3)})
 
     def _make_upload_segment(self) -> Op:
-        start = workload.BASE_DAY + self.rng.randrange(workload.DAY_SPAN // 2)
-        return Op("upload_segment", {
-            "seed": self._sub_seed(),
-            "count": self.rng.randrange(20, 80),
-            "min_day": start,
-            "max_day": start + self.rng.randrange(1, 4),
-        })
-
-    def _pick_offline_segment(self) -> str | None:
-        names = sorted(self.model.offline_segments)
-        if not names:
-            return None
-        return names[self.rng.randrange(len(names))]
+        return Op("upload_segment", self._segment_window())
 
     def _make_replace_segment(self) -> Op | None:
-        name = self._pick_offline_segment()
+        name = self._pick(sorted(self.model.offline_segments))
         if name is None:
             return None
-        start = workload.BASE_DAY + self.rng.randrange(workload.DAY_SPAN // 2)
-        return Op("replace_segment", {
-            "name": name,
-            "seed": self._sub_seed(),
-            "count": self.rng.randrange(20, 80),
-            "min_day": start,
-            "max_day": start + self.rng.randrange(1, 4),
-        })
+        return Op("replace_segment", {"name": name, **self._segment_window()})
 
     def _make_delete_segment(self) -> Op | None:
-        if len(self.model.offline_segments) < 2:
-            return None  # keep the time boundary defined
-        return Op("delete_segment", {"name": self._pick_offline_segment()})
+        # Two at least, to keep the time boundary defined.
+        name = self._pick(sorted(self.model.offline_segments), at_least=2)
+        if name is None:
+            return None
+        return Op("delete_segment", {"name": name})
 
     def _make_rebalance(self) -> Op:
-        if self.workload in ("upsert", "dedup"):
-            return Op("rebalance", {"table": self.realtime_table})
-        table = (self.offline_table if self.rng.random() < 0.6
-                 else self.realtime_table)
-        return Op("rebalance", {"table": table})
+        return Op("rebalance", {"table": self._pick_table(0.6)})
 
     def _make_cache_invalidate(self) -> Op:
-        if self.workload in ("upsert", "dedup"):
-            return Op("cache_invalidate", {"table": self.realtime_table})
-        table = (self.offline_table if self.rng.random() < 0.5
-                 else self.realtime_table)
-        return Op("cache_invalidate", {"table": table})
-
-    def _healthy_servers(self) -> list[str]:
-        return [instance for instance in self._live_servers
-                if instance not in self._crashed]
+        return Op("cache_invalidate", {"table": self._pick_table(0.5)})
 
     def _make_crash_server(self) -> Op | None:
-        healthy = self._healthy_servers()
-        if len(healthy) < 3:
-            return None  # keep a queryable quorum
-        return Op("crash_server",
-                  {"instance": healthy[self.rng.randrange(len(healthy))]})
+        # Three at least, to keep a queryable quorum.
+        return self._instance_op("crash_server", self._healthy_servers(),
+                                 at_least=3)
 
     def _make_recover_server(self) -> Op | None:
-        impaired = sorted(self._crashed | self._degraded)
-        if not impaired:
-            return None
-        return Op("recover_server",
-                  {"instance": impaired[self.rng.randrange(len(impaired))]})
+        return self._instance_op("recover_server",
+                                 sorted(self._crashed | self._degraded))
 
     def _make_degrade_server(self) -> Op | None:
-        healthy = self._healthy_servers()
-        if len(healthy) < 2:
+        instance = self._pick(self._healthy_servers(), at_least=2)
+        if instance is None:
             return None
-        if self.workload == "production":
-            # Harsh enough to trip the failure detector's EWMA/outlier
-            # thresholds (SIM_HEALTH_POLICY) within a few queries.
-            return Op("degrade_server", {
-                "instance": healthy[self.rng.randrange(len(healthy))],
-                "latency_ms": self.rng.choice([100, 250]),
-                "error_rate": self.rng.choice([0.0, 0.6, 0.9]),
-            })
+        latencies, error_rates = self.scenario.degrade
         return Op("degrade_server", {
-            "instance": healthy[self.rng.randrange(len(healthy))],
-            "latency_ms": self.rng.choice([5, 20, 80]),
-            "error_rate": self.rng.choice([0.0, 0.2, 0.5]),
+            "instance": instance,
+            "latency_ms": self.rng.choice(latencies),
+            "error_rate": self.rng.choice(error_rates),
         })
 
     def _make_kill_server(self) -> Op | None:
-        healthy = self._healthy_servers()
         if len(self._live_servers) <= self.config["replication"] + 1:
             return None
-        if not healthy:
-            return None
-        return Op("kill_server",
-                  {"instance": healthy[self.rng.randrange(len(healthy))]})
+        return self._instance_op("kill_server", self._healthy_servers())
 
     def _make_add_server(self) -> Op:
         return Op("add_server", {})
 
     def _make_kill_controller(self) -> Op | None:
-        if len(self._controllers) < 2:
-            return None
-        instance = self._controllers[
-            self.rng.randrange(len(self._controllers))]
-        return Op("kill_controller", {"instance": instance})
+        return self._instance_op("kill_controller", self._controllers,
+                                 at_least=2)
 
     def _make_evict_residency(self) -> Op | None:
-        healthy = self._healthy_servers()
-        if not healthy:
-            return None
-        return Op("evict_residency",
-                  {"instance": healthy[self.rng.randrange(len(healthy))]})
-
-    def generate_and_run(self, num_steps: int) -> SimResult:
-        """Generate mode: draw, record and execute ``num_steps`` ops."""
-        for index in range(num_steps):
-            op = None
-            while op is None:
-                op = self._draw_op()
-            self.schedule.ops.append(op)
-            self._step = len(self.schedule.ops) - 1
-            self._op = op
-            self._execute(op)
-            if self.violations and self.stop_on_violation:
-                return self._result()
-        self._step = len(self.schedule.ops)
-        self._op = None
-        self._epilogue()
-        return self._result()
+        return self._instance_op("evict_residency", self._healthy_servers())
 
     # -- heal-and-verify epilogue ---------------------------------------------
 
@@ -886,27 +863,11 @@ class SimulationHarness:
             server.faults.recover()
         self._crashed.clear()
         self._degraded.clear()
-
-        try:
-            self.cluster.drain_realtime(max_ticks=600)
-            for resource in self.cluster.helix.resources():
-                self.cluster.helix.converge(resource)
-        except Exception:
-            self._violation(
-                "harness_crash",
-                f"epilogue raised:\n{traceback.format_exc(limit=8)}",
-            )
+        if not self._guarded("epilogue", self._drain_and_converge):
             return
 
-        detail = check_convergence(self.cluster.helix)
-        if detail is not None:
-            self._violation("convergence", detail)
-        detail = check_completion_safety(
-            self.cluster.helix, self.cluster.object_store,
-            self.realtime_table, dedup=self.workload == "dedup",
-        )
-        if detail is not None:
-            self._violation("completion_safety", detail)
+        self._check("convergence", check_convergence(self.cluster.helix))
+        self._check_completion_safety()
 
         # Liveness / hybrid integrity: every produced row must be
         # visible once the cluster is healthy and drained.
@@ -928,7 +889,7 @@ class SimulationHarness:
         if self.violations:
             return
 
-        if self.workload == "production":
+        if self.scenario.health is not None:
             self._pump_heal_return()
             if self.violations:
                 return
@@ -938,27 +899,24 @@ class SimulationHarness:
         # ends with the sketch surface verified against a drained,
         # fully visible table.
         battery_kinds = ["query"] * 8
-        if self.workload == "approx":
+        if self.scenario.approx:
             battery_kinds += ["approx_query"] * 6
         for index, kind in enumerate(battery_kinds):
-            battery = Op(kind, {
+            self._op = Op(kind, {
                 "seed": (self.schedule.seed * 1_000_003 + index) % 2 ** 32,
             })
-            self._op = battery
-            try:
-                self._HANDLERS[kind](self, battery)
-            except Exception:
-                self._violation(
-                    "harness_crash",
-                    f"battery query raised:\n"
-                    f"{traceback.format_exc(limit=8)}",
-                )
-            self._op = None
+            self._guarded("battery query", self._HANDLERS[kind], self,
+                          self._op)
             if self.violations:
                 return
 
+    def _drain_and_converge(self) -> None:
+        self.cluster.drain_realtime(max_ticks=600)
+        for resource in self.cluster.helix.resources():
+            self.cluster.helix.converge(resource)
+
     def _pump_heal_return(self) -> None:
-        """Production epilogue: healed servers must return to rotation.
+        """Healed servers must return to rotation.
 
         All faults were healed above, so probes now succeed and every
         broker's failure detector has to heal its ejections within a
@@ -982,21 +940,15 @@ class SimulationHarness:
         for attempt in range(200):
             if not still_ejected():
                 break
-            self.cluster.clock.advance(SIM_HEALTH_POLICY.probe_interval_s)
+            self.cluster.clock.advance(self.scenario.health.probe_interval_s)
             pql = workload.random_query(
                 random.Random(
                     (self.schedule.seed * 7_368_787 + attempt) % 2 ** 32
                 ),
                 LOGICAL_TABLE,
             )
-            try:
-                self.cluster.execute(pql + " OPTION(skipCache=true)")
-            except Exception:
-                self._violation(
-                    "harness_crash",
-                    f"heal-return pump raised:\n"
-                    f"{traceback.format_exc(limit=8)}",
-                )
+            if not self._guarded("heal-return pump", self.cluster.execute,
+                                 _with_options(pql, "skipCache=true")):
                 return
         remaining = still_ejected()
         self._observe(f"epilogue: heal-return remaining={remaining}")
@@ -1006,9 +958,8 @@ class SimulationHarness:
                 f"servers still ejected after heal + probe pumping: "
                 f"{remaining}",
             )
-        detail = check_ejection_discipline(self.cluster.brokers)
-        if detail is not None:
-            self._violation("ejection_discipline", detail)
+        self._check("ejection_discipline",
+                    check_ejection_discipline(self.cluster.brokers))
 
 
 def run_seed(seed: int, num_steps: int = 60,

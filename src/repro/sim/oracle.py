@@ -54,6 +54,27 @@ APPROX_OF_EXACT = {
 }
 
 
+def reduce_per_key(rows: Sequence[Mapping[str, Any]], key: str,
+                   mode: str | None) -> list:
+    """The rows a table keyed on ``key`` keeps of a produced stream.
+
+    ``mode`` is the table's upsert mode: ``"upsert"`` keeps the latest
+    row per key (arrival order wins, so priority is ``(sequence,
+    docId)`` with no comparison column), ``"dedup"`` the first (later
+    duplicates are dropped at ingestion), and None keeps every row.
+    Each kept row sits where its key first appeared.
+    """
+    if mode is None:
+        return list(rows)
+    per_key: dict[Any, Mapping[str, Any]] = {}
+    for row in rows:
+        if mode == "dedup":
+            per_key.setdefault(row[key], row)
+        else:
+            per_key[row[key]] = row
+    return list(per_key.values())
+
+
 def _percentile(values: Sequence[float], quantile: float) -> float | None:
     if not values:
         return None

@@ -84,13 +84,13 @@ class TestDataTypeCoercion:
 
     def test_float_range_is_float32_rounding(self):
         """The largest magnitude that float32 rounds to a finite value
-        is accepted, the next float64 up is not."""
+        is accepted, as that float32; the next float64 up is not."""
         overflow = 2.0**128 - 2.0**103
         below = float(np.nextafter(overflow, 0.0))
         with np.errstate(over="ignore"):
             assert np.isfinite(np.float32(below))
             assert np.isinf(np.float32(overflow))
-        assert DataType.FLOAT.coerce(below) == below
+        assert DataType.FLOAT.coerce(below) == float(np.finfo(np.float32).max)
         with pytest.raises(SchemaError):
             DataType.FLOAT.coerce(overflow)
 

@@ -5,6 +5,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,8 @@ from repro.common.schema import Schema
 from repro.common.types import DataType, FieldRole, FieldSpec
 from repro.segment.builder import SegmentBuilder, SegmentConfig
 from repro.segment.io import load_segment, write_segment
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 scalar_dtypes = st.sampled_from([
     DataType.INT, DataType.LONG, DataType.FLOAT, DataType.DOUBLE,
@@ -26,9 +29,12 @@ def value_for(dtype, rng_draw):
         return rng_draw(st.booleans())
     if dtype in (DataType.INT, DataType.LONG):
         return rng_draw(st.integers(-1000, 1000))
-    # FLOAT columns round-trip through float32; stick to values exactly
-    # representable there.
-    return float(rng_draw(st.integers(-1000, 1000))) / 4.0
+    if dtype is DataType.FLOAT:
+        # Any float64 float32 can hold: the column stores the float32
+        # it rounds to, so two cells may become one value.
+        return rng_draw(st.one_of(st.floats(-FLOAT32_MAX, FLOAT32_MAX),
+                                  st.sampled_from([0.1, 0.10000000001])))
+    return rng_draw(st.floats(allow_nan=False))
 
 
 @st.composite

@@ -14,7 +14,7 @@ latencies, so its digests depend on the host's speed (seed 4 moves when
 
 import pytest
 
-from repro.sim.harness import run_seed
+from repro.sim.harness import SCENARIOS, run_seed
 
 STEPS = 60
 
@@ -48,3 +48,8 @@ def test_digest_is_pinned(name, seed):
     result = run_seed(seed, STEPS, config)
     assert result.ok, result.violations[0]
     assert result.digest[:12] == GOLDEN[config["workload"]][seed]
+
+
+def test_every_pinnable_scenario_is_pinned():
+    """A new scenario row comes with its pins."""
+    assert set(GOLDEN) == set(SCENARIOS) - {"production"}

@@ -3,7 +3,8 @@
 import math
 
 from repro.pql.parser import parse
-from repro.sim.oracle import diff_summary, expected_rows, rows_match
+from repro.sim.oracle import (diff_summary, expected_rows, reduce_per_key,
+                              rows_match)
 
 
 RECORDS = [
@@ -90,3 +91,21 @@ class TestRowComparison:
     def test_diff_summary_names_first_difference(self):
         text = diff_summary([(1,)], [(2,)])
         assert "expected (2,)" in text and "got (1,)" in text
+
+
+class TestReducePerKey:
+    STREAM = [{"k": 1, "v": "a"}, {"k": 2, "v": "b"}, {"k": 1, "v": "c"},
+              {"k": 3, "v": "d"}, {"k": 2, "v": "e"}]
+
+    def test_upsert_keeps_the_last_row_per_key(self):
+        kept = reduce_per_key(self.STREAM, "k", "upsert")
+        assert [row["v"] for row in kept] == ["c", "e", "d"]
+
+    def test_dedup_keeps_the_first_row_per_key(self):
+        kept = reduce_per_key(self.STREAM, "k", "dedup")
+        assert [row["v"] for row in kept] == ["a", "b", "d"]
+
+    def test_no_mode_keeps_every_row(self):
+        kept = reduce_per_key(self.STREAM, "k", None)
+        assert kept == self.STREAM
+        assert kept is not self.STREAM
