@@ -11,6 +11,8 @@ The ingest shapes of the end-to-end benchmark, on a 3-server cluster:
   topic keyed by ``vieweeId``, then consumed) calls ``murmur2`` once
   per distinct key in the step, not once per row; the consumed step
   is still all there, and validated without ``FieldSpec.coerce``.
+  Producing and consuming it builds no ``KafkaMessage``: partitions
+  hold record batches and the server indexes a poll's values whole.
 
 Counts are exact for the data, so these are hard gates; the report
 also prints them.
@@ -21,6 +23,7 @@ from repro.cluster.pinot import PinotCluster
 from repro.cluster.table import StreamConfig, TableConfig
 from repro.common.types import FieldSpec
 from repro.kafka import partitioner
+from repro.kafka.broker import KafkaMessage
 from repro.workloads import wvmp
 
 NUM_ROWS = 6_000
@@ -69,14 +72,18 @@ def test_ingest_counts(monkeypatch):
     step = records[:STEP_ROWS]
     keys = len({record["vieweeId"] for record in step})
     del coerced[:]
+    messages = count_calls(monkeypatch, KafkaMessage, "__init__")
     cluster.ingest("profile-views", step, key_column="vieweeId")
     produced = len(hashed)
     cluster.process_realtime()
+    built = len(messages)
     assert cluster.execute("SELECT count(*) FROM wvmp").rows == [(STEP_ROWS,)]
     report.append(f"produce_all of a {STEP_ROWS}-row step with {keys} "
                   f"distinct keys: {produced} murmur2 calls; consuming it: "
-                  f"{len(coerced)} FieldSpec.coerce calls")
+                  f"{len(coerced)} FieldSpec.coerce calls, {built} "
+                  f"KafkaMessage objects")
     write_report("ingest_counts", "\n".join(report))
     assert pushed == 0
     assert produced == keys
     assert not coerced
+    assert built == 0

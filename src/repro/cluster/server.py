@@ -34,7 +34,7 @@ from repro.errors import ClusterError, PinotError
 from repro.faults import FaultInjector, run_with_faults
 from repro.helix.manager import HelixManager
 from repro.helix.statemachine import SegmentState
-from repro.kafka.broker import KafkaConsumer, SimKafka
+from repro.kafka.broker import KafkaConsumer, RecordBatch, SimKafka
 from repro.obs import propagation
 from repro.obs.metrics import Metrics
 from repro.obs.trace import STATUS_ERROR, STATUS_OK
@@ -437,28 +437,27 @@ class ServerInstance:
             if consuming.reached_end_criteria:
                 self._run_completion_step(consuming)
 
-    def _index_messages(self, consuming: _ConsumingSegment,
-                        messages) -> None:
-        """Index polled messages into the consuming mutable segment,
+    def _index_batch(self, consuming: _ConsumingSegment,
+                     batch: RecordBatch) -> None:
+        """Index a polled batch into the consuming mutable segment,
         applying the table's upsert/dedup semantics row by row."""
         manager = self.upsert_manager(consuming.table)
+        mutable = consuming.mutable
         if manager is None:
-            consuming.mutable.index_all(
-                [message.value for message in messages]
-            )
+            mutable.index_all(batch.values)
             return
         invalidated = False
-        for message in messages:
-            record = consuming.config.schema.normalize(message.value)
+        for value in batch.values:
+            row = mutable.schema.normalize(value)
             if manager.config.is_dedup:
-                if not manager.admit(consuming.partition, record):
+                if not manager.admit(consuming.partition, row):
                     self.metrics.incr("dedup_rows_dropped")
                     continue
-                consuming.mutable.index(record)
+                mutable.index_row(row)
                 continue
-            doc_id = consuming.mutable.num_docs
-            consuming.mutable.index(record)
-            if manager.apply(consuming.name, doc_id, record):
+            doc_id = mutable.num_docs
+            mutable.index_row(row)
+            if manager.apply(consuming.name, doc_id, row):
                 invalidated = True
         if invalidated:
             # A row in this consuming segment superseded one inside an
@@ -469,8 +468,8 @@ class ServerInstance:
     def _poll_once(self, consuming: _ConsumingSegment) -> None:
         stream = consuming.config.stream
         assert stream is not None
-        messages = consuming.consumer.poll(stream.records_per_poll)
-        self._index_messages(consuming, messages)
+        self._index_batch(consuming,
+                          consuming.consumer.poll(stream.records_per_poll))
         consuming.ticks += 1
         if consuming.mutable.num_docs >= stream.flush_threshold_rows:
             consuming.reached_end_criteria = True
@@ -501,18 +500,16 @@ class ServerInstance:
 
             while consuming.offset < response.offset:
                 try:
-                    messages = consuming.consumer.poll_until(
-                        response.offset
-                    )
+                    batch = consuming.consumer.poll_until(response.offset)
                 except IngestionError:
                     # Kafka retention already expired this range; keep
                     # polling the controller — once another replica has
                     # committed we will be told to DISCARD and fetch the
                     # authoritative copy instead (§3.3.6).
                     return
-                if not messages:
+                if not batch:
                     break
-                self._index_messages(consuming, messages)
+                self._index_batch(consuming, batch)
             return
         if response.instruction is Instruction.KEEP:
             self._seal(consuming)

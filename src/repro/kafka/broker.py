@@ -7,12 +7,17 @@ same start offset see the exact same records in the same order, and
 offsets are dense and monotonically increasing. This simulation
 reproduces those semantics in memory, plus the retention windowing the
 paper mentions ("Kafka retains data only for a certain period of time").
+
+A partition stores records as parallel key and value lists and reads
+hand out :class:`RecordBatch` slices of them, so nothing is built per
+record between a producer and the consuming segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from itertools import count
+from typing import Any, Iterable, Iterator
 
 from repro.errors import IngestionError
 from repro.kafka.partitioner import kafka_partition, key_bytes
@@ -20,42 +25,94 @@ from repro.kafka.partitioner import kafka_partition, key_bytes
 
 @dataclass(frozen=True)
 class KafkaMessage:
-    """One record on a partition."""
+    """One record on a partition, as a :class:`RecordBatch` yields it."""
 
     offset: int
     key: Any
     value: dict[str, Any]
 
 
+class RecordBatch:
+    """Consecutive records of one partition: ``keys[i]`` and
+    ``values[i]`` sit at offset ``base_offset + i``.
+
+    A consumer hands ``values`` to the segment whole; iterating,
+    indexing or comparing the batch yields :class:`KafkaMessage` views
+    for a caller that wants records one by one.
+    """
+
+    __slots__ = ("base_offset", "keys", "values")
+
+    def __init__(self, base_offset: int, keys: list[Any],
+                 values: list[dict[str, Any]]):
+        self.base_offset = base_offset
+        self.keys = keys
+        self.values = values
+
+    @property
+    def end_offset(self) -> int:
+        """The offset after the batch's last record."""
+        return self.base_offset + len(self.values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index: int) -> KafkaMessage:
+        offsets = range(self.base_offset, self.end_offset)
+        return KafkaMessage(offsets[index], self.keys[index],
+                            self.values[index])
+
+    def __iter__(self) -> Iterator[KafkaMessage]:
+        return map(KafkaMessage, count(self.base_offset), self.keys,
+                   self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RecordBatch, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (f"RecordBatch(base_offset={self.base_offset}, "
+                f"records={len(self.values)})")
+
+
 class _Partition:
+    """One partition's retained records as two parallel lists; the
+    record at offset ``o`` is at index ``o - start_offset``."""
+
     def __init__(self) -> None:
-        self.messages: list[KafkaMessage] = []
+        self.keys: list[Any] = []
+        self.values: list[dict[str, Any]] = []
         self.start_offset = 0  # first retained offset
 
     @property
     def end_offset(self) -> int:
-        return self.start_offset + len(self.messages)
+        return self.start_offset + len(self.values)
 
-    def append(self, key: Any, value: dict[str, Any]) -> int:
+    def extend(self, keys: list[Any], values: list[dict[str, Any]]) -> int:
+        """Append records; returns the offset of the first."""
         offset = self.end_offset
-        self.messages.append(KafkaMessage(offset, key, value))
+        self.keys += keys
+        self.values += values
         return offset
 
-    def fetch(self, offset: int, max_records: int) -> list[KafkaMessage]:
+    def fetch(self, offset: int, max_records: int) -> RecordBatch:
         if offset < self.start_offset:
             raise IngestionError(
                 f"offset {offset} below retention start "
                 f"{self.start_offset} (data expired)"
             )
         index = offset - self.start_offset
-        return self.messages[index:index + max_records]
+        window = slice(index, index + max_records)
+        return RecordBatch(offset, self.keys[window], self.values[window])
 
     def truncate_before(self, offset: int) -> None:
-        """Drop messages below ``offset`` (retention enforcement)."""
+        """Drop records below ``offset`` (retention enforcement)."""
         if offset <= self.start_offset:
             return
-        drop = min(offset - self.start_offset, len(self.messages))
-        del self.messages[:drop]
+        drop = min(offset - self.start_offset, len(self.values))
+        del self.keys[:drop]
+        del self.values[:drop]
         self.start_offset += drop
 
 
@@ -99,7 +156,7 @@ class SimKafka:
         else:
             total = sum(p.end_offset for p in partitions)
             partition_id = total % len(partitions)
-        offset = partitions[partition_id].append(key, value)
+        offset = partitions[partition_id].extend([key], [value])
         return partition_id, offset
 
     def produce_all(self, topic: str, values: Iterable[dict[str, Any]],
@@ -109,28 +166,38 @@ class SimKafka:
         Every record lands where :meth:`produce` would put it, and each
         distinct key is hashed once per call (by its bytes: ``1``,
         ``1.0`` and ``True`` are one dict key but three partition keys).
+        Records are routed first and each partition is then extended
+        once.
         """
         partitions = self._partitions(topic)
-        first = total = sum(p.end_offset for p in partitions)
+        width = len(partitions)
+        first = sum(p.end_offset for p in partitions)
+        values = list(values)
+        keys = ([value[key_column] for value in values]
+                if key_column is not None else [None] * len(values))
+        routed_keys: list[list[Any]] = [[] for _ in partitions]
+        routed_values: list[list[dict[str, Any]]] = [[] for _ in partitions]
         placed: dict[bytes, int] = {}
-        for value in values:
-            key = value[key_column] if key_column is not None else None
+        for total, key, value in zip(count(first), keys, values):
             if key is None:
-                partition_id = total % len(partitions)
+                partition_id = total % width
             else:
                 encoded = key_bytes(key)
                 partition_id = placed.get(encoded)
                 if partition_id is None:
                     partition_id = placed[encoded] = kafka_partition(
-                        encoded, len(partitions))
-            partitions[partition_id].append(key, value)
-            total += 1
-        return total - first
+                        encoded, width)
+            routed_keys[partition_id].append(key)
+            routed_values[partition_id].append(value)
+        for partition, routed, keyed in zip(partitions, routed_values,
+                                            routed_keys):
+            partition.extend(keyed, routed)
+        return len(values)
 
     # -- consuming -----------------------------------------------------------
 
     def fetch(self, topic: str, partition: int, offset: int,
-              max_records: int = 500) -> list[KafkaMessage]:
+              max_records: int = 500) -> RecordBatch:
         """Read up to ``max_records`` from ``offset`` (inclusive)."""
         return self._partitions(topic)[partition].fetch(offset, max_records)
 
@@ -163,15 +230,14 @@ class KafkaConsumer:
         self.partition = partition
         self.position = start_offset
 
-    def poll(self, max_records: int = 500) -> list[KafkaMessage]:
-        messages = self._kafka.fetch(self.topic, self.partition,
-                                     self.position, max_records)
-        if messages:
-            self.position = messages[-1].offset + 1
-        return messages
+    def poll(self, max_records: int = 500) -> RecordBatch:
+        batch = self._kafka.fetch(self.topic, self.partition,
+                                  self.position, max_records)
+        self.position = batch.end_offset
+        return batch
 
     def poll_until(self, end_offset: int,
-                   max_records: int = 500) -> list[KafkaMessage]:
+                   max_records: int = 500) -> RecordBatch:
         """Consume up to (but not beyond) ``end_offset`` — the CATCHUP
         instruction of the completion protocol (§3.3.6)."""
         budget = max(0, min(max_records, end_offset - self.position))

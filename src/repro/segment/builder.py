@@ -235,7 +235,11 @@ class SegmentBuilder:
         """Validate one record and append it, or raise and append
         nothing. Row by row: on one record a probe per column would
         cost more than it saves."""
-        row = self.schema.normalize(record)
+        self.append(self.schema.normalize(record))
+
+    def append(self, row: Mapping[str, Any]) -> None:
+        """Append one row that :meth:`Schema.normalize` of this
+        builder's schema returned, without validating it again."""
         for spec in self.schema:
             self._column(spec).append(row[spec.name])
         self._num_rows += 1

@@ -56,6 +56,11 @@ class MutableSegment:
         """Append one event (already decoded from the stream)."""
         self._open_rows().add(record)
 
+    def index_row(self, row: Mapping[str, Any]) -> None:
+        """Append one row already normalized by :attr:`schema` (a
+        caller that needed the validated row first, e.g. upsert)."""
+        self._open_rows().append(row)
+
     def index_all(self, records: Iterable[Mapping[str, Any]]) -> None:
         """Append a batch of events: each is validated once, here."""
         self._open_rows().add_all(records)

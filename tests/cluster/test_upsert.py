@@ -304,6 +304,47 @@ class TestDedup:
                     assert consuming.offset == 30
 
 
+class TestIngestValidation:
+    @pytest.mark.parametrize("mode", ["upsert", "dedup"])
+    def test_each_record_is_normalized_once(self, mode, monkeypatch):
+        """The upsert/dedup gate needs the validated row; the segment
+        stores that same row instead of validating the record again."""
+        cluster = make_cluster(mode=mode, num_servers=1, replication=1,
+                               flush_rows=100)
+        records = [row(member % 25, member) for member in range(40)]
+        calls = []
+        normalize = Schema.normalize
+        monkeypatch.setattr(
+            Schema, "normalize",
+            lambda self, record: calls.append(record) or normalize(
+                self, record))
+        cluster.ingest(TOPIC, records, key_column="memberId")
+        cluster.drain_realtime()
+        monkeypatch.undo()
+        assert len(calls) == len(records)
+        expected = ({m: float(m + 25 if m < 15 else m) for m in range(25)}
+                    if mode == "upsert" else
+                    {m: float(m) for m in range(25)})
+        assert latest_views(cluster) == expected
+
+    @pytest.mark.parametrize("mode", ["upsert", "dedup"])
+    def test_records_may_carry_a_column_added_mid_consumption(self, mode):
+        """Rows are validated against the consuming segment's schema,
+        which gains an added column (§5.2), as on a plain table."""
+        cluster = make_cluster(mode=mode, num_servers=1, replication=1,
+                               flush_rows=100)
+        cluster.ingest(TOPIC, [row(1, 10), row(2, 20)],
+                       key_column="memberId")
+        cluster.drain_realtime()
+        cluster.leader_controller().add_column(TABLE, dimension("platform"))
+        cluster.ingest(TOPIC, [{**row(3, 30), "platform": "ios"},
+                               row(4, 40)], key_column="memberId")
+        cluster.drain_realtime()
+        assert sorted(query_rows(
+            cluster, "SELECT count(*) FROM profiles GROUP BY platform "
+                     "TOP 10")) == [("ios", 1), ("null", 3)]
+
+
 class TestFailoverAndRebuild:
     def test_crashed_replica_fails_over_correctly(self):
         cluster = make_cluster(flush_rows=5)
