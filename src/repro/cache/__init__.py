@@ -1,8 +1,8 @@
 """The query cache & segment-prune subsystem.
 
-Two layers make repeated site-facing traffic (the §5 WVMP /
-share-analytics iceberg-query pattern) cheap, and a bus keeps the first
-one honest:
+Three layers make repeated site-facing traffic (the §5 WVMP /
+share-analytics iceberg-query pattern) and repeated monitoring texts
+over realtime tables cheap, and a bus keeps the first one honest:
 
 * :class:`BrokerResultCache` — an LRU + byte-budget cache of whole
   broker responses, keyed on the normalized physical plan, the
@@ -14,12 +14,17 @@ one honest:
   filters and partition metadata held against a WHERE clause taken
   apart once per (sub-)query. The broker asks it before the scatter,
   every server per resolved segment and in ``explain``, and
-  partition-aware routing reads its EQ/IN values.
+  partition-aware routing reads its EQ/IN values;
+* :class:`SegmentPartialCache` — each server's bounded cache of the
+  partials it computed on sealed segments, for texts it has seen
+  before (:mod:`repro.cache.partials`).
 
 Invalidation is event-driven: segment completion, minion segment
 replacement, and Helix state transitions all publish to a small
 :class:`InvalidationBus`; each event bumps the table's epoch in every
-subscribed :class:`TableEpochs`, changing the cache key. Decoded column
+subscribed :class:`TableEpochs`, changing the cache key. The partial
+cache needs no event: an entry answers only for the very segment
+object it was computed on. Decoded column
 arrays are not a layer here: they live and die with their segment
 object, which the per-server ``SegmentCache`` (:mod:`repro.store`)
 bounds.
@@ -27,6 +32,7 @@ bounds.
 
 from repro.cache.bus import InvalidationBus, InvalidationEvent, TableEpochs
 from repro.cache.lru import CacheStats, LruCache
+from repro.cache.partials import SegmentPartialCache
 from repro.cache.pruner import (
     compile_pruner,
     equality_constraints,
@@ -41,6 +47,7 @@ __all__ = [
     "InvalidationBus",
     "InvalidationEvent",
     "LruCache",
+    "SegmentPartialCache",
     "TableEpochs",
     "compile_pruner",
     "equality_constraints",

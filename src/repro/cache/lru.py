@@ -1,6 +1,7 @@
 """A small LRU cache with entry- and byte-budget eviction.
 
-Backs the broker result cache. Values are opaque; the caller supplies
+Backs the broker result cache and each server's segment-partial cache
+(:mod:`repro.cache.partials`). Values are opaque; the caller supplies
 the byte estimate at insert time (responses know their own sizes, and a
 generic ``sys.getsizeof`` would under-count them).
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 
 @dataclass
@@ -114,6 +115,13 @@ class LruCache:
         self.stats.invalidations += 1
         self.stats.entries = len(self._entries)
         return True
+
+    def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
+        """Drop every entry whose key satisfies ``predicate``; how many."""
+        doomed = [key for key in self._entries if predicate(key)]
+        for key in doomed:
+            self.invalidate(key)
+        return len(doomed)
 
     def clear(self) -> None:
         for key in list(self._entries):

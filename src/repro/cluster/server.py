@@ -16,6 +16,7 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.cache.partials import SegmentPartialCache
 from repro.cache.pruner import prune_reason
 from repro.cluster.completion import Instruction
 from repro.cluster.objectstore import ObjectStore
@@ -105,6 +106,9 @@ class ServerInstance:
             on_evict=self._on_store_evict,
             metrics=self.metrics,
         )
+        #: Partials of sealed segments for repeated query texts
+        #: (repro.cache.partials).
+        self.partial_cache = SegmentPartialCache(self.metrics)
         #: table -> primary-key upsert/dedup index (repro.upsert);
         #: created lazily from the table config on first contact.
         self._upsert: dict[str, TableUpsertManager] = {}
@@ -556,6 +560,8 @@ class ServerInstance:
         default-valued virtual column, without reloading anything.
         Non-resident (evicted / never-loaded) segments are reconciled
         against the table schema when they are next fetched."""
+        # ``SELECT *`` widens on the segments changed in place here.
+        self.partial_cache.drop_table(table)
         for entry in self.segment_cache.entries(table):
             if entry.segment is not None:
                 self._add_virtual_column(entry.segment, spec)
@@ -626,8 +632,8 @@ class ServerInstance:
     def _execute_segments(self, query: Query, table: str,
                           segment_names: list[str],
                           deadline: float | None) -> ServerResult:
-        #: The query compiled once, against the first resolved segment's
-        #: schema; each segment only binds it (docs/ENGINE.md).
+        #: The query compiled once, against the first segment executed;
+        #: each segment only binds it (docs/ENGINE.md).
         compiled: CompiledQuery | None = None
         vectorized = bool(
             query.options.get("vectorized", self.default_vectorized)
@@ -636,6 +642,15 @@ class ServerInstance:
         #: sampled trace context with this sub-request (repro.obs).
         recorder = propagation.current()
         upsert = self.upsert_manager(table)
+        #: The text keying this query's sealed-segment partials, or None
+        #: when they are neither read nor stored: a text seen here for
+        #: the first time, ``skipCache`` (the ground-truth path) and
+        #: upsert/dedup tables, whose valid docs change a sealed
+        #: segment's answer without changing the segment.
+        text = (self.partial_cache.admit(query)
+                if upsert is None and not query.options.get("skipCache")
+                else None)
+        skip_prune = bool(query.options.get("skipPrune"))
         results: list[SegmentResult] = []
         span = None
         #: Segments pinned resident for the duration of this query —
@@ -657,28 +672,43 @@ class ServerInstance:
                         recorder.end(span)
                         span = None
                     continue
-                if compiled is None:
-                    compiled = compile_query(query, segment.schema)
-                reason = prune_reason(segment.metadata, compiled.pruner)
-                if reason is not None:
-                    self.metrics.incr("segments_pruned")
-                    results.append(prune_result(segment, query))
+                # Consuming snapshots are never cached: only a segment
+                # this server hosts sealed is.
+                key = ((table, name, text, vectorized, skip_prune)
+                       if text is not None and (table, name)
+                       in self.segment_cache else None)
+                segment_result = (self.partial_cache.get(key, segment)
+                                  if key is not None else None)
+                if segment_result is not None:
+                    # Executed for this exact text before, so the prune
+                    # verdict is known: it was not pruned.
                     if span is not None:
-                        span.attributes["pruned"] = True
-                        span.attributes["prune_reason"] = reason
-                        recorder.end(span)
-                        span = None
-                    continue
-                self.metrics.incr("segments_scanned")
-                valid_docs = (
-                    upsert.selection_for(name, segment.num_docs)
-                    if upsert is not None else None
-                )
-                if span is not None and valid_docs is not None:
-                    span.attributes["valid_docs"] = valid_docs.count
-                segment_result = execute_segment(segment, compiled,
-                                                 vectorized=vectorized,
-                                                 valid_docs=valid_docs)
+                        span.attributes["cached"] = True
+                else:
+                    if compiled is None:
+                        compiled = compile_query(query, segment.schema)
+                    reason = prune_reason(segment.metadata, compiled.pruner)
+                    if reason is not None:
+                        self.metrics.incr("segments_pruned")
+                        results.append(prune_result(segment, query))
+                        if span is not None:
+                            span.attributes["pruned"] = True
+                            span.attributes["prune_reason"] = reason
+                            recorder.end(span)
+                            span = None
+                        continue
+                    self.metrics.incr("segments_scanned")
+                    valid_docs = (
+                        upsert.selection_for(name, segment.num_docs)
+                        if upsert is not None else None
+                    )
+                    if span is not None and valid_docs is not None:
+                        span.attributes["valid_docs"] = valid_docs.count
+                    segment_result = execute_segment(segment, compiled,
+                                                     vectorized=vectorized,
+                                                     valid_docs=valid_docs)
+                    if key is not None:
+                        self.partial_cache.put(key, segment, segment_result)
                 results.append(segment_result)
                 if span is not None:
                     span.attributes["docs_scanned"] = (
