@@ -2,7 +2,8 @@
 
 Three layers make repeated site-facing traffic (the §5 WVMP /
 share-analytics iceberg-query pattern) and repeated monitoring texts
-over realtime tables cheap, and a bus keeps the first one honest:
+over realtime tables cheap, and a Helix table epoch keeps the first one
+honest:
 
 * :class:`BrokerResultCache` — an LRU + byte-budget cache of whole
   broker responses, keyed on the normalized physical plan, the
@@ -19,18 +20,18 @@ over realtime tables cheap, and a bus keeps the first one honest:
   partials it computed on sealed segments, for texts it has seen
   before (:mod:`repro.cache.partials`).
 
-Invalidation is event-driven: segment completion, minion segment
-replacement, and Helix state transitions all publish to a small
-:class:`InvalidationBus`; each event bumps the table's epoch in every
-subscribed :class:`TableEpochs`, changing the cache key. The partial
-cache needs no event: an entry answers only for the very segment
-object it was computed on. Decoded column
+Invalidation needs no messages: everything that changes what a table
+serves — segment push, replacement, deletion, completion and tiering,
+a replica entering or leaving a queryable state, an instance's death,
+an eviction, an upsert-state change — bumps the table's epoch on the
+``HelixManager`` (``bump_epoch`` / ``table_epoch``), and the broker's
+key embeds it. The partial cache needs no epoch: an entry answers only
+for the very segment object it was computed on. Decoded column
 arrays are not a layer here: they live and die with their segment
 object, which the per-server ``SegmentCache`` (:mod:`repro.store`)
 bounds.
 """
 
-from repro.cache.bus import InvalidationBus, InvalidationEvent, TableEpochs
 from repro.cache.lru import CacheStats, LruCache
 from repro.cache.partials import SegmentPartialCache
 from repro.cache.pruner import (
@@ -44,11 +45,8 @@ __all__ = [
     "BrokerResultCache",
     "CacheStats",
     "CachedResult",
-    "InvalidationBus",
-    "InvalidationEvent",
     "LruCache",
     "SegmentPartialCache",
-    "TableEpochs",
     "compile_pruner",
     "equality_constraints",
     "prune_reason",

@@ -18,8 +18,9 @@ The server decides what may be cached (docs/ARCHITECTURE.md, "Caching
   ``skipPrune`` is in it because a hit skips the server's prune check.
 * **Identity.** An entry holds a weak reference to the loaded segment
   it was computed on, and only that object gets a hit: a replaced,
-  reloaded or re-fetched segment misses. (``SegmentMetadata.crc`` is
-  not set, so it cannot tell two loads apart.) Changes made to a
+  reloaded or re-fetched segment misses. (``SegmentMetadata`` holds
+  no content hash, so only the object tells two loads of one name
+  apart.) Changes made to a
   loaded segment in place — a virtual column — drop the table's
   entries through :meth:`SegmentPartialCache.drop_table`.
 * **Admission.** A text's partials are stored only once the server

@@ -5,7 +5,9 @@ query to servers, gather the per-server partial results, and merge them
 into the final response. They listen to external-view changes and
 rebuild routing tables as replicas come and go. For hybrid tables the
 broker transparently rewrites one logical query into an offline and a
-realtime query split at the time boundary (Fig 6).
+realtime query split at the time boundary (Fig 6). What a broker knows
+of a table is one record (:class:`_TableView`), refreshed when the
+table changes, not read from ZooKeeper per query.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
-from repro.cache.bus import TableEpochs
 from repro.cache.pruner import (
     SegmentSummary,
     compile_pruner,
@@ -115,6 +116,100 @@ def _make_strategy(config: TableConfig,
     if name == "partition_aware":
         return PartitionAwareRouting(rng=rng, **options)
     raise ClusterError(f"unknown routing strategy {name!r}")
+
+
+#: ``_TableView._max_time`` before the pushed records are read.
+_UNREAD = object()
+
+
+class _TableView:
+    """What one broker knows of one physical table (§3.3.2-3.3.3). A new
+    config object replaces it (keeping the routing version counting);
+    an external-view change drops the copied view and the routing;
+    a move of the table's Helix epoch, which follows every write of a
+    segment record, drops the records read. Reads are lazy, and what is
+    kept is a copy: Helix and the controller edit view entries and
+    stored records in place."""
+
+    __slots__ = ("_helix", "table", "config", "strategy", "version",
+                 "routed", "epoch", "_replicas", "_consuming", "_records",
+                 "_summaries", "_max_time")
+
+    def __init__(self, helix: HelixManager, table: str,
+                 config: TableConfig, strategy: RoutingStrategy,
+                 version: int):
+        self._helix = helix
+        self.table = table
+        self.config = config
+        self.strategy = strategy
+        #: Bumped by each routing rebuild; part of the cache key.
+        self.version = version
+        self.routed = False
+        self.epoch = helix.table_epoch(table)
+        #: segment -> ((instance, state), ...), None until read.
+        self._replicas: dict[str, tuple[tuple[str, str], ...]] | None = None
+        self._consuming: tuple[tuple[str, str], ...] = ()
+        self._records: dict[str, dict] = {}
+        self._summaries: dict[str, SegmentSummary] = {}
+        self._max_time = _UNREAD
+
+    def view_changed(self) -> None:
+        self._replicas = None
+        self.routed = False
+
+    def check_epoch(self) -> None:
+        epoch = self._helix.table_epoch(self.table)
+        if epoch != self.epoch:
+            self.epoch = epoch
+            self._records = {}
+            self._summaries = {}
+            self._max_time = _UNREAD
+
+    def replicas(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """The external view: every segment's (instance, state) pairs."""
+        if self._replicas is None:
+            self._replicas = {
+                segment: tuple(states.items())
+                for segment, states in self._helix.external_view(
+                    self.table).items()
+            }
+            self._consuming = tuple(
+                (segment, instance)
+                for segment, states in self._replicas.items()
+                for instance, state in states
+                if state == SegmentState.CONSUMING.value
+            )
+        return self._replicas
+
+    def consuming(self) -> tuple[tuple[str, str], ...]:
+        """Every CONSUMING replica in the view, live or not, as
+        (segment, instance) in view order."""
+        self.replicas()
+        return self._consuming
+
+    def record(self, segment: str) -> dict:
+        """The segment's published record (``{}`` when there is none)."""
+        if segment not in self._records:
+            self._records[segment] = dict(
+                read_segment_record(self._helix, self.table, segment))
+        return self._records[segment]
+
+    def summary(self, segment: str) -> SegmentSummary:
+        if segment not in self._summaries:
+            self._summaries[segment] = record_summary(
+                self.record(segment), self.config.time_column)
+        return self._summaries[segment]
+
+    def max_time(self) -> int | None:
+        """The latest ``max_time`` over every pushed segment's record,
+        routed or not; None when no record has one."""
+        if self._max_time is _UNREAD:
+            self._max_time = max(
+                (meta["max_time"] for meta in pushed_segment_records(
+                    self._helix, self.table)
+                 if meta.get("max_time") is not None),
+                default=None)
+        return self._max_time
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,8 +361,7 @@ class BrokerInstance:
         self.pressure = QueuePressure()
         self._quotas = quotas
         self._rng = random.Random(seed)
-        self._strategies: dict[str, RoutingStrategy] = {}
-        self._dirty: set[str] = set()
+        self._tables: dict[str, _TableView] = {}
         self.queries_served = 0
         self.query_log: list[QueryLogEntry] = []
         #: Interned: the log's 10 000 entries share a few distinct sets.
@@ -278,44 +372,44 @@ class BrokerInstance:
         self.tracer = tracer if tracer is not None else Tracer(
             clock=self._clock, component=instance_id, seed=seed,
         )
-        #: Result cache + the per-table epochs its keys embed; epochs
-        #: bump on every invalidation-bus event for the table.
         self.result_cache = BrokerResultCache(clock=self._clock)
-        self._epochs = TableEpochs(bus=helix.invalidation_bus)
-        self._routing_versions: dict[str, int] = {}
-        #: table -> ((routing version, epoch), segment -> summary): what
-        #: ``_prune`` holds a query against (``_summaries_for``).
-        self._summaries: dict[str, tuple[tuple[int, int],
-                                         dict[str, SegmentSummary]]] = {}
         helix.watch_external_view(self._on_view_change)
 
     # -- routing-table maintenance (§3.3.2) -----------------------------------
 
     def _on_view_change(self, event: str, path: str) -> None:
-        table = path.rsplit("/", 1)[-1]
-        self._dirty.add(table)
+        view = self._tables.get(path.rsplit("/", 1)[-1])
+        if view is not None:
+            view.view_changed()
 
-    def _strategy_for(self, table: str) -> RoutingStrategy:
-        if table not in self._strategies:
-            config = read_table_config(self._helix, table)
-            self._strategies[table] = _make_strategy(config, self._rng)
-            self._dirty.add(table)
-        if table in self._dirty:
-            self._rebuild(table)
-            self._dirty.discard(table)
-        return self._strategies[table]
-
-    def _rebuild(self, table: str) -> None:
-        self._routing_versions[table] = (
-            self._routing_versions.get(table, 0) + 1
-        )
+    def _view_of(self, table: str) -> _TableView:
+        """The table's record, refreshed against its config and epoch."""
         config = read_table_config(self._helix, table)
-        view = self._helix.external_view(table)
+        view = self._tables.get(table)
+        if view is None or view.config is not config:
+            view = self._tables[table] = _TableView(
+                self._helix, table, config, _make_strategy(config, self._rng),
+                view.version if view is not None else 0)
+        else:
+            view.check_epoch()
+        return view
+
+    def _routed(self, table: str) -> _TableView:
+        """The table's record with its routing strategy rebuilt from the
+        current external view."""
+        view = self._view_of(table)
+        if not view.routed:
+            self._rebuild(view)
+        return view
+
+    def _rebuild(self, view: _TableView) -> None:
+        view.version += 1
+        config = view.config
         live = set(self._helix.live_instances())
         segment_to_instances: dict[str, list[str]] = {}
-        for segment, replica_states in view.items():
+        for segment, replica_states in view.replicas().items():
             replicas = [
-                instance for instance, state in replica_states.items()
+                instance for instance, state in replica_states
                 if state in _QUERYABLE_STATES and instance in live
             ]
             if replicas:
@@ -323,7 +417,7 @@ class BrokerInstance:
         snapshot = TableRoutingSnapshot(
             segment_to_instances=segment_to_instances,
             segment_partitions=self._segment_partitions(
-                table, config, segment_to_instances
+                view, segment_to_instances
             ),
             partition_column=(config.partition.column
                               if config.partition else None),
@@ -331,15 +425,17 @@ class BrokerInstance:
                             if config.partition else None),
             time_column=config.time_column,
         )
-        self._strategies[table].rebuild(snapshot)
+        view.strategy.rebuild(snapshot)
+        view.routed = True
 
-    def _segment_partitions(self, table: str, config: TableConfig,
+    @staticmethod
+    def _segment_partitions(view: _TableView,
                             segments: dict[str, list[str]]) -> dict[str, int]:
-        if config.partition is None:
+        if view.config.partition is None:
             return {}
         partitions: dict[str, int] = {}
         for segment in segments:
-            meta = read_segment_record(self._helix, table, segment)
+            meta = view.record(segment)
             partition = meta.get("partition_id", meta.get("partition"))
             if partition is not None:
                 partitions[segment] = partition
@@ -492,46 +588,41 @@ class BrokerInstance:
         """
         parts = []
         for physical_query in physical:
-            table = physical_query.table
-            self._strategy_for(table)  # refresh routing if dirty
-            fingerprint = self._consuming_fingerprint(table)
+            view = self._routed(physical_query.table)
+            fingerprint = self._consuming_fingerprint(view)
             if fingerprint is None:
                 return None
             parts.append((
-                table,
+                view.table,
                 str(physical_query),
                 bool(physical_query.options.get("skipPrune")),
-                self._epochs.epoch(table),
-                self._routing_versions.get(table, 0),
+                view.epoch,
+                view.version,
                 fingerprint,
             ))
         return tuple(parts)
 
-    def _consuming_fingerprint(self, table: str) -> tuple | None:
+    def _consuming_fingerprint(self, view: _TableView) -> tuple | None:
         """The (segment, instance, offset) triples of every CONSUMING
         replica — offline tables return (). Embedding live offsets in
         the key gives realtime and hybrid caching zero staleness by
         construction: any newly consumed event changes the key."""
-        view = self._helix.external_view(table)
         entries = []
-        for segment, replica_states in view.items():
-            for instance, state in replica_states.items():
-                if state != SegmentState.CONSUMING.value:
-                    continue
-                participant = self._helix.participant(instance)
-                if participant is None or not hasattr(
-                        participant, "consuming_offset"):
-                    return None
-                try:
-                    offset = self._transport.call(
-                        self.instance_id, instance,
-                        "consuming_offset", table, segment,
-                    )
-                except ClusterError:
-                    offset = None
-                if offset is None:
-                    return None
-                entries.append((segment, instance, offset))
+        for segment, instance in view.consuming():
+            participant = self._helix.participant(instance)
+            if participant is None or not hasattr(
+                    participant, "consuming_offset"):
+                return None
+            try:
+                offset = self._transport.call(
+                    self.instance_id, instance,
+                    "consuming_offset", view.table, segment,
+                )
+            except ClusterError:
+                offset = None
+            if offset is None:
+                return None
+            entries.append((segment, instance, offset))
         return tuple(sorted(entries))
 
     def _serve_from_cache(self, cached: CachedResult, run: _QueryRun,
@@ -616,9 +707,9 @@ class BrokerInstance:
         total_docs = 0
         cardinalities: dict[str, int] = {}
         for physical_query in physical:
-            table = physical_query.table
-            for segment in self._helix.external_view(table):
-                meta = read_segment_record(self._helix, table, segment)
+            view = self._view_of(physical_query.table)
+            for segment in view.replicas():
+                meta = view.record(segment)
                 num_docs = meta.get("num_docs") or 0
                 total_docs += num_docs
                 cards = meta.get("cardinalities") or {}
@@ -681,30 +772,16 @@ class BrokerInstance:
         if has_realtime and not has_offline:
             return [query.with_table(realtime)]
 
-        config = read_table_config(self._helix, offline)
-        time_column = config.time_column
+        view = self._view_of(offline)
+        time_column = view.config.time_column
         if time_column is None:
             raise ClusterError(
                 f"hybrid table {logical!r} requires a time column"
             )
-        boundary = self._time_boundary(offline, config)
-        if boundary is None:
+        max_time = view.max_time()
+        if max_time is None:
             # No offline data yet; serve everything from realtime.
             return [query.with_table(realtime)]
-        offline_query, realtime_query = split_hybrid(
-            query, time_column, boundary, offline, realtime
-        )
-        return [offline_query, realtime_query]
-
-    def _time_boundary(self, offline_table: str,
-                       config: TableConfig) -> int | None:
-        max_times = [
-            meta["max_time"]
-            for meta in pushed_segment_records(self._helix, offline_table)
-            if meta.get("max_time") is not None
-        ]
-        if not max_times:
-            return None
         # Use the table's configured granularity *including its size*:
         # with e.g. (DAYS, 7) buckets, a boundary of max_time - 1 would
         # let the offline side serve a partially-pushed trailing bucket
@@ -712,7 +789,9 @@ class BrokerInstance:
         # always <= the last fully-covered bucket's end, so offline
         # (time <= boundary) and realtime (time > boundary) partition
         # the axis with no gap and no overlap.
-        return time_boundary(max(max_times), config.retention_granularity)
+        boundary = time_boundary(max_time, view.config.retention_granularity)
+        return list(split_hybrid(query, time_column, boundary, offline,
+                                 realtime))
 
     # -- each physical leg: route, scatter, gather (§3.3.3 steps 2-7) ---------
 
@@ -721,7 +800,8 @@ class BrokerInstance:
         health filter; None (with an error result) when it has none."""
         query = run.query
         with run.stage("route", table=query.table) as span:
-            run.strategy = self._strategy_for(query.table)
+            view = self._routed(query.table)
+            run.strategy = view.strategy
             try:
                 routing_table = run.strategy.route(query)
             except RoutingError as exc:
@@ -732,8 +812,7 @@ class BrokerInstance:
                 )
                 run.finished_at = max(run.finished_at, self._clock.now())
                 return None
-            routing_table, pruned = self._prune(
-                query, routing_table, run.strategy.snapshot.time_column)
+            routing_table, pruned = self._prune(view, query, routing_table)
             run.pruned += pruned
             routing_table = self._apply_health(run, routing_table)
             if span is not None:
@@ -1141,8 +1220,8 @@ class BrokerInstance:
                 reroute.setdefault(instance, []).extend(fsegs)
         return reroute, unroutable
 
-    def _prune(self, query: Query, routing_table,
-               time_column: str | None):
+    @staticmethod
+    def _prune(view: _TableView, query: Query, routing_table):
         """Drop segments that provably cannot match the filter before
         contacting any server: the query's compiled prune check held
         against each segment's summary — the time range and
@@ -1150,43 +1229,20 @@ class BrokerInstance:
         negative, so pruning is always safe). Servers left with no
         segments are not contacted at all. Returns the pruned routing
         table and the number of segments dropped."""
-        check = compile_pruner(
-            query, read_table_config(self._helix, query.table).schema)
+        check = compile_pruner(query, view.config.schema)
+        time_column = view.config.time_column
         if not check.constraints and all(leaf.column != time_column
                                          for leaf in check.leaves):
             return routing_table, 0  # nothing a record could rule out
-        summaries = self._summaries_for(query.table, time_column,
-                                        routing_table)
         pruned = 0
         out: dict[str, list[str]] = {}
         for instance, segments in routing_table.items():
             kept = [segment for segment in segments
-                    if prune_reason(summaries[segment], check) is None]
+                    if prune_reason(view.summary(segment), check) is None]
             pruned += len(segments) - len(kept)
             if kept:
                 out[instance] = kept
         return out, pruned
-
-    def _summaries_for(self, table: str, time_column: str | None,
-                       routing_table) -> dict[str, SegmentSummary]:
-        """The summary of every routed segment of ``table``. A segment's
-        record is read, and its blooms parsed, once per routing rebuild
-        or invalidation epoch of the table — the events that come with
-        every write of a segment record (push, replace, completion,
-        delete) — not once per query."""
-        version = (self._routing_versions.get(table, 0),
-                   self._epochs.epoch(table))
-        held = self._summaries.get(table)
-        if held is None or held[0] != version:
-            held = self._summaries[table] = (version, {})
-        summaries = held[1]
-        for segments in routing_table.values():
-            for segment in segments:
-                if segment not in summaries:
-                    summaries[segment] = record_summary(
-                        read_segment_record(self._helix, table, segment),
-                        time_column)
-        return summaries
 
     def _record_query_log(self, query: Query,
                           results: list[ServerResult]
@@ -1220,7 +1276,7 @@ class BrokerInstance:
         query, without executing it."""
         out: dict[str, dict[str, str]] = {}
         for physical_query in self._plan(pql)[1]:
-            strategy = self._strategy_for(physical_query.table)
+            strategy = self._routed(physical_query.table).strategy
             try:
                 routing_table = strategy.route(physical_query)
             except RoutingError:
@@ -1250,6 +1306,6 @@ class BrokerInstance:
         (instrumentation for the Fig 16 routing comparison)."""
         servers: set[str] = set()
         for physical_query in self._plan(pql)[1]:
-            strategy = self._strategy_for(physical_query.table)
+            strategy = self._routed(physical_query.table).strategy
             servers.update(strategy.route(physical_query))
         return len(servers)

@@ -176,17 +176,17 @@ class Controller:
         config = self.table_config(table)
         self._verify_segment(config, segment)
         self._check_quota(config, table, segment)
+        # Place first: an upload refused for want of live servers must
+        # leave no record behind (brokers split hybrid queries at the
+        # latest pushed record's max_time).
+        mapping = self._helix.ideal_state(table)
+        self._place(config, mapping, segment.name, SegmentState.ONLINE.value)
 
         segment.metadata.push_time_ms = push_time_ms
         self._store.put(table, segment)
         self._write_segment_property(table, segment, push_time_ms)
-
-        mapping = self._helix.ideal_state(table)
-        self._place(config, mapping, segment.name, SegmentState.ONLINE.value)
         self._helix.set_ideal_state(table, mapping)
-        self._helix.invalidation_bus.publish(
-            table, "segment_uploaded", segment=segment.name
-        )
+        self._helix.bump_epoch(table)
 
     def _write_segment_property(self, table: str,
                                 segment: ImmutableSegment,
@@ -275,9 +275,7 @@ class Controller:
             server: SegmentState.ONLINE.value for server in replicas
         }
         self._helix.set_ideal_state(table, mapping)
-        self._helix.invalidation_bus.publish(
-            table, "segment_replaced", segment=segment.name
-        )
+        self._helix.bump_epoch(table)
 
     def delete_segment(self, table: str, segment_name: str) -> None:
         self._require_leader()
@@ -286,9 +284,7 @@ class Controller:
         self._helix.set_ideal_state(table, mapping)
         self._store.delete(table, segment_name)
         self._helix.delete_property(f"segments/{table}/{segment_name}")
-        self._helix.invalidation_bus.publish(
-            table, "segment_deleted", segment=segment_name
-        )
+        self._helix.bump_epoch(table)
 
     # -- placement (§3.2, §3.4) --------------------------------------------------
     #
@@ -516,9 +512,7 @@ class Controller:
                         )
                     except ClusterError:
                         continue  # dead replica rebuilds lazily anyway
-                self._helix.invalidation_bus.publish(
-                    table, "segment_tiered", segment=segment_name
-                )
+                self._helix.bump_epoch(table)
                 tiered.append(segment_name)
         return tiered
 
@@ -687,9 +681,7 @@ class Controller:
         partition = meta["partition"]
         self._create_consuming_segment(config, partition,
                                        meta["sequence"] + 1, offset)
-        self._helix.invalidation_bus.publish(
-            table, "segment_completed", segment=segment
-        )
+        self._helix.bump_epoch(table)
         return True
 
     # -- minion task scheduling (§3.2) ------------------------------------------------

@@ -183,11 +183,9 @@ class ServerInstance:
 
     def _on_store_evict(self, table: str, segment: str) -> None:
         """A resident segment was evicted under memory pressure (or
-        tiered off): its decoded columns went with it, and the eviction
-        is published on the invalidation bus (broker result-cache keys
-        for the table rotate)."""
-        self._helix.invalidation_bus.publish(table, "segment_evicted",
-                                             segment=segment)
+        tiered off): its decoded columns went with it, and the table's
+        epoch moves (broker result-cache keys for the table rotate)."""
+        self._helix.bump_epoch(table)
 
     def _on_segment_removed(self, table: str) -> None:
         # Un-applying one segment's rows from a PK index is not possible
@@ -226,7 +224,7 @@ class ServerInstance:
             self._rebuild_upsert_index(table)
             return
         if manager.apply_segment(loaded):
-            self._publish_upsert_state(table, segment)
+            self._publish_upsert_state(table)
 
     def _segment_ref(self, table: str, segment: str) -> tuple[int, int] | None:
         """(size_bytes, num_docs) from published segment metadata, or
@@ -416,17 +414,14 @@ class ServerInstance:
         finally:
             for name in names:
                 self.segment_cache.unpin(table, name)
-        self._publish_upsert_state(table, None)
+        self._publish_upsert_state(table)
 
-    def _publish_upsert_state(self, table: str,
-                              segment: str | None) -> None:
-        """Bump the table's upsert-state epoch on the invalidation bus:
-        a valid-docId bitmap over already-committed data changed, so
-        broker result-cache entries for this table must never be served
-        again."""
+    def _publish_upsert_state(self, table: str) -> None:
+        """Bump the table's epoch: a valid-docId bitmap over
+        already-committed data changed, so broker result-cache entries
+        for this table must never be served again."""
         self.metrics.incr("upsert_invalidations")
-        self._helix.invalidation_bus.publish(table, "upsert_state",
-                                             segment=segment)
+        self._helix.bump_epoch(table)
 
     # -- realtime consumption loop --------------------------------------------
 
@@ -467,7 +462,7 @@ class ServerInstance:
             # A row in this consuming segment superseded one inside an
             # already-committed segment: cached results over committed
             # data just went stale.
-            self._publish_upsert_state(consuming.table, consuming.name)
+            self._publish_upsert_state(consuming.table)
 
     def _poll_once(self, consuming: _ConsumingSegment) -> None:
         stream = consuming.config.stream

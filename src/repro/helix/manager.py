@@ -13,13 +13,16 @@ transition paths (:mod:`repro.helix.statemachine`) and invokes the
 owning participant's transition handler; on success the external view
 is updated and broker routing tables refresh off the external-view
 watch (§3.3.2).
+
+The manager also keeps one *table epoch* per resource, bumped by every
+change to the data a table serves (docs/ARCHITECTURE.md, "Cluster
+state"); brokers key cached results by it.
 """
 
 from __future__ import annotations
 
 from typing import Protocol
 
-from repro.cache.bus import InvalidationBus
 from repro.errors import ClusterError
 from repro.helix.statemachine import (
     SegmentState,
@@ -64,10 +67,7 @@ class HelixManager:
         self._participants: dict[str, Participant] = {}
         self._sessions: dict[str, ZkSession] = {}
         self._view_callbacks: list = []
-        #: Cluster-wide cache-invalidation fan-out: controllers and the
-        #: manager itself publish data-changing events here; brokers
-        #: subscribe per-table epoch counters (repro.cache).
-        self.invalidation_bus = InvalidationBus()
+        self._epochs: dict[str, int] = {}
         root = self._path("")
         if not zk.exists(root):
             zk.create(root, make_parents=True)
@@ -172,6 +172,17 @@ class HelixManager:
             )
         self._view_callbacks.append(callback)
 
+    def bump_epoch(self, resource: str) -> None:
+        """Record a change to the data ``resource`` serves."""
+        self._epochs[resource] = self._epochs.get(resource, 0) + 1
+
+    def table_epoch(self, resource: str) -> int:
+        """How many data changes ``resource`` has seen. Two equal
+        readings bound an interval in which no segment record was
+        written and no committed document changed; rows a consuming
+        segment takes in do not count (brokers read its offset)."""
+        return self._epochs.get(resource, 0)
+
     # -- convergence (the Helix controller's core loop) ---------------------
 
     def converge(self, resource: str) -> None:
@@ -238,9 +249,7 @@ class HelixManager:
                                     from_state, to_state)
                 view.setdefault(segment, {})[instance] = to_state.value
                 if affects_query_results(from_state, to_state):
-                    self.invalidation_bus.publish(
-                        resource, "state_transition", segment=segment
-                    )
+                    self.bump_epoch(resource)
         except ClusterError:
             # A failed transition leaves the replica in ERROR; Helix
             # reports it in the external view so brokers avoid it.
@@ -259,7 +268,7 @@ class HelixManager:
                     del view[segment]
             if changed:
                 self.zk.upsert(self._path(f"externalview/{resource}"), view)
-                self.invalidation_bus.publish(resource, "instance_death")
+                self.bump_epoch(resource)
                 self._notify_view(resource)
 
     def _notify_view(self, resource: str) -> None:

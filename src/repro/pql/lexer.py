@@ -66,8 +66,9 @@ def _scan(text: str) -> Iterator[Token]:
             yield Token(TokenType.STAR, "*", i)
             i += 1
         elif ch == "'":
-            value, i = _scan_string(text, i)
+            value, end = _scan_string(text, i)
             yield Token(TokenType.STRING, value, i)
+            i = end
         elif ch == '"':
             # Double-quoted identifiers (for reserved-word columns).
             end = text.find('"', i + 1)
@@ -76,14 +77,16 @@ def _scan(text: str) -> Iterator[Token]:
             yield Token(TokenType.IDENTIFIER, text[i + 1:end], i)
             i = end + 1
         elif ch in "=<>!":
-            op, i = _scan_operator(text, i)
+            op, end = _scan_operator(text, i)
             yield Token(TokenType.OPERATOR, op, i)
+            i = end
         elif ch.isdigit() or (
             ch == "-" and i + 1 < n and (text[i + 1].isdigit()
                                          or text[i + 1] == ".")
         ) or ch == ".":
-            value, i = _scan_number(text, i)
+            value, end = _scan_number(text, i)
             yield Token(TokenType.NUMBER, value, i)
+            i = end
         elif ch.isalpha() or ch == "_":
             start = i
             while i < n and (text[i].isalnum() or text[i] == "_"):

@@ -77,7 +77,6 @@ class SegmentMetadata:
     partition_id: int | None = None
     num_partitions: int | None = None
     has_star_tree: bool = False
-    crc: int = 0
     push_time_ms: int = 0
     has_time_index: bool = False
     #: Serialized size of the timestamp-index rollups (store sizing).

@@ -644,7 +644,7 @@ class SimulationHarness:
 
     def _op_cache_invalidate(self, op: Op) -> None:
         table = op.params.get("table", self.offline_table)
-        self.cluster.helix.invalidation_bus.publish(table, "sim_invalidate")
+        self.cluster.helix.bump_epoch(table)
 
     def _op_crash_server(self, op: Op) -> None:
         instance = op.params["instance"]

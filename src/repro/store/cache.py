@@ -20,7 +20,7 @@ rather than rejected — admitting it would evict everything else for a
 single resident.
 
 Evictions invoke ``on_evict(table, name)`` so the owner can react (the
-server publishes ``segment_evicted`` on the invalidation bus). Decoded
+server bumps the table's Helix epoch). Decoded
 column arrays hang off the segment object and go with it. Metrics go
 through the owner's :class:`~repro.obs.metrics.Metrics` under the
 ``store_*`` names catalogued in ``docs/ARCHITECTURE.md``.
@@ -103,8 +103,8 @@ class SegmentCache:
     def drop(self, table: str, name: str) -> bool:
         """Stop hosting (OFFLINE/DROPPED transition); True if hosted.
 
-        No eviction callback fires — the state change is already
-        published on the bus."""
+        No eviction callback fires — the state transition already moved
+        the table's epoch."""
         entry = self._entries.pop((table, name), None)
         if entry is None:
             return False

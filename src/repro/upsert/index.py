@@ -101,8 +101,8 @@ class TableUpsertManager:
         #: partition -> seen primary keys (dedup mode only).
         self._seen: dict[int, set[tuple]] = {}
         #: Bumped whenever masking state over a segment *other than the
-        #: one being applied* changes — the upsert-state epoch published
-        #: on the invalidation bus.
+        #: one being applied* changes; when it moves, the server bumps
+        #: the table's Helix epoch.
         self.state_epoch = 0
         #: Optional override for gauge updates; a server hosting several
         #: upsert tables installs a hook that sums across its managers

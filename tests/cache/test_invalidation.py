@@ -76,13 +76,13 @@ class TestRealtimeFreshness:
                          records_per_poll=30),
         ))
         broker = cluster.brokers[0]
-        epoch_before = broker._epochs.epoch("events_REALTIME")
+        epoch_before = cluster.helix.table_epoch("events_REALTIME")
         cluster.ingest("events-rt", [
             {"memberId": i, "country": "us", "views": 1, "day": 17000}
             for i in range(100)
         ])
         cluster.drain_realtime()  # completes at least one segment
-        assert broker._epochs.epoch("events_REALTIME") > epoch_before
+        assert cluster.helix.table_epoch("events_REALTIME") > epoch_before
 
         pql = "SELECT count(*) FROM events WHERE country = 'us'"
         response = broker.execute(pql)
@@ -100,13 +100,13 @@ class TestMinionReplacement:
         assert stale.rows[0][0] == 20
         assert broker.execute(self.PQL).cache_hit  # entry is live
 
-        epoch_before = broker._epochs.epoch("events_OFFLINE")
+        epoch_before = cluster.helix.table_epoch("events_OFFLINE")
         cluster.leader_controller().schedule_task(
             "purge", "events_OFFLINE",
             {"column": "memberId", "values": [3, 7]},
         )
         cluster.run_minions()
-        assert broker._epochs.epoch("events_OFFLINE") > epoch_before
+        assert cluster.helix.table_epoch("events_OFFLINE") > epoch_before
 
         hits_before = broker.metrics.count("cache_hits")
         fresh = broker.execute(self.PQL)
@@ -121,13 +121,13 @@ class TestMinionReplacement:
         cluster = offline_cluster(schema)
         broker = cluster.brokers[0]
         broker.execute(self.PQL)
-        epoch_before = broker._epochs.epoch("events_OFFLINE")
+        epoch_before = cluster.helix.table_epoch("events_OFFLINE")
         cluster.leader_controller().schedule_task(
             "add_inverted_index", "events_OFFLINE",
             {"column": "memberId"},
         )
         cluster.run_minions()
-        assert broker._epochs.epoch("events_OFFLINE") > epoch_before
+        assert cluster.helix.table_epoch("events_OFFLINE") > epoch_before
         fresh = broker.execute(self.PQL)
         assert not fresh.cache_hit
         assert fresh.rows[0][0] == 20
@@ -141,9 +141,9 @@ class TestServerDeathAndFailover:
         broker.execute(pql)
         assert broker.execute(pql).cache_hit
 
-        epoch_before = broker._epochs.epoch("events_OFFLINE")
+        epoch_before = cluster.helix.table_epoch("events_OFFLINE")
         cluster.kill_server("server-0")
-        assert broker._epochs.epoch("events_OFFLINE") > epoch_before
+        assert cluster.helix.table_epoch("events_OFFLINE") > epoch_before
 
         fresh = broker.execute(pql)
         assert not fresh.cache_hit

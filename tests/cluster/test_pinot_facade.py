@@ -137,7 +137,7 @@ class TestStarTreeTable:
         assert all(plan.startswith("STAR_TREE") for plan in described)
 
     def test_broker_strategy_carries_routing_options(self, cluster):
-        strategy = cluster.brokers[0]._strategy_for("t_OFFLINE")
+        strategy = cluster.brokers[0]._routed("t_OFFLINE").strategy
         assert (strategy.target_servers, strategy.keep_tables,
                 strategy.generate_tables) == (2, 5, 40)
 

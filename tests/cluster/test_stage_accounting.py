@@ -67,7 +67,7 @@ def fail_routing(cluster):
     def route(query):
         raise RoutingError("no routing table")
 
-    broker._strategy_for("events_OFFLINE").route = route
+    broker._routed("events_OFFLINE").strategy.route = route
 
 
 def stage_counts(cluster):

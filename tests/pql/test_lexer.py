@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import PQLSyntaxError
 from repro.pql.lexer import TokenType, tokenize
+from repro.pql.parser import parse
 
 
 def kinds(text):
@@ -61,3 +62,31 @@ class TestTokens:
     def test_position_reported(self):
         with pytest.raises(PQLSyntaxError, match="position"):
             tokenize("abc $ def")
+
+
+class TestTokenPositions:
+    """Every token carries the offset it starts at, so an error names
+    the offending token's first character."""
+
+    def test_string_starts_at_its_quote(self):
+        text = "SELECT count(*) FROM t WHERE a = 'x' 'y'"
+        with pytest.raises(PQLSyntaxError,
+                           match=r"trailing input 'y' \(at position 37\)"):
+            parse(text)
+        assert text[37:] == "'y'"
+
+    def test_operator_starts_at_its_first_character(self):
+        text = "SELECT count(*) FROM t WHERE a == 5"
+        with pytest.raises(PQLSyntaxError,
+                           match=r"got '=' \(at position 32\)"):
+            parse(text)
+        assert text[32:] == "= 5"
+
+    def test_number_starts_at_its_first_digit(self):
+        text = "SELECT count(*) FROM t WHERE a = 5 -67"
+        with pytest.raises(PQLSyntaxError,
+                           match=r"trailing input -67 \(at position 35\)"):
+            parse(text)
+        assert text[35:] == "-67"
+        positions = [t.position for t in tokenize("a = 'b' AND c >= 1.5")]
+        assert positions == [0, 2, 4, 8, 12, 14, 17, 20]

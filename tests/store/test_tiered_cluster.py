@@ -111,12 +111,11 @@ class TestEvictionInvalidation:
         cluster.execute("SELECT sum(views) FROM events")
         server = cluster.servers[0]
 
-        events = []
-        cluster.helix.invalidation_bus.subscribe(events.append)
+        epoch = cluster.helix.table_epoch("events_OFFLINE")
         assert server.segment_cache.evict_all() == 1
-        evicted = [e for e in events if e.reason == "segment_evicted"]
-        assert len(evicted) == 1
-        assert evicted[0].table == "events_OFFLINE"
+        # One bump per evicted segment, on its table only.
+        assert cluster.helix.table_epoch("events_OFFLINE") == epoch + 1
+        assert cluster.helix.table_epoch("events_REALTIME") == 0
 
     def test_broker_cache_rotates_on_eviction(self, schema):
         cluster = PinotCluster(num_servers=1)
@@ -148,13 +147,13 @@ class TestRetentionTiering:
         cluster = self._cluster(schema)
         baseline = cluster.execute(
             "SELECT count(*) FROM events OPTION(skipCache=true)").rows
-        events = []
-        cluster.helix.invalidation_bus.subscribe(events.append)
+        epoch = cluster.helix.table_epoch("events_OFFLINE")
 
         tiered = cluster.run_tiering(now=17006)
         assert tiered == ["events_OFFLINE_00000"]  # day 17000 aged out
-        assert [e.segment for e in events
-                if e.reason == "segment_tiered"] == tiered
+        # One bump for the tiered segment; a hosting server's eviction
+        # of its payload may add one more.
+        assert cluster.helix.table_epoch("events_OFFLINE") > epoch
         meta = cluster.helix.get_property(
             "segments/events_OFFLINE/events_OFFLINE_00000")
         assert meta["tier"] == "remote"
